@@ -15,17 +15,13 @@ import argparse
 import pathlib
 import sys
 
-from fbff.cli import frequency_table
+from fbff.cli import write_frequency_table
 from fbff.constructions import named_bank
 from fbff.gabor import GaborSystem, design_maxflat, gabor_bank
 
 
 def write_table(fb, n_samples, path):
-    rows = frequency_table(fb, n_samples)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("n,omega,mag2\n")
-        for n, omega, mag2 in rows:
-            fh.write(f"{n},{omega:.17g},{mag2:.17g}\n")
+    write_frequency_table(fb, n_samples, path)
     print(f"wrote {path}")
 
 

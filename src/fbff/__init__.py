@@ -22,8 +22,6 @@ from .signals import (
 )
 from .polyphase import (
     PolyphaseMatrix,
-    PolyphaseVector,
-    ZakMatrix,
     adjoint,
     bank_of,
     decompose,

@@ -2,11 +2,14 @@
 
 Everything here turns a structural claim ("this bank is a tight fusion
 frame", "these weighted projections resolve the identity") into a numeric
-verdict with an explicit tolerance.  The only linear-algebra kernel is a
-cyclic Jacobi eigensolver for Hermitian matrices, kept dependency-free so
-the dense oracle and the polyphase route share nothing but that one
-routine, itself tested against an independent characteristic-polynomial
-root finder.
+verdict with an explicit tolerance.  Each bank's evaluated Grams are
+built once, as a (P, M, M) stack from the per-root polyphase Gram, and one
+batched LAPACK ``eigvalsh`` call gives every root's spectrum; bounds and
+row checks both read from that stack.
+
+The cyclic Jacobi eigensolver kept here (tested against an independent
+characteristic-polynomial root finder) serves only the dense oracle, so
+the polyphase route and the oracle share no eigensolver.
 """
 
 from __future__ import annotations
@@ -16,20 +19,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from .polyphase import (
-    PolyphaseMatrix,
-    decompose,
-    gram,
-    matrix_of,
-    zak_of,
-    zak_power_rows,
-)
+from .gabor import GaborSystem, zak_row_sums
+from .polyphase import PolyphaseMatrix, decompose, eval_all_roots, gram, matrix_of
 from .signals import FilterBank, Signal
 
 __all__ = [
     "jacobi_eigh",
     "hermitian_eigs",
     "FrameBounds",
+    "gram_stack",
     "frame_bounds",
     "channel_is_projection",
     "FusionReport",
@@ -126,27 +124,32 @@ class FrameBounds:
     per_root: tuple[tuple[float, float], ...]
 
 
-def _bounds_from_per_root(per_root) -> FrameBounds:
-    per_root = tuple((float(a), float(b)) for a, b in per_root)
+def _bounds(lo: np.ndarray, hi: np.ndarray) -> FrameBounds:
     return FrameBounds(
-        A=min(a for a, _ in per_root),
-        B=max(b for _, b in per_root),
-        per_root=per_root,
+        A=float(np.min(lo)),
+        B=float(np.max(hi)),
+        per_root=tuple((float(a), float(b)) for a, b in zip(lo, hi)),
     )
+
+
+def gram_stack(mat: PolyphaseMatrix) -> np.ndarray:
+    """The (P, M, M) stack of evaluated Grams; slice p is ``gram(mat, p)``."""
+    return np.stack([gram(mat, p) for p in range(mat.period)])
+
+
+def _gram_bounds(grams: np.ndarray) -> FrameBounds:
+    # Grams are positive semidefinite: tiny negative eigenvalues clip to zero
+    w = np.maximum(np.linalg.eigvalsh(grams), 0.0)
+    return _bounds(w[:, 0], w[:, -1])
 
 
 def frame_bounds(mat: PolyphaseMatrix) -> FrameBounds:
     """Optimal bounds of the bank with polyphase matrix ``mat``.
 
     At each root the extreme Gram eigenvalues bound that root's frame; the
-    global bounds are their min and max.  Grams are positive semidefinite,
-    so tiny negative eigenvalues are clipped to zero.
+    global bounds are their min and max.
     """
-    per_root = []
-    for p in range(mat.period):
-        w = hermitian_eigs(gram(mat, p))
-        per_root.append((max(float(w[0]), 0.0), max(float(w[-1]), 0.0)))
-    return _bounds_from_per_root(per_root)
+    return _gram_bounds(gram_stack(mat))
 
 
 def channel_is_projection(phi: Signal, m: int, tol: float = 1e-9) -> bool:
@@ -156,8 +159,7 @@ def channel_is_projection(phi: Signal, m: int, tol: float = 1e-9) -> bool:
     which makes the channel's synthesis-analysis composite an orthogonal
     projection.
     """
-    ev = np.stack([c.eval_all() for c in decompose(phi, m).components])
-    norms = np.sqrt(np.sum(np.abs(ev) ** 2, axis=0))
+    norms = np.sqrt(np.sum(np.abs(eval_all_roots(decompose(phi, m))) ** 2, axis=0))
     return bool(np.max(np.abs(norms - 1.0)) <= tol)
 
 
@@ -181,8 +183,8 @@ class FusionReport:
 
 
 def fusion_report(fb: FilterBank, tol: float = 1e-9) -> FusionReport:
-    mat = matrix_of(fb)
-    bounds = frame_bounds(mat)
+    grams = gram_stack(matrix_of(fb))
+    bounds = _gram_bounds(grams)
     channels = tuple(
         channel_is_projection(phi, fb.downsample, tol) for phi in fb.filters
     )
@@ -190,13 +192,8 @@ def fusion_report(fb: FilterBank, tol: float = 1e-9) -> FusionReport:
         bounds.B, _TIGHT_EPS
     )
     target = fb.n_channels / fb.downsample
-    rows_ok = True
-    for p in range(mat.period):
-        g = gram(mat, p)
-        defect = np.max(np.abs(g - target * np.eye(mat.n_rows)))
-        if defect > tol * max(1.0, target):
-            rows_ok = False
-            break
+    defect = np.max(np.abs(grams - target * np.eye(fb.downsample)))
+    rows_ok = defect <= tol * max(1.0, target)
     return FusionReport(
         bounds=bounds,
         channel_projection=channels,
@@ -269,15 +266,6 @@ def verify_weighted_parseval(projections, dim: int, tol: float = 1e-9):
     return ok, worst
 
 
-def _check_gabor_shape(phi: Signal, m: int, q: int, r: int) -> None:
-    if m < 1 or q < 1 or r < 1:
-        raise ValueError("rate, block and redundancy must be positive")
-    if phi.period != m * q * r:
-        raise ValueError(
-            f"prototype period {phi.period} != rate*block*redundancy = {m * q * r}"
-        )
-
-
 def gabor_frame_bounds(phi: Signal, m: int, q: int, r: int) -> FrameBounds:
     """Optimal bounds of the translate-and-modulate bank built on ``phi``.
 
@@ -285,10 +273,8 @@ def gabor_frame_bounds(phi: Signal, m: int, q: int, r: int) -> FrameBounds:
     M times the squared-modulus row sum of the Zak matrix; the bounds are
     the extreme values of that grid over all rows and roots.
     """
-    _check_gabor_shape(phi, m, q, r)
-    vals = m * zak_power_rows(zak_of(phi, m, r))
-    per_root = [(float(vals[:, p].min()), float(vals[:, p].max())) for p in range(vals.shape[1])]
-    return _bounds_from_per_root(per_root)
+    vals = zak_row_sums(GaborSystem(phi, m, q, r))
+    return _bounds(vals.min(axis=0), vals.max(axis=0))
 
 
 def gabor_channel_orthonormal(
@@ -299,23 +285,22 @@ def gabor_channel_orthonormal(
     Modulation does not change polyphase norms, so this reduces to the
     unit-norm condition on the prototype's polyphase vector at all roots.
     """
-    _check_gabor_shape(phi, m, q, r)
+    GaborSystem(phi, m, q, r)  # validates the lattice shape
     return channel_is_projection(phi, m, tol)
 
 
 def gabor_tightness(phi: Signal, m: int, q: int, r: int, tol: float = 1e-9) -> bool:
     """Whether the translate-and-modulate bank on ``phi`` is a tight frame.
 
-    Two equivalent criteria are evaluated: the Zak row sums must equal
-    R / M at every root, and, in the time domain, the R-translates of each
-    subsequence sqrt(M) * phi[m + M k] must be orthonormal.  A verdict
+    Two equivalent criteria are evaluated: the Zak row sums of
+    :func:`fbff.gabor.zak_row_sums` must equal R at every root, and, in the
+    time domain, the R-translates of each subsequence sqrt(M) * phi[m + M k]
+    must be orthonormal.  A verdict
     mismatch between the two forms signals an implementation bug and
     raises RuntimeError.
     """
-    _check_gabor_shape(phi, m, q, r)
-    rows = zak_power_rows(zak_of(phi, m, r))
-    target = r / m
-    freq_ok = bool(np.max(np.abs(rows - target)) <= tol * max(1.0, target))
+    rows = zak_row_sums(GaborSystem(phi, m, q, r))
+    freq_ok = bool(np.max(np.abs(rows - r)) <= tol * max(m, r))
 
     time_defect = 0.0
     for k in range(m):

@@ -8,6 +8,7 @@ All output is JSON or CSV; plotting is left to external tools.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -23,7 +24,7 @@ from .signals import (
     signal_to_json,
 )
 
-__all__ = ["main", "frequency_table", "build_bank"]
+__all__ = ["main", "frequency_table", "write_frequency_table", "build_bank"]
 
 _USAGE_ERROR = 2
 _VERIFY_ERROR = 1
@@ -47,24 +48,28 @@ def frequency_table(fb: FilterBank, n_samples: int):
     return rows
 
 
+def write_frequency_table(fb: FilterBank, n_samples: int, path=None) -> None:
+    """Write :func:`frequency_table` as an ``n,omega,mag2`` CSV to ``path``
+    (standard output when None), with 17 significant digits."""
+    lines = ["n,omega,mag2"]
+    lines += [
+        f"{n},{omega:.17g},{mag2:.17g}" for n, omega, mag2 in frequency_table(fb, n_samples)
+    ]
+    _write_text("\n".join(lines) + "\n", path)
+
+
 def build_bank(name: str, period: int, args=None) -> FilterBank:
     """Build a named bank; composite names consume extra arguments."""
     if name in constructions.NAMED_MATRICES:
         return constructions.named_bank(name, period)
-    if name == "union":
-        parts = _split_names(args.parts, "union needs --parts name1,name2")
+    if name in ("union", "tensor"):
+        raw, flag, combine = {
+            "union": (args.parts, "--parts", constructions.union),
+            "tensor": (args.factors, "--factors", constructions.tensor),
+        }[name]
+        parts = _split_names(raw, f"{name} needs {flag} name1,name2")
         mats = [constructions.named_matrix(p, period) for p in parts]
-        out = mats[0]
-        for m in mats[1:]:
-            out = constructions.union(out, m)
-        return bank_of(out)
-    if name == "tensor":
-        parts = _split_names(args.factors, "tensor needs --factors name1,name2")
-        mats = [constructions.named_matrix(p, period) for p in parts]
-        out = mats[0]
-        for m in mats[1:]:
-            out = constructions.tensor(out, m)
-        return bank_of(out)
+        return bank_of(functools.reduce(combine, mats))
     if name == "paraunitary-chain":
         return bank_of(
             constructions.paraunitary_chain(
@@ -84,7 +89,10 @@ def _split_names(raw, message):
 
 
 def _write_json(obj, path=None) -> None:
-    text = json.dumps(obj, indent=2) + "\n"
+    _write_text(json.dumps(obj, indent=2) + "\n", path)
+
+
+def _write_text(text: str, path=None) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
@@ -138,16 +146,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_freq(args) -> int:
-    fb = _load_bank(args.bank)
-    rows = frequency_table(fb, args.samples)
-    lines = ["n,omega,mag2"]
-    lines += [f"{n},{omega:.17g},{mag2:.17g}" for n, omega, mag2 in rows]
-    text = "\n".join(lines) + "\n"
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    write_frequency_table(_load_bank(args.bank), args.samples, args.out)
     return 0
 
 

@@ -8,11 +8,12 @@ structure) testable as facts rather than assumptions baked into the code.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
-from .cyclic import CyclicPoly
+from .cyclic import ring_product, twist
 from .polyphase import PolyphaseMatrix, bank_of
 from .signals import FilterBank
 
@@ -40,19 +41,19 @@ DAUB_C = 2.0 ** -2.5 * (3.0 + _S3)
 DAUB_D = 2.0 ** -2.5 * (1.0 - _S3)
 
 
-def _constant_matrix(values: np.ndarray, period: int) -> PolyphaseMatrix:
-    rows = tuple(
-        tuple(CyclicPoly.constant(v, period) for v in row) for row in values
-    )
-    return PolyphaseMatrix(rows, period)
+def _laurent(terms: dict, period: int) -> PolyphaseMatrix:
+    """The matrix sum_k C_k z^{-k} of ``terms`` {k: C_k}.
 
-
-def _linear_entry(c0: complex, c1: complex, period: int) -> CyclicPoly:
-    # at period 1 the z^{-1} term folds onto the constant (z = 1 in the ring)
-    coeffs = np.zeros(period, dtype=complex)
-    coeffs[0] += c0
-    coeffs[1 % period] += c1
-    return CyclicPoly(coeffs)
+    Exponents fold modulo the period, so at period 1 every term lands on
+    the constant (z = 1 in the ring).
+    """
+    if period < 1:
+        raise ValueError("period must be positive")
+    shape = np.shape(next(iter(terms.values())))
+    coeffs = np.zeros(shape + (period,), dtype=complex)
+    for k, c in terms.items():
+        coeffs[..., k % period] += c
+    return PolyphaseMatrix(coeffs)
 
 
 def mercedes_benz(period: int) -> PolyphaseMatrix:
@@ -68,7 +69,7 @@ def mercedes_benz(period: int) -> PolyphaseMatrix:
             [0.0, _S3 / 2.0, -_S3 / 2.0],
         ]
     )
-    return _constant_matrix(values, period)
+    return _laurent({0: values}, period)
 
 
 def daubechies4(period: int) -> PolyphaseMatrix:
@@ -79,29 +80,19 @@ def daubechies4(period: int) -> PolyphaseMatrix:
     folds the degree-1 entries onto constants, which is the orthonormal
     2-point basis.
     """
-    if period < 1:
-        raise ValueError("period must be positive")
-    rows = (
-        (
-            _linear_entry(DAUB_A, DAUB_B, period),
-            _linear_entry(DAUB_D, DAUB_C, period),
-        ),
-        (
-            _linear_entry(DAUB_C, DAUB_D, period),
-            _linear_entry(-DAUB_B, -DAUB_A, period),
-        ),
+    return _laurent(
+        {
+            0: [[DAUB_A, DAUB_D], [DAUB_C, -DAUB_B]],
+            1: [[DAUB_B, DAUB_C], [DAUB_D, -DAUB_A]],
+        },
+        period,
     )
-    return PolyphaseMatrix(rows, period)
 
 
 def union(m0: PolyphaseMatrix, m1: PolyphaseMatrix) -> PolyphaseMatrix:
-    """Column concatenation; stacks the channels of two equal-rate banks."""
-    if m0.n_rows != m1.n_rows:
-        raise ValueError(f"row count mismatch: {m0.n_rows} vs {m1.n_rows}")
-    if m0.period != m1.period:
-        raise ValueError(f"period mismatch: {m0.period} vs {m1.period}")
-    rows = tuple(r0 + r1 for r0, r1 in zip(m0.rows, m1.rows))
-    return PolyphaseMatrix(rows, m0.period)
+    """Column concatenation; stacks the channels of two equal-rate banks
+    (mismatched row counts or periods raise ValueError)."""
+    return PolyphaseMatrix(np.concatenate([m0.coeffs, m1.coeffs], axis=1))
 
 
 def tensor(m0: PolyphaseMatrix, m1: PolyphaseMatrix) -> PolyphaseMatrix:
@@ -111,17 +102,12 @@ def tensor(m0: PolyphaseMatrix, m1: PolyphaseMatrix) -> PolyphaseMatrix:
     the result at any root equals the Kronecker product of the factors'
     evaluations.
     """
-    if m0.period != m1.period:
-        raise ValueError(f"period mismatch: {m0.period} vs {m1.period}")
-    rows = []
-    for i0 in range(m0.n_rows):
-        for i1 in range(m1.n_rows):
-            row = []
-            for j0 in range(m0.n_cols):
-                for j1 in range(m1.n_cols):
-                    row.append(m0.entry(i0, j0) * m1.entry(i1, j1))
-            rows.append(tuple(row))
-    return PolyphaseMatrix(tuple(rows), m0.period)
+    out = ring_product(
+        m0.coeffs, m1.coeffs, lambda a, b: a[:, None, :, None] * b[None, :, None, :]
+    )
+    return PolyphaseMatrix(
+        out.reshape(m0.n_rows * m1.n_rows, m0.n_cols * m1.n_cols, m0.period)
+    )
 
 
 def paraunitary_product(psi: PolyphaseMatrix, phi: PolyphaseMatrix) -> PolyphaseMatrix:
@@ -130,18 +116,8 @@ def paraunitary_product(psi: PolyphaseMatrix, phi: PolyphaseMatrix) -> Polyphase
         raise ValueError("left factor must be square")
     if psi.n_cols != phi.n_rows:
         raise ValueError(f"shape mismatch: {psi.n_cols} vs {phi.n_rows} rows")
-    if psi.period != phi.period:
-        raise ValueError(f"period mismatch: {psi.period} vs {phi.period}")
-    rows = []
-    for m in range(psi.n_rows):
-        row = []
-        for n in range(phi.n_cols):
-            acc = CyclicPoly.zero(psi.period)
-            for k in range(psi.n_cols):
-                acc = acc + psi.entry(m, k) * phi.entry(k, n)
-            row.append(acc)
-        rows.append(tuple(row))
-    return PolyphaseMatrix(tuple(rows), psi.period)
+    matmul = functools.partial(np.einsum, "mk...,kn...->mn...")
+    return PolyphaseMatrix(ring_product(psi.coeffs, phi.coeffs, matmul))
 
 
 def elementary_paraunitary(u: np.ndarray, period: int) -> PolyphaseMatrix:
@@ -156,19 +132,8 @@ def elementary_paraunitary(u: np.ndarray, period: int) -> PolyphaseMatrix:
         raise ValueError("u must be a nonempty vector")
     if abs(np.linalg.norm(u) - 1.0) > 1e-12:
         raise ValueError("u must have unit norm")
-    m = u.size
     proj = np.outer(u, np.conj(u))
-    comp = np.eye(m) - proj
-    rows = []
-    for i in range(m):
-        row = []
-        for j in range(m):
-            coeffs = np.zeros(period, dtype=complex)
-            coeffs[0] = comp[i, j]
-            coeffs[(period - 1) % period] += proj[i, j]
-            row.append(CyclicPoly(coeffs))
-        rows.append(tuple(row))
-    return PolyphaseMatrix(tuple(rows), period)
+    return _laurent({0: np.eye(u.size) - proj, -1: proj}, period)
 
 
 def modulated_copy(psi: PolyphaseMatrix, perm) -> PolyphaseMatrix:
@@ -183,11 +148,7 @@ def modulated_copy(psi: PolyphaseMatrix, perm) -> PolyphaseMatrix:
     perm = tuple(perm)
     if sorted(perm) != list(range(psi.n_rows)):
         raise ValueError(f"perm must permute {psi.n_rows} rows")
-    twisted = [
-        tuple(entry.twist(1, 2) for entry in row) for row in psi.rows
-    ]
-    rows = tuple(twisted[src] for src in perm)
-    return PolyphaseMatrix(rows, psi.period)
+    return PolyphaseMatrix(twist(psi.coeffs, 1, 2)[list(perm)])
 
 
 def daubechies_mercedes(period: int) -> PolyphaseMatrix:
@@ -207,11 +168,8 @@ def modulated_daubechies_stack(period: int) -> PolyphaseMatrix:
     if period % 2 != 0:
         raise ValueError("quarter-band modulation needs an even period")
     base = daubechies4(period)
-    rows = tuple(
-        tuple((1j**m) * entry.twist(1, 2) for entry in base.rows[m])
-        for m in range(base.n_rows)
-    )
-    return union(base, PolyphaseMatrix(rows, period))
+    modulated = np.array([1.0, 1j])[:, None, None] * twist(base.coeffs, 1, 2)
+    return union(base, PolyphaseMatrix(modulated))
 
 
 def paraunitary_chain(
@@ -221,7 +179,7 @@ def paraunitary_chain(
     if dim < 1 or count < 0:
         raise ValueError("dim must be positive and count nonnegative")
     rng = np.random.default_rng(seed)
-    out = _constant_matrix(np.eye(dim), period)
+    out = _laurent({0: np.eye(dim)}, period)
     for _ in range(count):
         u = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         u /= np.linalg.norm(u)

@@ -7,7 +7,9 @@ the period P.
 
 Evaluating a cyclic polynomial at the P-th roots of unity
 z = exp(2 pi j p / P) is a length-P DFT of the coefficient vector; that
-evaluation map is the workhorse of every numeric check downstream.
+evaluation map is the workhorse of every numeric check downstream.  The
+module-level functions act along the last axis of coefficient arrays of any
+shape, so polynomial matrices share the ring operations of :class:`CyclicPoly`.
 """
 
 from __future__ import annotations
@@ -16,9 +18,54 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["CyclicPoly"]
+__all__ = ["CyclicPoly", "ring_product", "twist", "conj_reverse"]
 
 _SCALARS = (int, float, complex, np.integer, np.floating, np.complexfloating)
+
+
+def ring_product(a, b, combine=np.multiply) -> np.ndarray:
+    """Ring product of two coefficient arrays, exact for monomial operands.
+
+    ``combine`` is a bilinear map on the leading axes that broadcasts over
+    the last one (entrywise by default; matrix or Kronecker products for
+    polynomial matrices).  The sum of combine(a_s, z^{-s} b) runs one shift
+    s at a time over the nonzero coefficients of the sparser operand, so a
+    constant or monomial operand costs one exact term, and no P x P
+    circulant is ever formed.
+    """
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    if a.shape[-1] != b.shape[-1]:
+        raise ValueError(f"period mismatch: {a.shape[-1]} vs {b.shape[-1]}")
+    shifts_a, shifts_b = (
+        np.flatnonzero(np.any(x != 0, axis=tuple(range(x.ndim - 1)))) for x in (a, b)
+    )
+    out = combine(np.zeros_like(a), np.zeros_like(b))
+    if shifts_a.size <= shifts_b.size:
+        for s in shifts_a:
+            out += combine(a[..., s : s + 1], np.roll(b, s, axis=-1))
+    else:
+        for s in shifts_b:
+            out += combine(np.roll(a, s, axis=-1), b[..., s : s + 1])
+    return out
+
+
+def twist(coeffs, r: int, R: int) -> np.ndarray:
+    """Substitute z -> exp(-2 pi j r / R) z along the last axis.  Requires R | P."""
+    coeffs = np.asarray(coeffs, dtype=complex)
+    period = coeffs.shape[-1]
+    if R <= 0 or period % R != 0:
+        raise ValueError(f"twist order {R} must divide period {period}")
+    return coeffs * np.exp(2j * np.pi * r * np.arange(period) / R)
+
+
+def conj_reverse(coeffs) -> np.ndarray:
+    """Conjugate coefficients and negate exponents along the last axis.
+
+    Evaluations of the result are pointwise conjugates of the original,
+    which makes this the entrywise building block of matrix adjoints.
+    """
+    return np.conj(np.roll(np.asarray(coeffs)[..., ::-1], 1, axis=-1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,19 +131,13 @@ class CyclicPoly:
 
     def __mul__(self, other):
         if isinstance(other, CyclicPoly):
-            self._require_same_period(other)
-            full = np.convolve(self.coeffs, other.coeffs)
-            out = full[: self.period].copy()
-            out[: full.size - self.period] += full[self.period :]
-            return CyclicPoly(out)
+            return CyclicPoly(ring_product(self.coeffs, other.coeffs))
         if isinstance(other, _SCALARS):
             return CyclicPoly(self.coeffs * other)
         return NotImplemented
 
     def __rmul__(self, other):
-        if isinstance(other, _SCALARS):
-            return CyclicPoly(self.coeffs * other)
-        return NotImplemented
+        return self * other if isinstance(other, _SCALARS) else NotImplemented
 
     def __eq__(self, other) -> bool:
         return (
@@ -118,15 +159,8 @@ class CyclicPoly:
 
     def twist(self, r: int, R: int) -> "CyclicPoly":
         """Substitute z -> exp(-2 pi j r / R) z.  Requires R | P."""
-        if R <= 0 or self.period % R != 0:
-            raise ValueError(f"twist order {R} must divide period {self.period}")
-        q = np.arange(self.period)
-        return CyclicPoly(self.coeffs * np.exp(2j * np.pi * r * q / R))
+        return CyclicPoly(twist(self.coeffs, r, R))
 
     def conj_reverse(self) -> "CyclicPoly":
-        """Conjugate coefficients and negate exponents.
-
-        Evaluations of the result are pointwise conjugates of the original,
-        which makes this the entrywise building block of matrix adjoints.
-        """
-        return CyclicPoly(np.conj(np.roll(self.coeffs[::-1], 1)))
+        """Conjugate coefficients and negate exponents; see :func:`conj_reverse`."""
+        return CyclicPoly(conj_reverse(self.coeffs))

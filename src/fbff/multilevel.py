@@ -242,8 +242,11 @@ def tree_from_json(obj, resolve_bank) -> TreeNode:
         raise ValueError("tree node must be an object with a 'bank' key")
     spec = obj["bank"]
     bank = resolve_bank(spec) if isinstance(spec, str) else bank_from_json(spec)
+    specs = obj.get("children", [])
+    if not isinstance(specs, list):
+        raise ValueError("tree children must be a list")
     children = []
-    for child in obj.get("children", []):
+    for child in specs:
         if child == "identity":
             children.append(identity_leaf())
         else:

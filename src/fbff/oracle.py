@@ -2,8 +2,9 @@
 
 The synthesis operator is materialized as an explicit matrix of translated
 filters, and every frame quantity is read off it directly, with no
-polyphase machinery anywhere on this path.  Deliberately naive: O((MP)^3) eigensolves,
-gated to small sizes.
+polyphase machinery anywhere on this path.  Deliberately naive: O((MP)^3)
+eigensolves by the cyclic Jacobi routine, which the polyphase route never
+uses, gated to small sizes.
 """
 
 from __future__ import annotations
@@ -12,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import hermitian_eigs
-from .polyphase import gram, matrix_of
+from .analysis import gram_stack, hermitian_eigs
+from .polyphase import matrix_of
 from .signals import FilterBank, translate
 
 __all__ = [
@@ -101,7 +102,5 @@ def spectrum_union_check(fb: FilterBank, tol: float = 1e-8) -> bool:
     per-root eigenvalues.
     """
     dense = dense_frame_spectrum(densify(fb))
-    mat = matrix_of(fb)
-    pieces = [hermitian_eigs(gram(mat, p)) for p in range(mat.period)]
-    union = np.sort(np.concatenate(pieces))
+    union = np.sort(np.linalg.eigvalsh(gram_stack(matrix_of(fb))).ravel())
     return bool(np.max(np.abs(dense - union)) <= tol)

@@ -2,9 +2,11 @@
 
 A filter of period M * P splits into M cyclic polynomials of period P, one
 per residue class of the sample index mod M.  Stacking the components of N
-filters column by column gives the M x N polyphase matrix; evaluating it at
-the P-th roots of unity reduces every frame-theoretic question about the
-bank to finite-dimensional linear algebra, one root at a time.
+filters column by column gives the M x N polyphase matrix, held as one
+complex (M, N, P) coefficient array; a single filter is an M x 1 matrix and
+its Zak matrix an M x R one.  Evaluating the matrix at the P-th roots of
+unity reduces every frame-theoretic question about the bank to
+finite-dimensional linear algebra, one root at a time.
 """
 
 from __future__ import annotations
@@ -13,19 +15,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cyclic import CyclicPoly
+from .cyclic import CyclicPoly, conj_reverse, twist
 from .signals import FilterBank, Signal
 
 __all__ = [
-    "PolyphaseVector",
     "PolyphaseMatrix",
-    "ZakMatrix",
     "decompose",
     "reconstruct",
     "matrix_of",
     "bank_of",
     "adjoint",
     "eval_matrix",
+    "eval_all_roots",
     "gram",
     "zak_of",
     "zak_power_rows",
@@ -34,153 +35,74 @@ __all__ = [
 
 
 @dataclass(frozen=True, eq=False)
-class PolyphaseVector:
-    """The M polyphase components of one filter."""
-
-    components: tuple[CyclicPoly, ...]
-
-    def __post_init__(self) -> None:
-        components = tuple(self.components)
-        object.__setattr__(self, "components", components)
-        if len(components) < 1:
-            raise ValueError("polyphase vector needs at least one component")
-        period = components[0].period
-        if any(c.period != period for c in components):
-            raise ValueError("components must share one period")
-
-    @property
-    def rate(self) -> int:
-        return len(self.components)
-
-    @property
-    def period(self) -> int:
-        return self.components[0].period
-
-    def eval_at_root(self, p: int) -> np.ndarray:
-        return np.array([c.eval_at_root(p) for c in self.components])
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, PolyphaseVector)
-            and self.components == other.components
-        )
-
-
-@dataclass(frozen=True, eq=False)
 class PolyphaseMatrix:
-    """An M x N grid of cyclic polynomials of one shared period.
+    """An M x N matrix of cyclic polynomials of one shared period P.
 
-    Rows are indexed by phase, columns by channel.  N = 0 is allowed (the
-    empty operand of column concatenation), which is why the period is
-    stored explicitly.
+    ``coeffs[m, n, q]`` multiplies z^{-q} in entry (m, n).  Rows are indexed
+    by phase, columns by channel.  N = 0 is allowed (the empty operand of
+    column concatenation).
     """
 
-    rows: tuple[tuple[CyclicPoly, ...], ...]
-    period: int
+    coeffs: np.ndarray
 
     def __post_init__(self) -> None:
-        rows = tuple(tuple(r) for r in self.rows)
-        object.__setattr__(self, "rows", rows)
-        if len(rows) < 1:
-            raise ValueError("matrix needs at least one row")
-        width = len(rows[0])
-        if any(len(r) != width for r in rows):
-            raise ValueError("rows must have equal length")
-        for r in rows:
-            for entry in r:
-                if entry.period != self.period:
-                    raise ValueError("all entries must share the matrix period")
+        arr = np.array(self.coeffs, dtype=complex)
+        if arr.ndim != 3 or arr.shape[0] < 1 or arr.shape[2] < 1:
+            raise ValueError(f"need an (M, N, P) array with M, P >= 1, got {arr.shape}")
+        arr.setflags(write=False)
+        object.__setattr__(self, "coeffs", arr)
 
     @property
     def n_rows(self) -> int:
-        return len(self.rows)
+        return self.coeffs.shape[0]
 
     @property
     def n_cols(self) -> int:
-        return len(self.rows[0])
+        return self.coeffs.shape[1]
+
+    @property
+    def period(self) -> int:
+        return self.coeffs.shape[2]
 
     def entry(self, m: int, n: int) -> CyclicPoly:
-        return self.rows[m][n]
-
-    def column(self, n: int) -> PolyphaseVector:
-        return PolyphaseVector(tuple(r[n] for r in self.rows))
+        return CyclicPoly(self.coeffs[m, n])
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, PolyphaseMatrix)
-            and self.period == other.period
-            and self.rows == other.rows
+            and bool(np.array_equal(self.coeffs, other.coeffs))
         )
 
 
-@dataclass(frozen=True, eq=False)
-class ZakMatrix:
-    """M x R grid of twisted polyphase components of a single filter.
-
-    Column r carries the components evaluated along the rotated circle
-    exp(-2 pi j r / R) z; column 0 is the plain polyphase vector.
-    """
-
-    rows: tuple[tuple[CyclicPoly, ...], ...]
-    period: int
-
-    def __post_init__(self) -> None:
-        rows = tuple(tuple(r) for r in self.rows)
-        object.__setattr__(self, "rows", rows)
-        if len(rows) < 1 or len(rows[0]) < 1:
-            raise ValueError("Zak matrix must be nonempty")
-        width = len(rows[0])
-        if any(len(r) != width for r in rows):
-            raise ValueError("rows must have equal length")
-        for r in rows:
-            for entry in r:
-                if entry.period != self.period:
-                    raise ValueError("all entries must share the matrix period")
-
-    @property
-    def n_rows(self) -> int:
-        return len(self.rows)
-
-    @property
-    def n_cols(self) -> int:
-        return len(self.rows[0])
-
-    def entry(self, m: int, r: int) -> CyclicPoly:
-        return self.rows[m][r]
-
-
-def decompose(phi: Signal, m: int) -> PolyphaseVector:
-    """Split a period-(m*P) signal into its m polyphase components."""
+def decompose(phi: Signal, m: int) -> PolyphaseMatrix:
+    """Split a period-(m*P) signal into its m polyphase components (m x 1)."""
     if m < 1 or phi.period % m != 0:
         raise ValueError(f"rate {m} must divide period {phi.period}")
-    return PolyphaseVector(tuple(CyclicPoly(phi.samples[k::m]) for k in range(m)))
+    return PolyphaseMatrix(phi.samples.reshape(-1, m).T[:, None, :])
 
 
-def reconstruct(v: PolyphaseVector) -> Signal:
-    """Interleave polyphase components back into a signal; exact inverse of
-    :func:`decompose`."""
-    m, p = v.rate, v.period
-    out = np.empty(m * p, dtype=complex)
-    for k, c in enumerate(v.components):
-        out[k::m] = c.coeffs
-    return Signal(out)
+def reconstruct(v: PolyphaseMatrix) -> Signal:
+    """Interleave the components of an M x 1 matrix back into a signal;
+    exact inverse of :func:`decompose`."""
+    if v.n_cols != 1:
+        raise ValueError(f"expected one column, got {v.n_cols}")
+    return Signal(v.coeffs[:, 0, :].T.reshape(-1))
 
 
 def matrix_of(fb: FilterBank) -> PolyphaseMatrix:
     """Polyphase matrix of a bank: column n holds filter n's components."""
-    vectors = [decompose(phi, fb.downsample) for phi in fb.filters]
-    rows = tuple(
-        tuple(v.components[m] for v in vectors) for m in range(fb.downsample)
+    samples = np.stack([phi.samples for phi in fb.filters])
+    return PolyphaseMatrix(
+        samples.reshape(fb.n_channels, fb.inner_period, fb.downsample).transpose(2, 0, 1)
     )
-    return PolyphaseMatrix(rows, fb.inner_period)
 
 
 def bank_of(mat: PolyphaseMatrix) -> FilterBank:
     """Filter bank whose polyphase matrix is ``mat`` (rate = row count)."""
     if mat.n_cols < 1:
         raise ValueError("cannot build a bank from an empty matrix")
-    filters = tuple(reconstruct(mat.column(n)) for n in range(mat.n_cols))
-    return FilterBank(filters, mat.n_rows)
+    samples = mat.coeffs.transpose(1, 2, 0).reshape(mat.n_cols, -1)
+    return FilterBank(tuple(Signal(s) for s in samples), mat.n_rows)
 
 
 def adjoint(mat: PolyphaseMatrix) -> PolyphaseMatrix:
@@ -189,13 +111,9 @@ def adjoint(mat: PolyphaseMatrix) -> PolyphaseMatrix:
     Evaluating the adjoint at any root gives the conjugate transpose of the
     original evaluation.
     """
-    rows = tuple(
-        tuple(mat.entry(m, n).conj_reverse() for m in range(mat.n_rows))
-        for n in range(mat.n_cols)
-    )
     if mat.n_cols == 0:
         raise ValueError("adjoint of an empty matrix is not representable")
-    return PolyphaseMatrix(rows, mat.period)
+    return PolyphaseMatrix(conj_reverse(mat.coeffs).transpose(1, 0, 2))
 
 
 def eval_matrix(mat: PolyphaseMatrix, p: int) -> np.ndarray:
@@ -207,6 +125,12 @@ def eval_matrix(mat: PolyphaseMatrix, p: int) -> np.ndarray:
     return out
 
 
+def eval_all_roots(mat: PolyphaseMatrix) -> np.ndarray:
+    """Values at every root at once: an (M, N, P) array whose [..., p]
+    slice is ``eval_matrix(mat, p)``, by one FFT along the period."""
+    return np.fft.fft(mat.coeffs, axis=-1)
+
+
 def gram(mat: PolyphaseMatrix, p: int) -> np.ndarray:
     """The M x M matrix E E^H with E the evaluation at root p; Hermitian by
     construction, and its extreme eigenvalues are the per-root frame bounds."""
@@ -214,30 +138,25 @@ def gram(mat: PolyphaseMatrix, p: int) -> np.ndarray:
     return e @ e.conj().T
 
 
-def zak_of(phi: Signal, m: int, r_count: int) -> ZakMatrix:
-    """Zak matrix of a filter: entry (m, r) twists component m by r of R."""
+def zak_of(phi: Signal, m: int, r_count: int) -> PolyphaseMatrix:
+    """Zak matrix of a filter (m x r_count): entry (m, r) twists component m
+    by r of R, so column 0 is the plain polyphase vector."""
     vec = decompose(phi, m)
     if r_count < 1 or vec.period % r_count != 0:
         raise ValueError(
             f"redundancy {r_count} must divide inner period {vec.period}"
         )
-    rows = tuple(
-        tuple(comp.twist(r, r_count) for r in range(r_count))
-        for comp in vec.components
+    return PolyphaseMatrix(
+        np.concatenate([twist(vec.coeffs, r, r_count) for r in range(r_count)], axis=1)
     )
-    return ZakMatrix(rows, vec.period)
 
 
-def zak_power_rows(zak: ZakMatrix) -> np.ndarray:
+def zak_power_rows(zak: PolyphaseMatrix) -> np.ndarray:
     """Row sums of squared moduli across the Zak columns, at every root.
 
     Returns a real (M, P) grid: entry (m, p) is sum_r |Zak[m, r](z_p)|^2.
     """
-    out = np.zeros((zak.n_rows, zak.period))
-    for m in range(zak.n_rows):
-        for r in range(zak.n_cols):
-            out[m] += np.abs(zak.entry(m, r).eval_all()) ** 2
-    return out
+    return np.sum(np.abs(eval_all_roots(zak)) ** 2, axis=1)
 
 
 def pp_inner(phi: Signal, psi: Signal, m: int) -> complex:
@@ -249,9 +168,6 @@ def pp_inner(phi: Signal, psi: Signal, m: int) -> complex:
     """
     if phi.period != psi.period:
         raise ValueError(f"period mismatch: {phi.period} vs {psi.period}")
-    if m < 1 or phi.period % m != 0:
-        raise ValueError(f"rate {m} must divide period {phi.period}")
-    ev_phi = np.stack([c.eval_all() for c in decompose(phi, m).components])
-    ev_psi = np.stack([c.eval_all() for c in decompose(psi, m).components])
-    p = phi.period // m
-    return complex(np.sum(ev_phi * np.conj(ev_psi)) / p)
+    ev_phi = eval_all_roots(decompose(phi, m))
+    ev_psi = eval_all_roots(decompose(psi, m))
+    return complex(np.sum(ev_phi * np.conj(ev_psi)) / (phi.period // m))

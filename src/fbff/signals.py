@@ -237,12 +237,34 @@ def signal_to_json(x: Signal) -> dict:
     }
 
 
+def _fields(obj, kind: str, keys: tuple[str, ...]) -> list:
+    """The values of ``keys`` in a JSON object; ValueError if any is missing."""
+    if not isinstance(obj, dict) or any(k not in obj for k in keys):
+        raise ValueError(f"{kind} must be an object with keys {', '.join(keys)}")
+    return [obj[k] for k in keys]
+
+
+def _integer(value, name: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def signal_from_json(obj: dict) -> Signal:
-    period = int(obj["period"])
-    samples = np.array([complex(re, im) for re, im in obj["samples"]])
-    if samples.size != period:
-        raise ValueError(f"sample count {samples.size} != period {period}")
-    return Signal(samples)
+    period, pairs = _fields(obj, "signal", ("period", "samples"))
+    period = _integer(period, "period")
+    try:
+        arr = np.array(pairs)
+        ok = arr.ndim == 2 and arr.shape[1] == 2 and arr.dtype.kind in "iuf"
+    except ValueError:  # ragged nesting
+        ok = False
+    if not ok:
+        raise ValueError("samples must be a list of [re, im] number pairs")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("samples must be finite")
+    if arr.shape[0] != period:
+        raise ValueError(f"sample count {arr.shape[0]} != period {period}")
+    return Signal(arr[:, 0] + 1j * arr[:, 1])
 
 
 def bank_to_json(fb: FilterBank) -> dict:
@@ -254,10 +276,12 @@ def bank_to_json(fb: FilterBank) -> dict:
 
 
 def bank_from_json(obj: dict) -> FilterBank:
-    m = int(obj["downsample"])
-    p = int(obj["inner_period"])
-    filters = tuple(signal_from_json(f) for f in obj["filters"])
-    fb = FilterBank(filters, m)
+    m, p, filters = _fields(obj, "bank", ("downsample", "inner_period", "filters"))
+    m = _integer(m, "downsample")
+    p = _integer(p, "inner_period")
+    if not isinstance(filters, list):
+        raise ValueError("filters must be a list of signals")
+    fb = FilterBank(tuple(signal_from_json(f) for f in filters), m)
     if fb.inner_period != p:
         raise ValueError(
             f"inner_period {p} inconsistent with filters of period {fb.filter_period}"

@@ -279,3 +279,34 @@ def test_missing_file_is_usage_error(capsys):
 def test_usage_error_exit_code(capsys):
     assert main(["build"]) == 2
     assert main([]) == 2
+
+
+def _malformed_bank(edit):
+    obj = bank_to_json(named_bank("mercedes-benz", 2))
+    edit(obj)
+    return obj
+
+
+@pytest.mark.parametrize(
+    "argv_head,payload",
+    [
+        (("analyze",), _malformed_bank(lambda o: o["filters"][0]["samples"][0].__setitem__(0, float("nan")))),
+        (("analyze",), _malformed_bank(lambda o: o["filters"][1]["samples"][2].__setitem__(1, float("inf")))),
+        (("analyze",), _malformed_bank(lambda o: o.pop("downsample"))),
+        (("analyze",), [bank_to_json(named_bank("mercedes-benz", 2))]),
+        (("analyze",), _malformed_bank(lambda o: o["filters"][0]["samples"].__setitem__(1, ["0.5", 0.0]))),
+        (("compose", "--inner-dim", "4", "--tree"), {"bank": 5}),
+        (("build", "mercedes-benz", "--period", "0"), None),
+    ],
+    ids=["nan-sample", "inf-sample", "no-downsample", "top-level-list", "string-sample", "tree-bank-5", "period-0"],
+)
+def test_malformed_input_is_usage_error(capsys, tmp_path, argv_head, payload):
+    argv = list(argv_head)
+    if payload is not None:
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(payload))
+        argv.append(str(path))
+    code, out, err = _run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err
+    assert out == ""

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from fbff.cyclic import CyclicPoly
+from fbff.cyclic import CyclicPoly, ring_product
 
 
 def _random_poly(rng, period):
@@ -70,6 +70,31 @@ def test_mul_period_mismatch():
         CyclicPoly.zero(4) * CyclicPoly.zero(5)
     with pytest.raises(ValueError):
         CyclicPoly.zero(4) + CyclicPoly.zero(5)
+
+
+def _folded_convolution(a, b):
+    # reference ring product: linear convolution folded by z^P = 1
+    full = np.convolve(a, b)
+    out = full[: a.size].copy()
+    out[: full.size - a.size] += full[a.size :]
+    return out
+
+
+def test_ring_product_matches_folded_convolution_either_way_round():
+    rng = np.random.default_rng(21)
+    period = 9
+    dense = rng.standard_normal((2, 3, period)) + 1j * rng.standard_normal((2, 3, period))
+    sparse = np.zeros((3, 4, period), dtype=complex)
+    sparse[..., [0, 5]] = rng.standard_normal((3, 4, 2))
+    expect = np.zeros((2, 4, period), dtype=complex)
+    for m in range(2):
+        for n in range(4):
+            for k in range(3):
+                expect[m, n] += _folded_convolution(dense[m, k], sparse[k, n])
+    matmul = lambda a, b: np.einsum("mk...,kn...->mn...", a, b)
+    np.testing.assert_allclose(ring_product(dense, sparse, matmul), expect, atol=1e-12)
+    swapped = ring_product(sparse.transpose(1, 0, 2), dense.transpose(1, 0, 2), matmul)
+    np.testing.assert_allclose(swapped, expect.transpose(1, 0, 2), atol=1e-12)
 
 
 def test_scalar_multiplication():

@@ -6,7 +6,6 @@ from fbff.cyclic import CyclicPoly
 from fbff.constructions import daubechies4, mercedes_benz, DAUB_A, DAUB_B, DAUB_C, DAUB_D
 from fbff.polyphase import (
     PolyphaseMatrix,
-    PolyphaseVector,
     adjoint,
     bank_of,
     decompose,
@@ -28,24 +27,24 @@ def _random_signal(rng, period):
 def _random_matrix(rng, m, n, period):
     rows = tuple(
         tuple(
-            CyclicPoly(rng.standard_normal(period) + 1j * rng.standard_normal(period))
+            CyclicPoly(rng.standard_normal(period) + 1j * rng.standard_normal(period)).coeffs
             for _ in range(n)
         )
         for _ in range(m)
     )
-    return PolyphaseMatrix(rows, period)
+    return PolyphaseMatrix(np.array(rows))
 
 
 def test_decompose_delta():
     v = decompose(Signal.delta(0, 8), 2)
-    assert v.components[0] == CyclicPoly.constant(1.0, 4)
-    assert v.components[1] == CyclicPoly.zero(4)
+    assert v.entry(0, 0) == CyclicPoly.constant(1.0, 4)
+    assert v.entry(1, 0) == CyclicPoly.zero(4)
 
 
 def test_decompose_offset_delta():
     v = decompose(Signal.delta(1, 4), 2)
-    assert v.components[0] == CyclicPoly.zero(2)
-    assert v.components[1] == CyclicPoly.constant(1.0, 2)
+    assert v.entry(0, 0) == CyclicPoly.zero(2)
+    assert v.entry(1, 0) == CyclicPoly.constant(1.0, 2)
 
 
 def test_round_trip_exact():
@@ -55,9 +54,9 @@ def test_round_trip_exact():
 
 
 def test_reconstruct_zero_and_single_component():
-    z = PolyphaseVector((CyclicPoly.zero(3), CyclicPoly.zero(3)))
+    z = PolyphaseMatrix(np.array([[CyclicPoly.zero(3).coeffs], [CyclicPoly.zero(3).coeffs]]))
     assert reconstruct(z) == Signal.zero(6)
-    v = PolyphaseVector((CyclicPoly.zero(3), CyclicPoly([1, 2, 3])))
+    v = PolyphaseMatrix(np.array([[CyclicPoly.zero(3).coeffs], [CyclicPoly([1, 2, 3]).coeffs]]))
     out = reconstruct(v)
     assert np.all(out.samples[0::2] == 0)
     np.testing.assert_array_equal(out.samples[1::2], [1, 2, 3])
@@ -173,7 +172,7 @@ def test_zak_single_column_is_polyphase_vector():
     vec = decompose(phi, 2)
     assert zak.n_cols == 1
     for m in range(2):
-        assert zak.entry(m, 0) == vec.components[m]
+        assert zak.entry(m, 0) == vec.entry(m, 0)
 
 
 def test_zak_of_delta():
@@ -199,15 +198,15 @@ def test_zak_2x2_structure():
     vec = decompose(phi, 2)
     assert zak.n_rows == 2 and zak.n_cols == 2
     for m in range(2):
-        assert zak.entry(m, 0) == vec.components[m]
-        assert zak.entry(m, 1) == vec.components[m].twist(1, 2)
+        assert zak.entry(m, 0) == vec.entry(m, 0)
+        assert zak.entry(m, 1) == vec.entry(m, 0).twist(1, 2)
     # power rows sum the squared moduli of the two twisted evaluations
     rows = zak_power_rows(zak)
     for m in range(2):
         for p in range(4):
             expect = (
-                abs(vec.components[m].eval_at_root(p)) ** 2
-                + abs(vec.components[m].twist(1, 2).eval_at_root(p)) ** 2
+                abs(vec.entry(m, 0).eval_at_root(p)) ** 2
+                + abs(vec.entry(m, 0).twist(1, 2).eval_at_root(p)) ** 2
             )
             assert rows[m, p] == pytest.approx(expect, abs=1e-12)
 
@@ -236,7 +235,9 @@ def test_translation_law_at_all_roots():
     p0 = 2
     base = decompose(phi, m)
     shifted = decompose(translate(phi, m * p0), m)
-    for comp_base, comp_shift in zip(base.components, shifted.components):
+    for comp_base, comp_shift in zip(
+        [base.entry(k, 0) for k in range(m)], [shifted.entry(k, 0) for k in range(m)]
+    ):
         for p in range(inner_p):
             factor = np.exp(-2j * np.pi * p * p0 / inner_p)
             assert comp_shift.eval_at_root(p) == pytest.approx(
@@ -252,8 +253,8 @@ def test_fundamental_dft_identity():
     phi = _random_signal(rng, m * inner_p)
     corr = np.array([inner(x, translate(phi, m * p)) for p in range(inner_p)])
     lhs = np.fft.fft(corr)
-    ex = np.stack([c.eval_all() for c in decompose(x, m).components])
-    ep = np.stack([c.eval_all() for c in decompose(phi, m).components])
+    ex = np.stack([decompose(x, m).entry(k, 0).eval_all() for k in range(m)])
+    ep = np.stack([decompose(phi, m).entry(k, 0).eval_all() for k in range(m)])
     rhs = np.sum(ex * np.conj(ep), axis=0)
     np.testing.assert_allclose(lhs, rhs, atol=1e-10)
 
