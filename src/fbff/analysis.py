@@ -5,7 +5,8 @@ frame", "these weighted projections resolve the identity") into a numeric
 verdict with an explicit tolerance.  Each bank's evaluated Grams are
 built once, as a (P, M, M) stack from the per-root polyphase Gram, and one
 batched LAPACK ``eigvalsh`` call gives every root's spectrum; bounds and
-row checks both read from that stack.
+row checks both read from that stack, and the bounds keep the spectra so
+that the dense oracle checks the very numbers they were read from.
 
 The cyclic Jacobi eigensolver kept here (tested against an independent
 characteristic-polynomial root finder) serves only the dense oracle, so
@@ -111,25 +112,32 @@ def hermitian_eigs(h: np.ndarray) -> np.ndarray:
     return w
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FrameBounds:
-    """Optimal frame bounds with their per-root breakdown.
+    """Optimal frame bounds and the per-root spectra they are read from.
 
-    A is the smallest and B the largest eigenvalue of the evaluated Gram
-    over all roots; ``per_root[p]`` holds that root's own (min, max) pair.
+    ``spectra`` is the (P, M) array of evaluated Gram eigenvalues, one
+    ascending row per root, clipped at zero.  A is the smallest and B the
+    largest of them; ``per_root[p]`` holds root p's own (min, max) pair.
     """
 
-    A: float
-    B: float
-    per_root: tuple[tuple[float, float], ...]
+    spectra: np.ndarray
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "spectra", np.array(self.spectra, dtype=float))
+        self.spectra.setflags(write=False)
 
-def _bounds(lo: np.ndarray, hi: np.ndarray) -> FrameBounds:
-    return FrameBounds(
-        A=float(np.min(lo)),
-        B=float(np.max(hi)),
-        per_root=tuple((float(a), float(b)) for a, b in zip(lo, hi)),
-    )
+    @property
+    def A(self) -> float:
+        return float(np.min(self.spectra[:, 0]))
+
+    @property
+    def B(self) -> float:
+        return float(np.max(self.spectra[:, -1]))
+
+    @property
+    def per_root(self) -> tuple[tuple[float, float], ...]:
+        return tuple((float(a), float(b)) for a, b in self.spectra[:, [0, -1]])
 
 
 def gram_stack(mat: PolyphaseMatrix) -> np.ndarray:
@@ -139,8 +147,7 @@ def gram_stack(mat: PolyphaseMatrix) -> np.ndarray:
 
 def _gram_bounds(grams: np.ndarray) -> FrameBounds:
     # Grams are positive semidefinite: tiny negative eigenvalues clip to zero
-    w = np.maximum(np.linalg.eigvalsh(grams), 0.0)
-    return _bounds(w[:, 0], w[:, -1])
+    return FrameBounds(np.maximum(np.linalg.eigvalsh(grams), 0.0))
 
 
 def frame_bounds(mat: PolyphaseMatrix) -> FrameBounds:
@@ -222,27 +229,14 @@ def report_to_json(rep: FusionReport) -> dict:
     }
 
 
-def _materialize(apply_op, dim: int) -> np.ndarray:
-    """Apply an operator to the standard basis and collect the columns."""
-    cols = []
-    for i in range(dim):
-        e = np.zeros(dim, dtype=complex)
-        e[i] = 1.0
-        out = np.asarray(apply_op(e), dtype=complex)
-        if out.shape != (dim,):
-            raise ValueError(f"operator output has shape {out.shape}, expected ({dim},)")
-        cols.append(out)
-    return np.stack(cols, axis=1)
-
-
 def verify_weighted_parseval(projections, dim: int, tol: float = 1e-9):
     """Check that weighted operators form a Parseval fusion frame.
 
-    ``projections`` is an iterable of (apply, weight, rank) triples, where
-    ``apply`` maps a length-``dim`` vector to another.  Each operator must
-    be an orthogonal projection of the stated rank (self-adjoint, idempotent,
-    trace = rank, all tested on a full basis), and the weighted sum must
-    resolve the identity.
+    ``projections`` is an iterable of (matrix, weight, rank) triples with
+    dim x dim matrices, consumed one triple at a time, so a generator can
+    form each matrix only when it is checked.  Each operator must be an
+    orthogonal projection of the stated rank (self-adjoint, idempotent,
+    trace = rank), and the weighted sum must resolve the identity.
 
     Returns (ok, max_residual) where the residual is the largest defect
     observed across all checks.
@@ -250,8 +244,10 @@ def verify_weighted_parseval(projections, dim: int, tol: float = 1e-9):
     total = np.zeros((dim, dim), dtype=complex)
     worst = 0.0
     ok = True
-    for apply_op, weight, rank in projections:
-        mat = _materialize(apply_op, dim)
+    for mat, weight, rank in projections:
+        mat = np.asarray(mat, dtype=complex)
+        if mat.shape != (dim, dim):
+            raise ValueError(f"operator has shape {mat.shape}, expected ({dim}, {dim})")
         herm = float(np.max(np.abs(mat - mat.conj().T)))
         idem = float(np.max(np.abs(mat @ mat - mat)))
         rank_defect = abs(float(np.trace(mat).real) - float(rank))
@@ -273,8 +269,7 @@ def gabor_frame_bounds(phi: Signal, m: int, q: int, r: int) -> FrameBounds:
     M times the squared-modulus row sum of the Zak matrix; the bounds are
     the extreme values of that grid over all rows and roots.
     """
-    vals = zak_row_sums(GaborSystem(phi, m, q, r))
-    return _bounds(vals.min(axis=0), vals.max(axis=0))
+    return FrameBounds(np.sort(zak_row_sums(GaborSystem(phi, m, q, r)).T, axis=1))
 
 
 def gabor_channel_orthonormal(

@@ -34,18 +34,20 @@ def frequency_table(fb: FilterBank, n_samples: int):
     """Squared-magnitude response of every filter at n_samples frequencies.
 
     Yields (channel, omega, mag2) rows in channel-major order with
-    omega = 2 pi k / n_samples.
+    omega = 2 pi k / n_samples, by one FFT of each filter folded modulo
+    n_samples, which is exact for any filter period.
     """
     if n_samples < 2:
         raise ValueError("need at least two frequency samples")
-    rows = []
-    for n, phi in enumerate(fb.filters):
-        k = np.arange(phi.period)
-        for i in range(n_samples):
-            omega = 2.0 * np.pi * i / n_samples
-            response = np.sum(phi.samples * np.exp(-1j * k * omega))
-            rows.append((n, omega, float(abs(response) ** 2)))
-    return rows
+    pad = (0, -fb.filter_period % n_samples)
+    samples = np.stack([np.pad(phi.samples, pad) for phi in fb.filters])
+    folded = samples.reshape(fb.n_channels, -1, n_samples).sum(axis=1)
+    mag2 = np.abs(np.fft.fft(folded, axis=-1)) ** 2
+    return [
+        (n, 2.0 * np.pi * i / n_samples, float(mag2[n, i]))
+        for n in range(fb.n_channels)
+        for i in range(n_samples)
+    ]
 
 
 def write_frequency_table(fb: FilterBank, n_samples: int, path=None) -> None:
@@ -79,6 +81,14 @@ def build_bank(name: str, period: int, args=None) -> FilterBank:
     raise ValueError(f"unknown bank name: {name!r}")
 
 
+def _tolerance(text: str) -> float:
+    """argparse type of every tolerance option: a finite number >= 0."""
+    value = float(text)
+    if not 0.0 <= value < np.inf:
+        raise argparse.ArgumentTypeError(f"tolerance must be finite and >= 0, got {text}")
+    return value
+
+
 def _split_names(raw, message):
     if not raw:
         raise ValueError(message)
@@ -105,44 +115,26 @@ def _load_bank(path: str) -> FilterBank:
         return bank_from_json(json.load(fh))
 
 
-def _oracle_cross_check(fb: FilterBank, rep, tol: float) -> dict:
-    dense = oracle.densify(fb)
-    spectrum = oracle.dense_frame_spectrum(dense)
-    a_dense = max(float(spectrum[0]), 0.0)
-    b_dense = float(spectrum[-1])
-    bound_gap = max(abs(rep.bounds.A - a_dense), abs(rep.bounds.B - b_dense))
-    channel_match = all(
-        oracle.dense_channel_gram(dense, n, tol=rep.tolerance).is_projection == flag
-        for n, flag in enumerate(rep.channel_projection)
-    )
-    union_ok = oracle.spectrum_union_check(fb, tol=tol)
-    return {
-        "A_dense": a_dense,
-        "B_dense": b_dense,
-        "bound_gap": bound_gap,
-        "channel_match": channel_match,
-        "spectrum_union_ok": union_ok,
-        "agrees": bool(bound_gap <= tol and channel_match and union_ok),
-    }
-
-
 def _cmd_build(args) -> int:
     fb = build_bank(args.name, args.period, args)
     _write_json(bank_to_json(fb), args.out)
     return 0
 
 
-def _cmd_analyze(args) -> int:
+def _checked_report(args):
+    """The bank file's fusion report and its JSON, plus ``--oracle``'s verdict."""
     fb = _load_bank(args.bank)
     rep = analysis.fusion_report(fb, tol=args.tol)
     out = analysis.report_to_json(rep)
-    status = 0
     if args.oracle:
-        out["oracle"] = _oracle_cross_check(fb, rep, args.oracle_tol)
-        if not out["oracle"]["agrees"]:
-            status = _VERIFY_ERROR
+        out["oracle"] = oracle.cross_check(fb, rep, args.oracle_tol)
+    return rep, out
+
+
+def _cmd_analyze(args) -> int:
+    _, out = _checked_report(args)
     _write_json(out, args.out)
-    return status
+    return _VERIFY_ERROR if args.oracle and not out["oracle"]["agrees"] else 0
 
 
 def _cmd_freq(args) -> int:
@@ -236,16 +228,10 @@ def _cmd_design_maxflat(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    fb = _load_bank(args.bank)
-    rep = analysis.fusion_report(fb, tol=args.tol)
-    out = analysis.report_to_json(rep)
-    ok = rep.is_puntf
-    if args.oracle:
-        out["oracle"] = _oracle_cross_check(fb, rep, args.oracle_tol)
-        ok = ok and out["oracle"]["agrees"]
-    out["ok"] = bool(ok)
+    rep, out = _checked_report(args)
+    out["ok"] = bool(rep.is_puntf and (not args.oracle or out["oracle"]["agrees"]))
     _write_json(out, args.out)
-    return 0 if ok else _VERIFY_ERROR
+    return 0 if out["ok"] else _VERIFY_ERROR
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -272,13 +258,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="fusion-frame report for a bank JSON")
     p.add_argument("bank")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_tolerance, default=1e-9)
     p.add_argument(
         "--oracle",
         action="store_true",
         help="cross-check against the dense oracle; exit 1 on disagreement",
     )
-    p.add_argument("--oracle-tol", type=float, default=1e-8)
+    p.add_argument("--oracle-tol", type=_tolerance, default=1e-8)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_analyze)
 
@@ -297,7 +283,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="dimension of the deepest leaf space",
     )
     p.add_argument("--verify", action="store_true")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_tolerance, default=1e-9)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_compose)
 
@@ -306,7 +292,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="overridden by FBFF_SEED")
     p.add_argument("--restarts", type=int, default=100)
     p.add_argument("--q", type=int, default=None, help="embedding block size")
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=_tolerance, default=1e-8)
     p.add_argument("--out", help="write the designed filter JSON here")
     p.set_defaults(func=_cmd_design_maxflat)
 
@@ -316,9 +302,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "(the zero bank is reported as not tight)",
     )
     p.add_argument("bank")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_tolerance, default=1e-9)
     p.add_argument("--oracle", action="store_true", help="add dense cross-checks")
-    p.add_argument("--oracle-tol", type=float, default=1e-8)
+    p.add_argument("--oracle-tol", type=_tolerance, default=1e-8)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_verify)
 

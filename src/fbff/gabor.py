@@ -14,6 +14,7 @@ which are the tightness conditions of the rate-2, redundancy-2 system.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,12 +88,12 @@ def zak_row_sums(sys: GaborSystem) -> np.ndarray:
 # -- max-flat design ----------------------------------------------------------
 
 
-def _falling(m: int, k: int) -> int:
-    """Falling factorial m (m-1) ... (m-k+1); zero when m < k."""
-    out = 1
-    for i in range(k):
-        out *= m - i
-    return out
+def _falling_table(t: int, offset: int) -> np.ndarray:
+    """T x T table of falling factorials: row k, column p holds
+    (2p + offset)!/(2p + offset - k)!, zero when k > 2p + offset."""
+    return np.array(
+        [[float(math.perm(2 * p + offset, k)) for p in range(t)] for k in range(t)]
+    )
 
 
 def flatness_matrix(t: int) -> np.ndarray:
@@ -103,17 +104,7 @@ def flatness_matrix(t: int) -> np.ndarray:
     """
     if t < 1:
         raise ValueError("half-length must be >= 1")
-    return np.array(
-        [[float(_falling(2 * p + 1, k)) for p in range(t)] for k in range(t)]
-    )
-
-
-def _flatness_rhs(even: np.ndarray) -> np.ndarray:
-    t = even.size
-    coef = np.array(
-        [[float(_falling(2 * p, k)) for p in range(t)] for k in range(t)]
-    )
-    return -coef @ even
+    return _falling_table(t, 1)
 
 
 def flatness_solve_odd(even) -> np.ndarray:
@@ -126,7 +117,7 @@ def flatness_solve_odd(even) -> np.ndarray:
     if even.ndim != 1 or even.size < 1:
         raise ValueError("even coefficients must be a nonempty vector")
     a = flatness_matrix(even.size)
-    b = _flatness_rhs(even)
+    b = -_falling_table(even.size, 0) @ even
     try:
         odd = np.linalg.solve(a, b)
     except np.linalg.LinAlgError as exc:

@@ -24,6 +24,7 @@ from .signals import (
     downsample,
     involution,
     periodize,
+    translate_matrix,
     upsample,
 )
 
@@ -82,11 +83,6 @@ def channel_adjoint(ch: ChannelOp, x: Signal) -> Signal:
             f"input period {x.period} != filter period {ch.filter.period}"
         )
     return downsample(circ_convolve(involution(ch.filter), x), ch.rate)
-
-
-def channel_projection(ch: ChannelOp, x: Signal) -> Signal:
-    """The channel's synthesis-analysis composite on the ambient space."""
-    return channel_apply(ch, channel_adjoint(ch, x))
 
 
 def equivalent_filter(phi_outer: Signal, phi_inner: Signal, m: int) -> Signal:
@@ -219,11 +215,13 @@ def _walk(
 
 
 def verify_tree(leaves, dim: int, tol: float = 1e-9):
-    """Check the flattened leaves against the weighted Parseval identity."""
-    projections = [
-        (lambda x, ch=ch: channel_projection(ch, Signal(x)).samples, w, rank)
-        for ch, w, rank in leaves
-    ]
+    """Check the flattened leaves against the weighted Parseval identity.
+
+    A leaf's projection is T T^H, T its filter's rate-translates; each is
+    formed when the check reaches it, so one dim x dim matrix is alive.
+    """
+    ts = (translate_matrix(ch.filter, ch.rate) for ch, _, _ in leaves)
+    projections = ((t @ t.conj().T, w, r) for t, (_, w, r) in zip(ts, leaves))
     return verify_weighted_parseval(projections, dim, tol)
 
 

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import gram_stack, hermitian_eigs
+from .analysis import FusionReport, frame_bounds, hermitian_eigs
 from .polyphase import matrix_of
-from .signals import FilterBank, translate
+from .signals import FilterBank, translate_matrix
 
 __all__ = [
     "DenseSynthesis",
@@ -24,6 +24,7 @@ __all__ = [
     "ChannelGram",
     "dense_channel_gram",
     "spectrum_union_check",
+    "cross_check",
 ]
 
 _MAX_DIM = 512
@@ -51,12 +52,8 @@ def densify(fb: FilterBank) -> DenseSynthesis:
         raise ValueError(
             f"dense oracle gated to dimension {_MAX_DIM}, got {fb.filter_period}"
         )
-    p = fb.inner_period
-    cols = []
-    for phi in fb.filters:
-        for shift in range(p):
-            cols.append(translate(phi, fb.downsample * shift).samples)
-    return DenseSynthesis(np.stack(cols, axis=1), fb.n_channels, p)
+    cols = [translate_matrix(phi, fb.downsample) for phi in fb.filters]
+    return DenseSynthesis(np.concatenate(cols, axis=1), fb.n_channels, fb.inner_period)
 
 
 def dense_frame_spectrum(d: DenseSynthesis) -> np.ndarray:
@@ -94,13 +91,36 @@ def dense_channel_gram(d: DenseSynthesis, n: int, tol: float = 1e-9) -> ChannelG
     )
 
 
-def spectrum_union_check(fb: FilterBank, tol: float = 1e-8) -> bool:
-    """Dense spectrum equals the union of per-root polyphase Gram spectra.
+def _union_matches(dense: np.ndarray, spectra: np.ndarray, tol: float) -> bool:
+    # the synthesis operator block-diagonalizes by root: spectra are a union
+    return bool(np.max(np.abs(dense - np.sort(spectra, axis=None))) <= tol)
 
-    The synthesis operator block-diagonalizes root by root, so the multiset
-    of dense Gram eigenvalues must match the sorted concatenation of the
-    per-root eigenvalues.
-    """
-    dense = dense_frame_spectrum(densify(fb))
-    union = np.sort(np.linalg.eigvalsh(gram_stack(matrix_of(fb))).ravel())
-    return bool(np.max(np.abs(dense - union)) <= tol)
+
+def spectrum_union_check(fb: FilterBank, tol: float = 1e-8) -> bool:
+    """Dense spectrum equals the union of per-root polyphase Gram spectra."""
+    spectra = frame_bounds(matrix_of(fb)).spectra
+    return _union_matches(dense_frame_spectrum(densify(fb)), spectra, tol)
+
+
+def cross_check(fb: FilterBank, rep: FusionReport, tol: float = 1e-8) -> dict:
+    """Hold a fusion report of ``fb`` against one dense solve of the bank:
+    its bounds, its channel verdicts, and the per-root spectra its bounds
+    were read from, whose union must be the dense spectrum."""
+    dense = densify(fb)
+    spectrum = dense_frame_spectrum(dense)
+    a_dense = max(float(spectrum[0]), 0.0)
+    b_dense = float(spectrum[-1])
+    bound_gap = max(abs(rep.bounds.A - a_dense), abs(rep.bounds.B - b_dense))
+    channel_match = all(
+        dense_channel_gram(dense, n, tol=rep.tolerance).is_projection == flag
+        for n, flag in enumerate(rep.channel_projection)
+    )
+    union_ok = _union_matches(spectrum, rep.bounds.spectra, tol)
+    return {
+        "A_dense": a_dense,
+        "B_dense": b_dense,
+        "bound_gap": bound_gap,
+        "channel_match": channel_match,
+        "spectrum_union_ok": union_ok,
+        "agrees": bool(bound_gap <= tol and channel_match and union_ok),
+    }

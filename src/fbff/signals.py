@@ -23,6 +23,7 @@ __all__ = [
     "upsample",
     "downsample",
     "translate",
+    "translate_matrix",
     "modulate",
     "involution",
     "periodize",
@@ -135,6 +136,12 @@ def downsample(x: Signal, m: int) -> Signal:
 def translate(x: Signal, k: int) -> Signal:
     """Circular shift: result[i] = x[i - k]."""
     return Signal(np.roll(x.samples, k))
+
+
+def translate_matrix(x: Signal, m: int) -> np.ndarray:
+    """The P x (P/m) matrix whose column k is ``translate(x, m * k)``; m | P."""
+    p = x.period
+    return x.samples[(np.arange(p)[:, None] - m * np.arange(p // m)) % p]
 
 
 def modulate(x: Signal, p: int) -> Signal:

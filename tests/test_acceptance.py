@@ -271,7 +271,7 @@ def test_criterion_10_property_suites():
         [[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]], dtype=float
     ) / np.sqrt(3)
     projections = [
-        (lambda x, pi=np.eye(3) - np.outer(v, v): pi @ x, 3.0 / 8.0, 2)
+        (np.eye(3) - np.outer(v, v), 3.0 / 8.0, 2)
         for v in verts
     ]
     ok, residual = verify_weighted_parseval(projections, dim=3, tol=1e-12)

@@ -145,7 +145,7 @@ def test_fusion_report_json_shape():
 
 def test_weighted_parseval_identity():
     ok, residual = verify_weighted_parseval(
-        [(lambda x: x, 1.0, 4)], dim=4, tol=1e-12
+        [(np.eye(4), 1.0, 4)], dim=4, tol=1e-12
     )
     assert ok and residual <= 1e-15
 
@@ -159,7 +159,7 @@ def test_weighted_parseval_tetrahedron():
     projections = []
     for v in verts:
         pi = np.eye(3) - np.outer(v, v)
-        projections.append((lambda x, pi=pi: pi @ x, 3.0 / 8.0, 2))
+        projections.append((pi, 3.0 / 8.0, 2))
     ok, residual = verify_weighted_parseval(projections, dim=3, tol=1e-12)
     assert ok
     assert residual <= 1e-12
@@ -167,7 +167,7 @@ def test_weighted_parseval_tetrahedron():
 
 def test_weighted_parseval_detects_bad_weights():
     ok, residual = verify_weighted_parseval(
-        [(lambda x: x, 0.5, 4)], dim=4, tol=1e-9
+        [(np.eye(4), 0.5, 4)], dim=4, tol=1e-9
     )
     assert not ok and residual == pytest.approx(0.5)
 
@@ -175,14 +175,14 @@ def test_weighted_parseval_detects_bad_weights():
 def test_weighted_parseval_detects_non_projection():
     mat = np.diag([2.0, 1.0, 1.0])
     ok, _ = verify_weighted_parseval(
-        [(lambda x: mat @ x, 1.0, 3)], dim=3, tol=1e-9
+        [(mat, 1.0, 3)], dim=3, tol=1e-9
     )
     assert not ok
 
 
 def test_weighted_parseval_dimension_mismatch():
     with pytest.raises(ValueError):
-        verify_weighted_parseval([(lambda x: x[:2], 1.0, 2)], dim=3)
+        verify_weighted_parseval([(np.eye(3)[:2], 1.0, 2)], dim=3)
 
 
 def test_random_bank_verdicts_match_dense_oracle():

@@ -310,3 +310,31 @@ def test_malformed_input_is_usage_error(capsys, tmp_path, argv_head, payload):
     assert code == 2
     assert err.startswith("error:") and "Traceback" not in err
     assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "{bank}", "--tol", "nan"),
+        ("verify", "{bank}", "--tol", "-1"),
+        ("verify", "{bank}", "--tol", "inf"),
+        ("verify", "{bank}", "--tol=-inf"),
+        ("analyze", "{bank}", "--tol", "nan"),
+        ("verify", "{bank}", "--oracle", "--oracle-tol", "-1"),
+        ("analyze", "{bank}", "--oracle", "--oracle-tol", "inf"),
+        ("compose", "--tree", "{tree}", "--inner-dim", "4", "--verify", "--tol", "inf"),
+        ("design-maxflat", "--half-taps", "2", "--restarts", "1", "--tol", "nan"),
+    ],
+    ids=[
+        "verify-nan", "verify-negative", "verify-inf", "verify-minus-inf", "analyze-nan",
+        "oracle-negative", "oracle-inf", "compose-inf", "maxflat-nan",
+    ],
+)
+def test_bad_tolerance_is_usage_error(capsys, tmp_path, argv):
+    bank = _build(capsys, tmp_path, "mercedes-benz", 2)
+    tree = tmp_path / "tree.json"
+    tree.write_text(json.dumps({"bank": "example7"}))
+    code, out, err = _run(capsys, *(a.format(bank=bank, tree=tree) for a in argv))
+    assert code == 2
+    assert "error:" in err and "tolerance" in err and "Traceback" not in err
+    assert out == ""

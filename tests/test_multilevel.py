@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fbff.analysis import fusion_report
+from fbff.analysis import fusion_report, verify_weighted_parseval
 from fbff.constructions import (
     mercedes_benz,
     modulated_daubechies_stack,
@@ -143,6 +143,40 @@ def test_packet_tree_leaves():
     assert all(rank == 4 for _, _, rank in leaves)
     ok, residual = verify_tree(leaves, AMBIENT)
     assert ok and residual <= 1e-9
+
+
+def _basis_projection(ch, dim):
+    # the leaf's synthesis-analysis composite applied to each basis vector
+    cols = [
+        channel_apply(ch, channel_adjoint(ch, Signal.delta(i, dim))).samples
+        for i in range(dim)
+    ]
+    return np.stack(cols, axis=1)
+
+
+def _double_first_weight(leaves):
+    (ch, w, rank), *rest = leaves
+    return [(ch, 2 * w, rank), *rest]
+
+
+def _scale_first_filter(leaves):
+    (ch, w, rank), *rest = leaves
+    return [(ChannelOp(2 * ch.filter, ch.rate), w, rank), *rest]
+
+
+@pytest.mark.parametrize("tree", [dwt_tree, packet_tree], ids=["dwt", "packet"])
+@pytest.mark.parametrize(
+    "edit,expected",
+    [(list, True), (_double_first_weight, False), (_scale_first_filter, False)],
+    ids=["as-composed", "weight-doubled", "filter-scaled"],
+)
+def test_verify_tree_matches_basis_reference(tree, edit, expected):
+    leaves = edit(compose_tree(tree(_stacked_bank(), 2), AMBIENT))
+    ok, residual = verify_tree(leaves, AMBIENT)
+    reference = [(_basis_projection(ch, AMBIENT), w, r) for ch, w, r in leaves]
+    ref_ok, ref_residual = verify_weighted_parseval(reference, AMBIENT)
+    assert ok == ref_ok == expected
+    assert abs(residual - ref_residual) <= 1e-12
 
 
 def test_weight_accounting_exact():

@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from fbff.analysis import frame_bounds
+from fbff.analysis import FrameBounds, frame_bounds, fusion_report
 from fbff.constructions import daubechies4, daubechies_mercedes, mercedes_benz
 from fbff.oracle import (
+    cross_check,
     dense_channel_gram,
     dense_frame_spectrum,
     densify,
@@ -115,3 +118,13 @@ def test_spectrum_union_random_bank():
     rng = np.random.default_rng(2)
     fb = FilterBank(tuple(_random_signal(rng, 6) for _ in range(3)), 2)
     assert spectrum_union_check(fb)
+
+
+def test_cross_check_reads_the_report_spectra():
+    rng = np.random.default_rng(3)
+    fb = FilterBank(tuple(_random_signal(rng, 6) for _ in range(3)), 2)
+    rep = fusion_report(fb)
+    assert cross_check(fb, rep)["agrees"]
+    shifted = replace(rep, bounds=FrameBounds(rep.bounds.spectra + 1e-6))
+    out = cross_check(fb, shifted)
+    assert not out["spectrum_union_ok"] and not out["agrees"]
