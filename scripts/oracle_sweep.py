@@ -2,9 +2,11 @@
 """Cross-validate the polyphase analysis chain against the dense oracle on a
 random bank ensemble, printing a worst-case summary.
 
-Every bank is checked three ways: frame bounds against the dense spectrum
-extremes, per-channel projection verdicts against dense Gram idempotence,
-and the multiset equality of the dense spectrum with the per-root spectra.
+Every bank gets one fusion report and one dense solve (oracle.cross_check),
+which check it three ways: frame bounds against the dense spectrum extremes,
+per-channel projection verdicts against dense Gram idempotence (a bank with
+any disagreeing channel counts as one verdict mismatch), and the multiset
+equality of the dense spectrum with the report's per-root spectra.
 """
 
 import argparse
@@ -12,14 +14,8 @@ import sys
 
 import numpy as np
 
-from fbff.analysis import channel_is_projection, frame_bounds
-from fbff.oracle import (
-    dense_channel_gram,
-    dense_frame_spectrum,
-    densify,
-    spectrum_union_check,
-)
-from fbff.polyphase import matrix_of
+from fbff.analysis import fusion_report
+from fbff.oracle import cross_check
 from fbff.signals import FilterBank, Signal
 
 
@@ -46,19 +42,10 @@ def main() -> int:
     union_failures = 0
     for _ in range(args.count):
         fb = random_bank(rng)
-        bounds = frame_bounds(matrix_of(fb))
-        spectrum = dense_frame_spectrum(densify(fb))
-        worst_bound = max(
-            worst_bound,
-            abs(max(spectrum[0], 0.0) - bounds.A),
-            abs(spectrum[-1] - bounds.B),
-        )
-        dense = densify(fb)
-        for idx, phi in enumerate(fb.filters):
-            lhs = channel_is_projection(phi, fb.downsample, 1e-9)
-            rhs = dense_channel_gram(dense, idx, tol=1e-9).is_projection
-            verdict_mismatches += lhs != rhs
-        union_failures += not spectrum_union_check(fb)
+        check = cross_check(fb, fusion_report(fb, tol=1e-9), tol=1e-8)
+        worst_bound = max(worst_bound, check["bound_gap"])
+        verdict_mismatches += not check["channel_match"]
+        union_failures += not check["spectrum_union_ok"]
 
     print(f"banks checked:        {args.count}")
     print(f"worst bound gap:      {worst_bound:.3e}")

@@ -8,9 +8,11 @@ batched LAPACK ``eigvalsh`` call gives every root's spectrum; bounds and
 row checks both read from that stack, and the bounds keep the spectra so
 that the dense oracle checks the very numbers they were read from.
 
-The cyclic Jacobi eigensolver kept here (tested against an independent
-characteristic-polynomial root finder) serves only the dense oracle, so
-the polyphase route and the oracle share no eigensolver.
+The round-robin parallel Jacobi eigensolver kept here (Brent & Luk's
+ordering in pure numpy, tested against an independent characteristic-
+polynomial root finder) serves only the dense oracle, so the polyphase
+route and the oracle share no eigensolver.  Evaluated Grams that are not
+finite are rejected with ValueError.
 """
 
 from __future__ import annotations
@@ -53,57 +55,94 @@ def _frobenius(a: np.ndarray) -> float:
     return float(np.sqrt(np.sum(np.abs(a) ** 2)))
 
 
-def _rotation_2x2(app: float, aqq: float, apq: complex) -> np.ndarray:
-    """Unitary 2x2 diagonalizing [[app, apq], [conj(apq), aqq]]."""
-    d = (app - aqq) / 2.0
-    h = np.hypot(d, abs(apq))
-    # lambda_max - app, computed without cancellation
-    mu = abs(apq) ** 2 / (d + h) if d >= 0 else h - d
-    nv = np.sqrt(abs(apq) ** 2 + mu * mu)
-    u0 = apq / nv
-    u1 = mu / nv
-    return np.array([[u0, -np.conj(u1)], [u1, np.conj(u0)]])
+def _round_robin_perm(m: int) -> np.ndarray:
+    """Gather index taking one Brent-Luk round's layout to the next.
+
+    Round k pairs storage positions (2i, 2i + 1).  In tournament order
+    L (position 2i holds L[i], position 2i + 1 holds L[m - 1 - i]) the next
+    round keeps L[0] and rotates the rest by one, so in m - 1 rounds every
+    pair of indices meets exactly once and the layout returns to the start.
+    """
+    slot = np.empty(m, dtype=int)  # tournament index held at each position
+    slot[0::2] = np.arange(m // 2)
+    slot[1::2] = m - 1 - np.arange(m // 2)
+    rotated = np.concatenate([[0, m - 1], np.arange(1, m - 1)])[:m]
+    return np.argsort(slot)[rotated[slot]]
+
+
+def _rotate(xp: np.ndarray, xq: np.ndarray, c, s) -> None:
+    """In place: [xp, xq] <- [c xp + s xq, c xq - conj(s) xp]."""
+    new_p = c * xp + s * xq
+    xq *= c
+    xq -= s.conj() * xp
+    xp[...] = new_p
 
 
 def jacobi_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigen-decomposition of a Hermitian matrix by cyclic Jacobi rotations.
+    """Eigen-decomposition of a Hermitian matrix by round-robin parallel
+    Jacobi rotations (Brent & Luk, 1985).
 
-    Returns (eigenvalues ascending, unitary eigenvector matrix).  Sweeps
-    stop when the off-diagonal Frobenius norm falls below 1e-13 times the
-    matrix norm.  Raises ValueError for non-Hermitian input.
+    Each sweep runs n - 1 rounds, and a round applies n/2 disjoint 2x2
+    rotations as one array update of the columns, then of the rows.  Odd n
+    is padded by a zero row and column, which only ever meets the identity
+    rotation.  Returns (eigenvalues ascending, unitary eigenvector matrix).
+    Sweeps stop when the off-diagonal Frobenius norm falls below 1e-13
+    times the matrix norm.  Raises ValueError for non-finite or
+    non-Hermitian input.
     """
     a = np.array(h, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix has non-finite entries")
     n = a.shape[0]
-    scale = max(1.0, float(np.max(np.abs(a))) if a.size else 0.0)
-    if float(np.max(np.abs(a - a.conj().T))) > _HERMITIAN_TOL * scale:
+    top = float(np.max(np.abs(a), initial=0.0))
+    if float(np.max(np.abs(a - a.conj().T), initial=0.0)) > _HERMITIAN_TOL * max(1.0, top):
         raise ValueError("matrix is not Hermitian within tolerance")
-    a = (a + a.conj().T) / 2.0
+    # rotate a / 2**e, an exact rescaling with entries below 1, so the
+    # Frobenius norms of the stopping rule neither overflow nor underflow
+    e = int(np.frexp(top)[1])
+    a = np.ldexp(a.real, -e) + 1j * np.ldexp(a.imag, -e)
 
-    v = np.eye(n, dtype=complex)
-    norm = _frobenius(a)
+    # x stacks the working matrix (rows :m) on the eigenvectors (rows m:),
+    # stored so that the current round pairs positions (2i, 2i + 1)
+    m = n + n % 2
+    x = np.zeros((2 * m, m), dtype=complex)
+    x[:n, :n] = (a + a.conj().T) / 2.0
+    x[m:] = np.eye(m)
+    perm = _round_robin_perm(m)
+    gather = np.concatenate([perm, m + np.arange(m)])[:, None] * m + perm
+    p = np.arange(0, m, 2) * (m + 1)  # flat index of each pair's a_pp
+    block = np.stack([p, p + m + 1, p + 1])
+    off_pairs = np.concatenate([p + 1, p + m])
+
+    norm = _frobenius(x[:m])
     for _ in range(_MAX_SWEEPS):
-        off = _frobenius(a - np.diag(np.diag(a)))
-        if off <= _JACOBI_OFF_TOL * norm:
+        a = x[:m]
+        if _frobenius(a - np.diag(np.diag(a))) <= _JACOBI_OFF_TOL * norm:
             break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0:
-                    continue
-                u = _rotation_2x2(a[p, p].real, a[q, q].real, apq)
-                a[:, [p, q]] = a[:, [p, q]] @ u
-                a[[p, q], :] = u.conj().T @ a[[p, q], :]
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                v[:, [p, q]] = v[:, [p, q]] @ u
+        for _ in range(m - 1):
+            # [[c, -s], [conj(s), c]] zeroes each pair's a_pq, with
+            # t = tan(theta) = sign(d) |a_pq| / (|d| + hypot(d, |a_pq|)),
+            # so |theta| <= pi/4, and s = c t a_pq / |a_pq|
+            app, aqq, apq = x.take(block)
+            d = (app.real - aqq.real) / 2.0
+            r = np.abs(apq)
+            den = np.abs(d) + np.hypot(d, r)
+            den = np.where(den > 0, den, 1.0)  # 0 only where a_pq = 0 = d
+            sign = np.copysign(1.0, d)
+            c = 1.0 / np.sqrt(1.0 + (r / den) ** 2)
+            s = c * sign * apq / den
+            _rotate(x[:, 0::2], x[:, 1::2], c, s.conj())
+            _rotate(x[0:m:2], x[1:m:2], c[:, None], s[:, None])
+            np.put(x, off_pairs, 0.0)
+            x = x.take(gather)
     else:
         raise RuntimeError("Jacobi sweeps did not converge")
 
-    w = np.diag(a).real.copy()
+    w = np.ldexp(np.diag(x[:n, :n]).real, e)
     order = np.argsort(w, kind="stable")
-    return w[order], v[:, order]
+    return w[order], x[m : m + n, :n][:, order]
 
 
 def hermitian_eigs(h: np.ndarray) -> np.ndarray:
@@ -141,8 +180,16 @@ class FrameBounds:
 
 
 def gram_stack(mat: PolyphaseMatrix) -> np.ndarray:
-    """The (P, M, M) stack of evaluated Grams; slice p is ``gram(mat, p)``."""
-    return np.stack([gram(mat, p) for p in range(mat.period)])
+    """The (P, M, M) stack of evaluated Grams; slice p is ``gram(mat, p)``.
+
+    Raises ValueError when a Gram is not finite: finite samples whose
+    squares overflow have no meaningful bounds.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        grams = np.stack([gram(mat, p) for p in range(mat.period)])
+    if not np.all(np.isfinite(grams)):
+        raise ValueError("evaluated Grams are not finite (samples too large)")
+    return grams
 
 
 def _gram_bounds(grams: np.ndarray) -> FrameBounds:

@@ -3,8 +3,9 @@
 The synthesis operator is materialized as an explicit matrix of translated
 filters, and every frame quantity is read off it directly, with no
 polyphase machinery anywhere on this path.  Deliberately naive: O((MP)^3)
-eigensolves by the cyclic Jacobi routine, which the polyphase route never
-uses, gated to small sizes.
+eigensolves by the round-robin parallel Jacobi routine, which the
+polyphase route never uses, gated to dense dimension 256, where one solve
+takes seconds (at 512 it takes most of a minute).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ __all__ = [
     "cross_check",
 ]
 
-_MAX_DIM = 512
+_MAX_DIM = 256
 
 
 @dataclass(frozen=True, eq=False)

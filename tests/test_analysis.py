@@ -78,6 +78,85 @@ def test_eigs_reject_non_hermitian():
         hermitian_eigs(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def _assert_eig_system(h, w, v, tol):
+    """Eigenvalues against numpy's (the test's reference only), unitary v
+    and the reconstruction residual, all relative to the norm of h."""
+    n = h.shape[0]
+    scale = max(float(np.linalg.norm(h)), 1e-300)
+    assert w.shape == (n,) and v.shape == (n, n)
+    assert np.all(np.diff(w) >= 0)
+    assert np.max(np.abs(w - np.linalg.eigvalsh(h))) <= tol * scale
+    assert np.max(np.abs(v.conj().T @ v - np.eye(n))) <= tol * n
+    assert np.max(np.abs(h @ v - v * w)) <= tol * scale
+
+
+@pytest.mark.parametrize("n", [1, 3, 7, 33])
+def test_jacobi_odd_sizes_drop_the_padding(n):
+    h = _random_hermitian(np.random.default_rng(n), n)
+    w, v = jacobi_eigh(h)
+    _assert_eig_system(h, w, v, 1e-12)
+
+
+def test_jacobi_equal_diagonals():
+    # d = 0 in every pair: the rotation angle is pi/4
+    w, v = jacobi_eigh(np.array([[1.0, 2j], [-2j, 1.0]]))
+    np.testing.assert_allclose(w, [-1.0, 3.0], atol=1e-14)
+    for n in (4, 9):
+        h = np.ones((n, n), dtype=complex)
+        w, v = jacobi_eigh(h)
+        np.testing.assert_allclose(w, [0.0] * (n - 1) + [n], atol=1e-12)
+        _assert_eig_system(h, w, v, 1e-12)
+
+
+def test_jacobi_block_diagonal_never_mixes_blocks():
+    # a_pq = 0 across the blocks: those pairs get the identity rotation
+    rng = np.random.default_rng(4)
+    for k, n in ((3, 8), (5, 11)):
+        h = np.zeros((n, n), dtype=complex)
+        h[:k, :k] = _random_hermitian(rng, k)
+        h[k:, k:] = _random_hermitian(rng, n - k)
+        w, v = jacobi_eigh(h)
+        _assert_eig_system(h, w, v, 1e-12)
+        in_first = np.abs(v[:k]).sum(axis=0) > 0
+        in_second = np.abs(v[k:]).sum(axis=0) > 0
+        assert not np.any(in_first & in_second)
+        assert in_first.sum() == k
+
+
+@pytest.mark.parametrize("n", [6, 17, 40])
+def test_jacobi_repeated_eigenvalues(n):
+    rng = np.random.default_rng(n)
+    u = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
+    h = 1.5 * np.eye(n) + u @ u.conj().T
+    w, v = jacobi_eigh(h)
+    _assert_eig_system(h, w, v, 1e-12)
+    np.testing.assert_allclose(w[: n - 2], 1.5, atol=1e-12 * np.linalg.norm(h))
+
+
+@pytest.mark.parametrize("n", [64, 128])
+def test_jacobi_large_against_reference(n):
+    h = _random_hermitian(np.random.default_rng(n), n)
+    w, v = jacobi_eigh(h)
+    _assert_eig_system(h, w, v, 1e-12)
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e200])
+def test_jacobi_extreme_scales(scale):
+    # the stopping rule's norms must neither underflow nor overflow
+    h = _random_hermitian(np.random.default_rng(2), 9)
+    np.testing.assert_allclose(
+        hermitian_eigs(scale * h) / scale, hermitian_eigs(h), rtol=0, atol=1e-12 * np.linalg.norm(h)
+    )
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_jacobi_rejects_non_finite(bad):
+    h = np.eye(3, dtype=complex)
+    h[1, 1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        jacobi_eigh(h)
+
+
 def test_frame_bounds_mercedes():
     fb = frame_bounds(mercedes_benz(4))
     assert fb.A == pytest.approx(1.5, abs=1e-12)

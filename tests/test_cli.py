@@ -338,3 +338,19 @@ def test_bad_tolerance_is_usage_error(capsys, tmp_path, argv):
     assert code == 2
     assert "error:" in err and "tolerance" in err and "Traceback" not in err
     assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv_head",
+    [("analyze",), ("verify",), ("analyze", "--oracle")],
+    ids=["analyze", "verify", "analyze-oracle"],
+)
+def test_overflowing_samples_are_usage_error(capsys, tmp_path, argv_head):
+    # finite samples whose Grams overflow: no bounds to report
+    payload = _malformed_bank(lambda o: o["filters"][0]["samples"].__setitem__(0, [1e200, 0.0]))
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = _run(capsys, *argv_head, str(path))
+    assert code == 2
+    assert "error:" in err and "not finite" in err and "Traceback" not in err
+    assert out == ""

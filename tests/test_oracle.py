@@ -6,6 +6,7 @@ import pytest
 from fbff.analysis import FrameBounds, frame_bounds, fusion_report
 from fbff.constructions import daubechies4, daubechies_mercedes, mercedes_benz
 from fbff.oracle import (
+    _MAX_DIM,
     cross_check,
     dense_channel_gram,
     dense_frame_spectrum,
@@ -47,6 +48,14 @@ def test_densify_columns_apply_like_synthesis():
 def test_densify_gate():
     with pytest.raises(ValueError):
         densify(FilterBank((Signal.zero(1024),), 2))
+
+
+def test_densify_gate_edge():
+    m = 2
+    d = densify(FilterBank((Signal.zero(_MAX_DIM),), m))
+    assert d.matrix.shape == (_MAX_DIM, _MAX_DIM // m)
+    with pytest.raises(ValueError, match="gated"):
+        densify(FilterBank((Signal.zero(_MAX_DIM + m),), m))
 
 
 def test_spectrum_of_tight_bank_is_flat():
