@@ -35,14 +35,18 @@ def frequency_table(fb: FilterBank, n_samples: int):
 
     Yields (channel, omega, mag2) rows in channel-major order with
     omega = 2 pi k / n_samples, by one FFT of each filter folded modulo
-    n_samples, which is exact for any filter period.
+    n_samples, which is exact for any filter period.  Raises ValueError when
+    a magnitude is not finite (finite samples whose squares overflow).
     """
     if n_samples < 2:
         raise ValueError("need at least two frequency samples")
     pad = (0, -fb.filter_period % n_samples)
     samples = np.stack([np.pad(phi.samples, pad) for phi in fb.filters])
-    folded = samples.reshape(fb.n_channels, -1, n_samples).sum(axis=1)
-    mag2 = np.abs(np.fft.fft(folded, axis=-1)) ** 2
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        folded = samples.reshape(fb.n_channels, -1, n_samples).sum(axis=1)
+        mag2 = np.abs(np.fft.fft(folded, axis=-1)) ** 2
+    if not np.all(np.isfinite(mag2)):
+        raise ValueError("squared magnitudes are not finite (samples too large)")
     return [
         (n, 2.0 * np.pi * i / n_samples, float(mag2[n, i]))
         for n in range(fb.n_channels)
@@ -209,6 +213,9 @@ def _cmd_design_maxflat(args) -> int:
         "iterations": result.iterations,
         "block": result.block,
         "seed": seed,
+        "restarts": [
+            {"residual_inf": res, "iterations": its} for res, its in result.trace
+        ],
     }
     if result.converged:
         sys_ = gabor.GaborSystem(result.signal, 2, result.block, 2)

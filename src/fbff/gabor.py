@@ -10,10 +10,18 @@ tap polynomial vanish at 1: a maximally flat response there), and the even
 taps are then solved numerically so that both the even and odd subsequences
 have squared norm 1/2 and are orthogonal to their own even translates,
 which are the tightness conditions of the rate-2, redundancy-2 system.
+
+The even-to-odd map is exact: the flatness conditions say that the odd taps,
+placed at the odd nodes 1, 3, .., 2T-1, reproduce (with a minus sign) every
+moment of degree < T of the even taps placed at 0, 2, .., 2T-2, so the map's
+entries are Lagrange basis polynomials of the odd nodes evaluated at the even
+ones.  They are formed in integers once per T and rounded once to floats, and
+the search runs on an exact Jacobian of the tightness residual.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -28,6 +36,7 @@ __all__ = [
     "flatness_matrix",
     "flatness_solve_odd",
     "tightness_residual",
+    "tightness_jacobian",
     "interleave_taps",
     "embed_taps",
     "levenberg_marquardt",
@@ -88,12 +97,13 @@ def zak_row_sums(sys: GaborSystem) -> np.ndarray:
 # -- max-flat design ----------------------------------------------------------
 
 
-def _falling_table(t: int, offset: int) -> np.ndarray:
-    """T x T table of falling factorials: row k, column p holds
-    (2p + offset)!/(2p + offset - k)!, zero when k > 2p + offset."""
-    return np.array(
-        [[float(math.perm(2 * p + offset, k)) for p in range(t)] for k in range(t)]
-    )
+@functools.cache
+def _derivative_table(t: int) -> np.ndarray:
+    """T x 2T table F[k, m] = m!/(m-k)!: row k of F @ taps is the k-th
+    derivative of the tap polynomial at 1.  Cached per T, read-only."""
+    table = np.array([[float(math.perm(m, k)) for m in range(2 * t)] for k in range(t)])
+    table.flags.writeable = False
+    return table
 
 
 def flatness_matrix(t: int) -> np.ndarray:
@@ -104,27 +114,58 @@ def flatness_matrix(t: int) -> np.ndarray:
     """
     if t < 1:
         raise ValueError("half-length must be >= 1")
-    return _falling_table(t, 1)
+    return _derivative_table(t)[:, 1::2].copy()
+
+
+@functools.cache
+def _odd_map(t: int) -> np.ndarray:
+    """The T x T matrix K with odd = K @ even, i.e. A K = -C for A the
+    :func:`flatness_matrix` and C the same falling factorials at the even
+    taps.  Cached per T, read-only.
+
+    The falling factorials of degree < T span all polynomials f of degree
+    < T, so the system says sum_q odd_q f(2q+1) = -sum_p even_p f(2p), and
+    Lagrange interpolation at the odd nodes gives K[q, p] = -L_q(2p).  Each
+    entry is a ratio of integer products, rounded once to the nearest float.
+    """
+    nodes = range(1, 2 * t, 2)
+    rows = []
+    for q in nodes:
+        row = []
+        for x in range(0, 2 * t, 2):
+            num = den = 1
+            for r in nodes:
+                if r != q:
+                    num *= x - r
+                    den *= q - r
+            row.append(-num / den)  # int / int rounds correctly
+        rows.append(row)
+    odd_map = np.array(rows)
+    odd_map.flags.writeable = False
+    return odd_map
 
 
 def flatness_solve_odd(even) -> np.ndarray:
     """Odd taps completing ``even`` to a maximally flat 2T-tap filter.
 
-    Solved with partially pivoted elimination; raises if the factorial
-    system is singular and checks the residual against 1e-10 of the scale.
+    Applies the exact even-to-odd map of :func:`_odd_map`, then checks the
+    derivatives D = F @ taps at 1 (F = ``_derivative_table``) two ways:
+    against 1e-10 of the even side's scale max(1, |C @ even|), and, as a
+    forward error, each |D_k| against 1e-12 of (F @ |taps|)_k.  Raises
+    ValueError when either check fails.
     """
     even = np.asarray(even, dtype=float)
     if even.ndim != 1 or even.size < 1:
         raise ValueError("even coefficients must be a nonempty vector")
-    a = flatness_matrix(even.size)
-    b = -_falling_table(even.size, 0) @ even
-    try:
-        odd = np.linalg.solve(a, b)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("flatness system is singular") from exc
-    scale = max(1.0, float(np.max(np.abs(b))))
-    if float(np.max(np.abs(a @ odd - b))) > 1e-10 * scale:
+    table = _derivative_table(even.size)
+    odd = _odd_map(even.size) @ even
+    taps = interleave_taps(even, odd)
+    deriv = np.abs(table @ taps)
+    scale = max(1.0, float(np.max(np.abs(table[:, 0::2] @ even))))
+    if float(np.max(deriv)) > 1e-10 * scale:
         raise ValueError("flatness solve residual too large")
+    if np.any(deriv > 1e-12 * (table @ np.abs(taps))):
+        raise ValueError("flatness forward error too large")
     return odd
 
 
@@ -150,6 +191,26 @@ def tightness_residual(even, odd=None) -> np.ndarray:
             corr = float(np.dot(s[: t - lag], s[lag:])) if lag < t else 0.0
             res.append(corr - (0.5 if q == 0 else 0.0))
     return np.array(res)
+
+
+def tightness_jacobian(even) -> np.ndarray:
+    """Exact Jacobian of ``tightness_residual(even)`` in the even taps.
+
+    d/ds_j of sum_i s_i s_{i+2q} is s_{j+2q} + s_{j-2q} (zero outside the
+    taps); the odd block is chained through the even-to-odd map.
+    """
+    even = np.asarray(even, dtype=float)
+    t = even.size
+    odd_map = _odd_map(t)
+    blocks = []
+    for s in (even, odd_map @ even):
+        block = np.zeros(((t + 1) // 2, t))
+        for q in range(block.shape[0]):
+            lag = 2 * q
+            block[q, : t - lag] += s[lag:]
+            block[q, lag:] += s[: t - lag]
+        blocks.append(block)
+    return np.vstack([blocks[0], blocks[1] @ odd_map])
 
 
 def interleave_taps(even, odd) -> np.ndarray:
@@ -183,7 +244,8 @@ class LMResult:
     converged: bool
 
 
-def _jacobian_cd(fn, x: np.ndarray, step: float) -> np.ndarray:
+def _jacobian_cd(fn, x: np.ndarray, step: float = 1e-6) -> np.ndarray:
+    """Central differences with step ``step * max(1, |x_j|)``."""
     cols = []
     for j in range(x.size):
         h = step * max(1.0, abs(x[j]))
@@ -200,14 +262,17 @@ def levenberg_marquardt(
     x0,
     tol: float = 1e-10,
     max_iter: int = 500,
-    fd_step: float = 1e-6,
+    jac=None,
 ) -> LMResult:
-    """Damped least squares on a residual function with a numeric Jacobian.
+    """Damped least squares on a residual function.
 
-    The Jacobian uses central differences with step 1e-6 * max(1, |x_j|);
-    iteration stops when the residual infinity norm drops below ``tol`` or
-    after ``max_iter`` iterations.
+    ``jac(x)`` gives the Jacobian of ``fn`` at x; without it, central
+    differences with step 1e-6 * max(1, |x_j|) stand in (2 * x.size extra
+    residual evaluations per iteration).  Iteration stops when the residual
+    infinity norm drops below ``tol`` or after ``max_iter`` iterations.
     """
+    if jac is None:
+        jac = functools.partial(_jacobian_cd, fn)
     x = np.array(x0, dtype=float)
     r = np.asarray(fn(x), dtype=float)
     lam = 1e-3
@@ -215,9 +280,9 @@ def levenberg_marquardt(
     for iterations in range(1, max_iter + 1):
         if float(np.max(np.abs(r))) <= tol:
             break
-        jac = _jacobian_cd(fn, x, fd_step)
-        jtj = jac.T @ jac
-        grad = jac.T @ r
+        jx = jac(x)
+        jtj = jx.T @ jx
+        grad = jx.T @ r
         damping_scale = np.maximum(np.diag(jtj), 1e-12)
         accepted = False
         for _ in range(40):
@@ -247,7 +312,11 @@ def levenberg_marquardt(
 
 @dataclass(frozen=True)
 class MaxFlatResult:
-    """Outcome of a design run; ``converged`` False is an outcome, not an error."""
+    """Outcome of a design run; ``converged`` False is an outcome, not an error.
+
+    ``trace`` holds one (residual_inf, iterations) pair per restart
+    attempted, in order; ``restart`` indexes the winning or best one.
+    """
 
     converged: bool
     taps: np.ndarray | None
@@ -257,6 +326,7 @@ class MaxFlatResult:
     iterations: int
     half_taps: int
     block: int  # Q used for the embedding
+    trace: tuple[tuple[float, int], ...]
 
 
 def _restart_rng(seed: int, restart: int) -> np.random.Generator:
@@ -275,10 +345,11 @@ def design_maxflat(
 
     Each restart draws Gaussian even taps (normalized to squared norm 1/2),
     derives the odd taps from the flatness system, and runs damped least
-    squares on the tightness residual.  The first restart whose residual
-    infinity norm reaches ``tol`` wins; running out of restarts reports the
-    best attempt with ``converged=False``.  Solutions are known to exist
-    for even T; odd T generally leaves the residual system overdetermined.
+    squares on the tightness residual with its exact Jacobian.  The first
+    restart whose residual infinity norm reaches ``tol`` wins; running out
+    of restarts reports the best attempt with ``converged=False``.
+    Solutions are known to exist for even T; odd T generally leaves the
+    residual system overdetermined.
     """
     if t < 1:
         raise ValueError("half-length must be >= 1")
@@ -290,6 +361,7 @@ def design_maxflat(
         raise ValueError(f"2T = {2 * t} taps do not fit in period {4 * q}")
 
     best = (np.inf, -1, 0)  # residual, restart, iterations
+    trace = []
     for restart in range(restarts):
         rng = _restart_rng(seed, restart)
         x0 = rng.standard_normal(t)
@@ -297,8 +369,11 @@ def design_maxflat(
         if nrm == 0.0:
             continue
         x0 *= 2.0**-0.5 / nrm
-        run = levenberg_marquardt(tightness_residual, x0, tol=1e-10, max_iter=500)
+        run = levenberg_marquardt(
+            tightness_residual, x0, tol=1e-10, max_iter=500, jac=tightness_jacobian
+        )
         res_inf = float(np.max(np.abs(run.residual)))
+        trace.append((res_inf, run.iterations))
         if res_inf <= tol:
             even = run.x
             taps = interleave_taps(even, flatness_solve_odd(even))
@@ -313,6 +388,7 @@ def design_maxflat(
                 iterations=run.iterations,
                 half_taps=t,
                 block=q,
+                trace=tuple(trace),
             )
         if res_inf < best[0]:
             best = (res_inf, restart, run.iterations)
@@ -325,4 +401,5 @@ def design_maxflat(
         iterations=best[2],
         half_taps=t,
         block=q,
+        trace=tuple(trace),
     )

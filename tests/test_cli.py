@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -166,6 +167,20 @@ def test_freq_requires_two_samples(capsys, tmp_path):
     assert code == 2 and err
 
 
+def test_freq_overflowing_samples_are_usage_error(capsys, tmp_path):
+    # finite samples whose squared magnitudes overflow: no table to write
+    obj = bank_to_json(named_bank("mercedes-benz", 2))
+    obj["filters"][0]["samples"][0] = [1e200, 0.0]
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(obj))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow RuntimeWarning either
+        code, out, err = _run(capsys, "freq", str(path), "--samples", "4")
+    assert code == 2
+    assert err.startswith("error:") and "not finite" in err and "Traceback" not in err
+    assert out == ""
+
+
 def test_frequency_table_matches_direct_sum():
     fb = named_bank("daubechies4", 4)
     rows = frequency_table(fb, 5)
@@ -235,6 +250,19 @@ def test_design_maxflat_cli(capsys, tmp_path):
     assert report["is_tight"] is True
     filt = json.loads(out_path.read_text())
     assert filt["period"] == 4 * report["block"]
+
+
+def test_design_maxflat_reports_each_restart(capsys):
+    code, out, _ = _run(
+        capsys, "design-maxflat", "--half-taps", "2", "--tol", "0", "--restarts", "3"
+    )
+    assert code == 1
+    report = json.loads(out)
+    assert report["converged"] is False
+    restarts = report["restarts"]
+    assert len(restarts) == 3
+    assert min(r["residual_inf"] for r in restarts) == report["residual_inf"]
+    assert restarts[report["restart"]]["iterations"] == report["iterations"]
 
 
 def test_design_maxflat_env_seed(capsys, monkeypatch):

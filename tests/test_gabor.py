@@ -1,5 +1,10 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
+
+from fbff import gabor
 
 from fbff.analysis import (
     gabor_channel_orthonormal,
@@ -16,6 +21,7 @@ from fbff.gabor import (
     gabor_bank,
     interleave_taps,
     levenberg_marquardt,
+    tightness_jacobian,
     tightness_residual,
     zak_row_sums,
 )
@@ -148,6 +154,68 @@ def test_flatness_kills_derivatives():
         assert abs(deriv) <= 1e-8 * scale * _falling(2 * t - 1, k)
 
 
+def _odd_map_by_elimination(t):
+    # reference: Gauss-Jordan elimination of [A | -C] in Fractions
+    rows = [
+        [Fraction(math.perm(2 * p + 1, k)) for p in range(t)]
+        + [Fraction(-math.perm(2 * p, k)) for p in range(t)]
+        for k in range(t)
+    ]
+    for c in range(t):
+        piv = next(r for r in range(c, t) if rows[r][c] != 0)
+        rows[c], rows[piv] = rows[piv], rows[c]
+        rows[c] = [v / rows[c][c] for v in rows[c]]
+        for r in range(t):
+            if r != c:
+                f = rows[r][c]
+                rows[r] = [v - f * w for v, w in zip(rows[r], rows[c])]
+    return np.array([[float(v) for v in row[t:]] for row in rows])
+
+
+def test_odd_map_is_the_rounded_rational_solution():
+    for t in range(1, 13):
+        np.testing.assert_array_equal(gabor._odd_map(t), _odd_map_by_elimination(t))
+    assert not gabor._odd_map(4).flags.writeable
+
+
+def test_flatness_forward_error_up_to_16():
+    # the derivatives at 1 of the float taps, summed exactly in Fractions,
+    # must vanish to 1e-12 of the sum of their absolute terms
+    rng = np.random.default_rng(16)
+    for t in range(2, 17):
+        for _ in range(20):
+            even = rng.standard_normal(t)
+            taps = interleave_taps(even, flatness_solve_odd(even))
+            for k in range(t):
+                terms = [Fraction(_falling(m, k)) * Fraction(x) for m, x in enumerate(taps)]
+                assert abs(sum(terms)) <= Fraction(1e-12) * sum(abs(v) for v in terms), (t, k)
+
+
+def test_flatness_forward_check_rejects_an_inexact_map(monkeypatch):
+    # a LAPACK solve of the factorial system passes the backward check but
+    # not the forward one at T = 16
+    t = 16
+    lapack = np.linalg.solve(flatness_matrix(t), -gabor._derivative_table(t)[:, 0::2])
+    monkeypatch.setattr(gabor, "_odd_map", lambda _: lapack)
+    even = np.random.default_rng(0).standard_normal(t)
+    with pytest.raises(ValueError, match="forward"):
+        flatness_solve_odd(even)
+
+
+def test_tightness_jacobian_matches_central_differences():
+    # the residual is quadratic in the even taps, so central differences are
+    # exact up to rounding of order eps * |r| / step
+    rng = np.random.default_rng(7)
+    for t in range(1, 13):
+        even = rng.standard_normal(t)
+        even *= 2.0**-0.5 / np.linalg.norm(even)
+        exact = tightness_jacobian(even)
+        numeric = gabor._jacobian_cd(tightness_residual, even)
+        assert exact.shape == (2 * ((t + 1) // 2), t)
+        scale = max(1.0, float(np.max(np.abs(exact))))
+        np.testing.assert_allclose(exact, numeric, rtol=0, atol=1e-7 * scale)
+
+
 def test_tightness_residual_unit_deltas():
     res = tightness_residual([2**-0.5], [2**-0.5])
     np.testing.assert_allclose(res, np.zeros(2), atol=1e-15)
@@ -215,6 +283,28 @@ def test_levenberg_marquardt_small_system():
     np.testing.assert_allclose(np.abs(run.x), np.full(2, 2**-0.5), atol=1e-8)
 
 
+def test_levenberg_marquardt_with_jacobian():
+    calls = []
+
+    def residual(x):
+        calls.append(1)
+        return np.array([x[0] ** 2 + x[1] ** 2 - 1.0, x[0] - x[1]])
+
+    def jacobian(x):
+        return np.array([[2.0 * x[0], 2.0 * x[1]], [1.0, -1.0]])
+
+    numeric = levenberg_marquardt(residual, np.array([1.0, 0.2]), tol=1e-12)
+    numeric_calls = len(calls)
+    calls.clear()
+    run = levenberg_marquardt(residual, np.array([1.0, 0.2]), tol=1e-12, jac=jacobian)
+    assert run.converged
+    np.testing.assert_allclose(run.x, numeric.x, atol=1e-8)
+    # same steps, minus the 2 * x.size difference quotients of every
+    # iteration that forms a Jacobian (all but the last)
+    assert run.iterations == numeric.iterations
+    assert numeric_calls - len(calls) == 4 * (run.iterations - 1)
+
+
 def test_tight_system_splits_into_orthonormal_subsequences():
     # whenever tightness holds, every channel's translates split into R
     # orthonormal subsequences indexed by the residue r
@@ -267,6 +357,24 @@ def test_design_failure_is_reported_not_raised():
     assert result.taps is None and result.signal is None
     assert 0.0 < result.residual_inf
     assert 0 <= result.restart < 3
+
+
+def test_design_t12_converges():
+    result = design_maxflat(12, seed=1, restarts=3)
+    assert result.converged
+    assert result.residual_inf <= 1e-8
+    assert gabor_tightness(result.signal, 2, result.block, 2)
+
+
+def test_design_trace_has_one_entry_per_restart():
+    failed = design_maxflat(2, seed=0, restarts=3, tol=0.0)
+    assert len(failed.trace) == 3
+    assert min(res for res, _ in failed.trace) == failed.residual_inf
+    assert failed.trace[failed.restart] == (failed.residual_inf, failed.iterations)
+    won = design_maxflat(10, seed=1, restarts=100)
+    assert len(won.trace) == won.restart + 1
+    assert won.trace[-1] == (won.residual_inf, won.iterations)
+    assert all(res > 1e-8 for res, _ in won.trace[:-1])
 
 
 def test_design_rejects_bad_half_length():
