@@ -57,10 +57,7 @@ from .constructions import (
     union,
 )
 from .multilevel import (
-    ChannelOp,
     TreeNode,
-    channel_adjoint,
-    channel_apply,
     compose_tree,
     equivalent_filter,
     verify_tree,

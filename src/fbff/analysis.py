@@ -24,7 +24,7 @@ import numpy as np
 
 from .gabor import GaborSystem, zak_row_sums
 from .polyphase import PolyphaseMatrix, decompose, eval_all_roots, gram, matrix_of
-from .signals import FilterBank, Signal
+from .signals import FilterBank, Signal, translate_matrix
 
 __all__ = [
     "jacobi_eigh",
@@ -346,11 +346,9 @@ def gabor_tightness(phi: Signal, m: int, q: int, r: int, tol: float = 1e-9) -> b
 
     time_defect = 0.0
     for k in range(m):
-        s = np.sqrt(m) * phi.samples[k::m]  # period q*r subsequence
-        for shift in range(q):
-            ip = np.sum(s * np.conj(np.roll(s, r * shift)))
-            want = 1.0 if shift == 0 else 0.0
-            time_defect = max(time_defect, abs(ip - want))
+        t = translate_matrix(Signal(np.sqrt(m) * phi.samples[k::m]), r)
+        defect = np.abs(t.conj().T @ t - np.eye(q))
+        time_defect = max(time_defect, float(np.max(defect)))
     time_ok = bool(time_defect <= tol)
 
     if freq_ok != time_ok:

@@ -114,9 +114,13 @@ def _write_text(text: str, path=None) -> None:
             fh.write(text)
 
 
-def _load_bank(path: str) -> FilterBank:
+def _load_json(path: str):
     with open(path, encoding="utf-8") as fh:
-        return bank_from_json(json.load(fh))
+        return json.load(fh)
+
+
+def _load_bank(path: str) -> FilterBank:
+    return bank_from_json(_load_json(path))
 
 
 def _cmd_build(args) -> int:
@@ -169,8 +173,7 @@ def _max_tree_rate(obj) -> int:
 
 
 def _cmd_compose(args) -> int:
-    with open(args.tree, encoding="utf-8") as fh:
-        spec = json.load(fh)
+    spec = _load_json(args.tree)
     ambient = args.inner_dim * _max_tree_rate(spec)
     tree = multilevel.tree_from_json(spec, _resolve_tree_bank(ambient))
     leaves = multilevel.compose_tree(tree, ambient, tol=args.tol)
@@ -180,10 +183,10 @@ def _cmd_compose(args) -> int:
             {
                 "weight": {"num": w.numerator, "den": w.denominator},
                 "rank": rank,
-                "rate": ch.rate,
-                "filter": signal_to_json(ch.filter),
+                "rate": leaf.downsample,
+                "filter": signal_to_json(leaf.filters[0]),
             }
-            for ch, w, rank in leaves
+            for leaf, w, rank in leaves
         ],
     }
     status = 0
@@ -326,8 +329,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, RecursionError, MemoryError) as exc:
+        # JSONDecodeError is a ValueError; the last two mean oversized input
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return _USAGE_ERROR
 
 

@@ -100,8 +100,12 @@ def zak_row_sums(sys: GaborSystem) -> np.ndarray:
 @functools.cache
 def _derivative_table(t: int) -> np.ndarray:
     """T x 2T table F[k, m] = m!/(m-k)!: row k of F @ taps is the k-th
-    derivative of the tap polynomial at 1.  Cached per T, read-only."""
-    table = np.array([[float(math.perm(m, k)) for m in range(2 * t)] for k in range(t)])
+    derivative of the tap polynomial at 1.  Cached per T, read-only;
+    ValueError when an entry does not fit in a float (T >= 136)."""
+    try:
+        table = np.array([[float(math.perm(m, k)) for m in range(2 * t)] for k in range(t)])
+    except OverflowError:
+        raise ValueError(f"derivative table for T = {t} does not fit in floats") from None
     table.flags.writeable = False
     return table
 
@@ -152,19 +156,24 @@ def flatness_solve_odd(even) -> np.ndarray:
     derivatives D = F @ taps at 1 (F = ``_derivative_table``) two ways:
     against 1e-10 of the even side's scale max(1, |C @ even|), and, as a
     forward error, each |D_k| against 1e-12 of (F @ |taps|)_k.  Raises
-    ValueError when either check fails.
+    ValueError when either check fails, or when F @ |taps|, which bounds
+    every other quantity here, overflows.
     """
     even = np.asarray(even, dtype=float)
     if even.ndim != 1 or even.size < 1:
         raise ValueError("even coefficients must be a nonempty vector")
     table = _derivative_table(even.size)
-    odd = _odd_map(even.size) @ even
-    taps = interleave_taps(even, odd)
-    deriv = np.abs(table @ taps)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is caught below
+        odd = _odd_map(even.size) @ even
+        taps = interleave_taps(even, odd)
+        bound = table @ np.abs(taps)
+        deriv = np.abs(table @ taps)
+    if not np.isfinite(bound).all():
+        raise ValueError("flatness derivatives overflow floats")
     scale = max(1.0, float(np.max(np.abs(table[:, 0::2] @ even))))
     if float(np.max(deriv)) > 1e-10 * scale:
         raise ValueError("flatness solve residual too large")
-    if np.any(deriv > 1e-12 * (table @ np.abs(taps))):
+    if np.any(deriv > 1e-12 * bound):
         raise ValueError("flatness forward error too large")
     return odd
 

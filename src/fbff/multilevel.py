@@ -6,6 +6,10 @@ multiplying their weights yields a weighted Parseval fusion frame on the
 ambient space.  Trees describe which channels are re-expanded: an identity
 child leaves a channel as a leaf, a bank child splits it again.
 
+A chain of channels is one channel at the product rate (the noble
+identities), so each flattened leaf is a one-channel bank, applied through
+the same translate-matrix operators as any other bank.
+
 Filters at inner levels are never reused verbatim; they are folded to the
 level's period with :func:`fbff.signals.periodize`, which preserves the
 tight fusion-frame structure.
@@ -20,18 +24,12 @@ from .analysis import channel_is_projection, verify_weighted_parseval
 from .signals import (
     FilterBank,
     Signal,
-    circ_convolve,
-    downsample,
-    involution,
     periodize,
+    synthesis_apply,
     translate_matrix,
-    upsample,
 )
 
 __all__ = [
-    "ChannelOp",
-    "channel_apply",
-    "channel_adjoint",
     "equivalent_filter",
     "TreeNode",
     "identity_leaf",
@@ -45,58 +43,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ChannelOp:
-    """One synthesis channel: y -> filter * (upsample of y by rate)."""
-
-    filter: Signal
-    rate: int
-
-    def __post_init__(self) -> None:
-        if self.rate < 1 or self.filter.period % self.rate != 0:
-            raise ValueError(
-                f"rate {self.rate} must divide filter period {self.filter.period}"
-            )
-
-    @property
-    def in_period(self) -> int:
-        return self.filter.period // self.rate
-
-    @property
-    def out_period(self) -> int:
-        return self.filter.period
-
-
-def channel_apply(ch: ChannelOp, y: Signal) -> Signal:
-    """Upsample then convolve; maps period P to period rate * P."""
-    if y.period * ch.rate != ch.filter.period:
-        raise ValueError(
-            f"input period {y.period} * rate {ch.rate} != filter period {ch.filter.period}"
-        )
-    return circ_convolve(ch.filter, upsample(y, ch.rate))
-
-
-def channel_adjoint(ch: ChannelOp, x: Signal) -> Signal:
-    """Adjoint of :func:`channel_apply`: correlate then downsample."""
-    if x.period != ch.filter.period:
-        raise ValueError(
-            f"input period {x.period} != filter period {ch.filter.period}"
-        )
-    return downsample(circ_convolve(involution(ch.filter), x), ch.rate)
-
-
 def equivalent_filter(phi_outer: Signal, phi_inner: Signal, m: int) -> Signal:
     """Single filter realizing two chained channels.
 
-    Upsampling commutes with convolution in the needed way, so applying the
-    outer channel after the inner one equals convolving with this filter and
-    upsampling by the combined rate.
+    By the noble identities, applying the outer channel (rate m) after the
+    inner one equals one channel at the product rate whose filter is the
+    outer channel's synthesis of the inner filter, sum_k inner[k] T^{mk} outer.
     """
-    if phi_inner.period * m != phi_outer.period:
-        raise ValueError(
-            f"inner period {phi_inner.period} * rate {m} != outer period {phi_outer.period}"
-        )
-    return circ_convolve(phi_outer, upsample(phi_inner, m))
+    return synthesis_apply(FilterBank((phi_outer,), m), [phi_inner])
 
 
 @dataclass(frozen=True)
@@ -164,15 +118,15 @@ def periodize_bank(fb: FilterBank, filter_period: int) -> FilterBank:
 def compose_tree(tree: TreeNode, dim: int, tol: float = 1e-9):
     """Flatten a tree over an ambient dimension into weighted leaf channels.
 
-    Returns a list of (ChannelOp, weight, rank) triples: the equivalent
-    single-channel operator of each leaf path, the product of the per-level
-    channel weights M/N as an exact fraction, and the leaf input dimension.
+    Returns a list of (FilterBank, weight, rank) triples: the one-channel
+    bank of each leaf path, the product of the per-level channel weights M/N
+    as an exact fraction, and the leaf input dimension (its inner period).
     Banks are folded to each level's period; every channel at every level
     must have orthonormal translates, otherwise ValueError is raised.
     """
     if tree.bank is None:
         raise ValueError("tree root must carry a bank")
-    leaves: list[tuple[ChannelOp, Fraction, int]] = []
+    leaves: list[tuple[FilterBank, Fraction, int]] = []
     _walk(tree, dim, None, Fraction(1), leaves, tol)
     return leaves
 
@@ -180,20 +134,13 @@ def compose_tree(tree: TreeNode, dim: int, tol: float = 1e-9):
 def _walk(
     node: TreeNode,
     dim_here: int,
-    prefix: ChannelOp | None,
+    prefix: FilterBank | None,
     weight: Fraction,
     leaves: list,
     tol: float,
 ) -> None:
-    bank = node.bank
-    if bank.filter_period % dim_here != 0:
-        raise ValueError(
-            f"cannot fold period {bank.filter_period} onto level period {dim_here}"
-        )
-    bank = periodize_bank(bank, dim_here)
+    bank = periodize_bank(node.bank, dim_here)  # ValueError unless it folds
     m, n = bank.downsample, bank.n_channels
-    if dim_here % m != 0:
-        raise ValueError(f"rate {m} must divide level period {dim_here}")
     for idx, phi in enumerate(bank.filters):
         if not channel_is_projection(phi, m, tol):
             raise ValueError(f"channel {idx} translates are not orthonormal")
@@ -201,15 +148,13 @@ def _walk(
     children = node.children or tuple(identity_leaf() for _ in range(n))
     for phi, child in zip(bank.filters, children):
         if prefix is None:
-            eff = ChannelOp(phi, m)
+            eff = FilterBank((phi,), m)
         else:
-            eff = ChannelOp(
-                equivalent_filter(prefix.filter, phi, prefix.rate),
-                prefix.rate * m,
-            )
+            outer, rate = prefix.filters[0], prefix.downsample
+            eff = FilterBank((equivalent_filter(outer, phi, rate),), rate * m)
         w = weight * channel_weight
         if child.bank is None:
-            leaves.append((eff, w, eff.in_period))
+            leaves.append((eff, w, eff.inner_period))
         else:
             _walk(child, dim_here // m, eff, w, leaves, tol)
 
@@ -220,7 +165,7 @@ def verify_tree(leaves, dim: int, tol: float = 1e-9):
     A leaf's projection is T T^H, T its filter's rate-translates; each is
     formed when the check reaches it, so one dim x dim matrix is alive.
     """
-    ts = (translate_matrix(ch.filter, ch.rate) for ch, _, _ in leaves)
+    ts = (translate_matrix(leaf.filters[0], leaf.downsample) for leaf, _, _ in leaves)
     projections = ((t @ t.conj().T, w, r) for t, (_, w, r) in zip(ts, leaves))
     return verify_weighted_parseval(projections, dim, tol)
 

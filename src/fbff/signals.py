@@ -6,7 +6,9 @@ enforced through divisibility checks: silent period coercion is the
 dominant bug class in multirate code, so nothing here ever resizes an
 operand for you.
 
-Convolution is direct O(P^2); periods stay small at desk scale.
+Every filtering operator is a product with a translate matrix: column k of
+``translate_matrix(phi, m)`` is T^{mk} phi, so synthesis is sum_n T_n y_n,
+analysis is T_n^H x, and circular convolution is the case m = 1.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .cyclic import conj_reverse, twist
 
 __all__ = [
     "Signal",
@@ -112,9 +116,7 @@ def inner(x: Signal, y: Signal) -> complex:
 def circ_convolve(x: Signal, h: Signal) -> Signal:
     """Circular convolution (x * h)[k] = sum_{k'} x[k'] h[k - k'] mod P."""
     _require_equal_periods(x, h)
-    p = x.period
-    idx = (np.arange(p)[:, None] - np.arange(p)[None, :]) % p
-    return Signal(h.samples[idx] @ x.samples)
+    return Signal(translate_matrix(h, 1) @ x.samples)
 
 
 def upsample(y: Signal, m: int) -> Signal:
@@ -146,13 +148,12 @@ def translate_matrix(x: Signal, m: int) -> np.ndarray:
 
 def modulate(x: Signal, p: int) -> Signal:
     """Pointwise multiply by the character exp(2 pi j p q / P)."""
-    q = np.arange(x.period)
-    return Signal(x.samples * np.exp(2j * np.pi * p * q / x.period))
+    return Signal(twist(x.samples, p, x.period))
 
 
 def involution(x: Signal) -> Signal:
     """Conjugate time-reversal; turns convolution into correlation."""
-    return Signal(np.conj(np.roll(x.samples[::-1], 1)))
+    return Signal(conj_reverse(x.samples))
 
 
 def periodize(x: Signal, target_period: int) -> Signal:
@@ -204,21 +205,23 @@ class FilterBank:
 
 
 def synthesis_apply(fb: FilterBank, inputs) -> Signal:
-    """Synthesize: sum_n filter_n * (upsample of input_n).  Linear in inputs."""
+    """Synthesize: sum_n T_n y_n, T_n the M-translate matrix of filter n."""
     inputs = list(inputs)
     if len(inputs) != fb.n_channels:
         raise ValueError(f"expected {fb.n_channels} inputs, got {len(inputs)}")
     p = fb.inner_period
     if any(y.period != p for y in inputs):
         raise ValueError(f"inputs must have period {p}")
-    out = Signal.zero(fb.filter_period)
-    for phi, y in zip(fb.filters, inputs):
-        out = out + circ_convolve(phi, upsample(y, fb.downsample))
-    return out
+    return Signal(
+        sum(
+            translate_matrix(phi, fb.downsample) @ y.samples
+            for phi, y in zip(fb.filters, inputs)
+        )
+    )
 
 
 def analysis_apply(fb: FilterBank, x: Signal) -> list[Signal]:
-    """Analyze: channel n output is downsample(involution(filter_n) * x).
+    """Analyze: channel n output is T_n^H x, T_n as in :func:`synthesis_apply`.
 
     Sample p of channel n equals the frame coefficient <x, T^{Mp} filter_n>;
     this map is the adjoint of :func:`synthesis_apply`.
@@ -226,7 +229,7 @@ def analysis_apply(fb: FilterBank, x: Signal) -> list[Signal]:
     if x.period != fb.filter_period:
         raise ValueError(f"input period {x.period} != filter period {fb.filter_period}")
     return [
-        downsample(circ_convolve(involution(phi), x), fb.downsample)
+        Signal(translate_matrix(phi, fb.downsample).conj().T @ x.samples)
         for phi in fb.filters
     ]
 

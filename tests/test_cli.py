@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from fbff import constructions
 from fbff.analysis import fusion_report, report_to_json
 from fbff.cli import frequency_table, main
 from fbff.constructions import named_bank
@@ -381,4 +382,64 @@ def test_overflowing_samples_are_usage_error(capsys, tmp_path, argv_head):
     code, out, err = _run(capsys, *argv_head, str(path))
     assert code == 2
     assert "error:" in err and "not finite" in err and "Traceback" not in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("half_taps", ["133", "136"])
+def test_design_maxflat_overflow_is_usage_error(capsys, half_taps):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow RuntimeWarning either
+        code, out, err = _run(
+            capsys, "design-maxflat", "--half-taps", half_taps, "--restarts", "1"
+        )
+    assert code == 2
+    assert err.startswith("error:") and "floats" in err and "Traceback" not in err
+    assert out == ""
+
+
+def _deep_bank_text(depth):
+    samples = "[" * depth + "]" * depth
+    filt = f'{{"period": 1, "samples": {samples}}}'
+    return f'{{"downsample": 1, "inner_period": 1, "filters": [{filt}]}}'
+
+
+def _deep_tree_text(depth):
+    head = '{"bank": "example7", "children": ['
+    tail = ', "identity", "identity", "identity"]}'
+    return head * (depth - 1) + '{"bank": "example7"}' + tail * (depth - 1)
+
+
+@pytest.mark.parametrize(
+    "argv_head,text",
+    [
+        (("analyze",), _deep_bank_text(3000)),
+        (("compose", "--inner-dim", "1", "--tree"), _deep_tree_text(3000)),
+    ],
+    ids=["bank-samples", "tree"],
+)
+def test_deeply_nested_input_is_usage_error(capsys, tmp_path, argv_head, text):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    code, out, err = _run(capsys, *argv_head, str(path))
+    assert code == 2
+    assert err.startswith("error:") and "recursion" in err and "Traceback" not in err
+    assert out == ""
+
+
+def test_oversized_tree_is_usage_error(capsys, tmp_path, monkeypatch):
+    # a 35-level DWT tree over --inner-dim 1 has ambient dimension 2^35; the
+    # allocation failure is simulated rather than attempted
+    real = constructions.named_bank
+
+    def named_bank_within_memory(name, period):
+        if period > 2**20:
+            raise MemoryError  # as Python raises it: no message
+        return real(name, period)
+
+    monkeypatch.setattr(constructions, "named_bank", named_bank_within_memory)
+    path = tmp_path / "tree.json"
+    path.write_text(_deep_tree_text(35))
+    code, out, err = _run(capsys, "compose", "--tree", str(path), "--inner-dim", "1")
+    assert code == 2
+    assert err.startswith("error:") and "MemoryError" in err and "Traceback" not in err
     assert out == ""

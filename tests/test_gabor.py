@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -200,6 +201,17 @@ def test_flatness_forward_check_rejects_an_inexact_map(monkeypatch):
     even = np.random.default_rng(0).standard_normal(t)
     with pytest.raises(ValueError, match="forward"):
         flatness_solve_odd(even)
+
+
+@pytest.mark.parametrize("t", [133, 135, 136])
+def test_flatness_overflow_is_value_error(t):
+    # T = 133-135: F @ taps overflows to inf and NaN, which every comparison
+    # used to pass; T >= 136: F itself has entries beyond the float range
+    even = gabor._restart_rng(0, 0).standard_normal(t)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="floats"):
+            flatness_solve_odd(even)
 
 
 def test_tightness_jacobian_matches_central_differences():

@@ -11,11 +11,8 @@ from fbff.constructions import (
     paraunitary_product,
 )
 from fbff.multilevel import (
-    ChannelOp,
     TreeNode,
     bank_node,
-    channel_adjoint,
-    channel_apply,
     compose_tree,
     dwt_tree,
     equivalent_filter,
@@ -26,7 +23,15 @@ from fbff.multilevel import (
     verify_tree,
 )
 from fbff.polyphase import bank_of
-from fbff.signals import FilterBank, Signal, circ_convolve, inner, upsample
+from fbff.signals import (
+    FilterBank,
+    Signal,
+    analysis_apply,
+    circ_convolve,
+    inner,
+    synthesis_apply,
+    upsample,
+)
 
 AMBIENT = 16  # 4 * Q with Q = 4
 
@@ -40,39 +45,39 @@ def _stacked_bank(ambient=AMBIENT):
 
 
 def test_channel_apply_delta_filter_upsamples():
-    ch = ChannelOp(Signal.delta(0, 8), 2)
+    ch = FilterBank((Signal.delta(0, 8),), 2)
     rng = np.random.default_rng(0)
     y = _random_signal(rng, 4)
-    assert channel_apply(ch, y) == upsample(y, 2)
+    assert synthesis_apply(ch, [y]) == upsample(y, 2)
 
 
 def test_channel_adjoint_identity():
     rng = np.random.default_rng(1)
-    ch = ChannelOp(_random_signal(rng, 12), 3)
+    ch = FilterBank((_random_signal(rng, 12),), 3)
     y = _random_signal(rng, 4)
     x = _random_signal(rng, 12)
-    lhs = inner(channel_apply(ch, y), x)
-    rhs = inner(y, channel_adjoint(ch, x))
+    lhs = inner(synthesis_apply(ch, [y]), x)
+    rhs = inner(y, analysis_apply(ch, x)[0])
     assert lhs == pytest.approx(rhs, abs=1e-10)
 
 
 def test_projection_channel_left_inverse():
     fb = _stacked_bank()
     rng = np.random.default_rng(2)
-    ch = ChannelOp(fb.filters[0], 2)
+    ch = FilterBank((fb.filters[0],), 2)
     y = _random_signal(rng, 8)
-    back = channel_adjoint(ch, channel_apply(ch, y))
+    back = analysis_apply(ch, synthesis_apply(ch, [y]))[0]
     np.testing.assert_allclose(back.samples, y.samples, atol=1e-10)
 
 
 def test_channel_shape_validation():
-    ch = ChannelOp(Signal.delta(0, 8), 2)
+    ch = FilterBank((Signal.delta(0, 8),), 2)
     with pytest.raises(ValueError):
-        channel_apply(ch, Signal.zero(8))
+        synthesis_apply(ch, [Signal.zero(8)])
     with pytest.raises(ValueError):
-        channel_adjoint(ch, Signal.zero(4))
+        analysis_apply(ch, Signal.zero(4))[0]
     with pytest.raises(ValueError):
-        ChannelOp(Signal.zero(9), 2)
+        FilterBank((Signal.zero(9),), 2)
 
 
 def test_equivalent_filter_delta_inner():
@@ -86,8 +91,8 @@ def test_equivalent_filter_composition_identity():
     outer = _random_signal(rng, 16)
     inner_f = _random_signal(rng, 8)
     y = _random_signal(rng, 4)
-    composed = channel_apply(
-        ChannelOp(outer, 2), channel_apply(ChannelOp(inner_f, 2), y)
+    composed = synthesis_apply(
+        FilterBank((outer,), 2), [synthesis_apply(FilterBank((inner_f,), 2), [y])]
     )
     eq = equivalent_filter(outer, inner_f, 2)
     direct = circ_convolve(eq, upsample(upsample(y, 2), 2))
@@ -148,7 +153,7 @@ def test_packet_tree_leaves():
 def _basis_projection(ch, dim):
     # the leaf's synthesis-analysis composite applied to each basis vector
     cols = [
-        channel_apply(ch, channel_adjoint(ch, Signal.delta(i, dim))).samples
+        synthesis_apply(ch, [analysis_apply(ch, Signal.delta(i, dim))[0]]).samples
         for i in range(dim)
     ]
     return np.stack(cols, axis=1)
@@ -161,7 +166,7 @@ def _double_first_weight(leaves):
 
 def _scale_first_filter(leaves):
     (ch, w, rank), *rest = leaves
-    return [(ChannelOp(2 * ch.filter, ch.rate), w, rank), *rest]
+    return [(FilterBank((2 * ch.filters[0],), ch.downsample), w, rank), *rest]
 
 
 @pytest.mark.parametrize("tree", [dwt_tree, packet_tree], ids=["dwt", "packet"])
@@ -192,7 +197,7 @@ def test_inner_banks_are_periodized():
     fb = _stacked_bank()
     leaves = compose_tree(dwt_tree(fb, 2), AMBIENT)
     deep = [ch for ch, _, rank in leaves if rank == 4]
-    assert all(ch.rate == 4 and ch.filter.period == AMBIENT for ch in deep)
+    assert all(ch.downsample == 4 and ch.filters[0].period == AMBIENT for ch in deep)
 
 
 def test_periodized_bank_stays_tight_projection_frame():

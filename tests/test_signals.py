@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from fbff.multilevel import equivalent_filter
 from fbff.signals import (
     FilterBank,
     Signal,
@@ -213,6 +214,35 @@ def test_upsample_convolution_commutation():
     lhs = circ_convolve(phi, upsample(circ_convolve(psi, y), m))
     rhs = circ_convolve(circ_convolve(phi, upsample(psi, m)), upsample(y, m))
     np.testing.assert_allclose(lhs.samples, rhs.samples, atol=1e-10)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5])
+def test_translate_matrix_operators_match_convolution_formulas(m):
+    # the operators against the convolve-upsample and correlate-downsample
+    # formulas they replace; inner period P = 5, so m = 5 is the case M = P
+    rng = np.random.default_rng(30 + m)
+    p = 5
+    fb = FilterBank(tuple(_random_signal(rng, m * p) for _ in range(3)), m)
+    ys = [_random_signal(rng, p) for _ in range(3)]
+    x = _random_signal(rng, m * p)
+
+    def direct_convolve(a, h):
+        n = a.period
+        return Signal(
+            [sum(a.samples[j] * h.samples[(k - j) % n] for j in range(n)) for k in range(n)]
+        )
+
+    def close(got, want):
+        err = np.linalg.norm(got.samples - want.samples)
+        assert err <= 1e-12 * np.linalg.norm(want.samples)
+
+    terms = [circ_convolve(phi, upsample(y, m)) for phi, y in zip(fb.filters, ys)]
+    close(synthesis_apply(fb, ys), sum(terms, Signal.zero(m * p)))
+    for phi, got in zip(fb.filters, analysis_apply(fb, x)):
+        close(got, downsample(circ_convolve(involution(phi), x), m))
+    phi, psi = fb.filters[0], ys[0]
+    close(equivalent_filter(phi, psi, m), circ_convolve(phi, upsample(psi, m)))
+    close(circ_convolve(x, fb.filters[1]), direct_convolve(x, fb.filters[1]))
 
 
 def test_periodize_identity():
