@@ -11,8 +11,8 @@ that the dense oracle checks the very numbers they were read from.
 The round-robin parallel Jacobi eigensolver kept here (Brent & Luk's
 ordering in pure numpy, tested against an independent characteristic-
 polynomial root finder) serves only the dense oracle, so the polyphase
-route and the oracle share no eigensolver.  Evaluated Grams that are not
-finite are rejected with ValueError.
+route and the oracle share no eigensolver.  Evaluated Grams and polyphase
+norms that are not finite are rejected with ValueError.
 """
 
 from __future__ import annotations
@@ -178,6 +178,10 @@ class FrameBounds:
     def per_root(self) -> tuple[tuple[float, float], ...]:
         return tuple((float(a), float(b)) for a, b in self.spectra[:, [0, -1]])
 
+    def is_tight(self, tol: float) -> bool:
+        """Whether B > 0 and B - A <= tol * B: the zero bank is not tight."""
+        return bool(self.B > 0 and self.B - self.A <= tol * max(self.B, _TIGHT_EPS))
+
 
 def gram_stack(mat: PolyphaseMatrix) -> np.ndarray:
     """The (P, M, M) stack of evaluated Grams; slice p is ``gram(mat, p)``.
@@ -211,9 +215,12 @@ def channel_is_projection(phi: Signal, m: int, tol: float = 1e-9) -> bool:
 
     Holds iff the evaluated polyphase vector has unit norm at every root,
     which makes the channel's synthesis-analysis composite an orthogonal
-    projection.
+    projection.  Raises ValueError when the norms are not finite.
     """
-    norms = np.sqrt(np.sum(np.abs(eval_all_roots(decompose(phi, m))) ** 2, axis=0))
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        norms = np.sqrt(np.sum(np.abs(eval_all_roots(decompose(phi, m))) ** 2, axis=0))
+    if not np.all(np.isfinite(norms)):
+        raise ValueError("polyphase norms are not finite (samples too large)")
     return bool(np.max(np.abs(norms - 1.0)) <= tol)
 
 
@@ -242,16 +249,13 @@ def fusion_report(fb: FilterBank, tol: float = 1e-9) -> FusionReport:
     channels = tuple(
         channel_is_projection(phi, fb.downsample, tol) for phi in fb.filters
     )
-    is_tight = bounds.B > 0 and (bounds.B - bounds.A) <= tol * max(
-        bounds.B, _TIGHT_EPS
-    )
     target = fb.n_channels / fb.downsample
     defect = np.max(np.abs(grams - target * np.eye(fb.downsample)))
     rows_ok = defect <= tol * max(1.0, target)
     return FusionReport(
         bounds=bounds,
         channel_projection=channels,
-        is_tight=is_tight,
+        is_tight=bounds.is_tight(tol),
         is_puntf=bool(all(channels) and rows_ok),
         redundancy=Fraction(fb.n_channels, fb.downsample),
         tolerance=tol,

@@ -28,6 +28,7 @@ __all__ = ["main", "frequency_table", "write_frequency_table", "build_bank"]
 
 _USAGE_ERROR = 2
 _VERIFY_ERROR = 1
+_DESIGN_TOL = 1e-7  # verdict tolerance of a converged design-maxflat report
 
 
 def frequency_table(fb: FilterBank, n_samples: int):
@@ -201,10 +202,7 @@ def _cmd_compose(args) -> int:
 
 
 def _cmd_design_maxflat(args) -> int:
-    seed = args.seed
-    env_seed = os.environ.get("FBFF_SEED")
-    if env_seed is not None:
-        seed = int(env_seed)
+    seed = int(os.environ.get("FBFF_SEED", args.seed))
     result = gabor.design_maxflat(
         args.half_taps, seed=seed, restarts=args.restarts, q=args.q, tol=args.tol
     )
@@ -221,14 +219,14 @@ def _cmd_design_maxflat(args) -> int:
         ],
     }
     if result.converged:
-        sys_ = gabor.GaborSystem(result.signal, 2, result.block, 2)
-        bounds = analysis.gabor_frame_bounds(result.signal, 2, result.block, 2)
-        fb = gabor.gabor_bank(sys_)
-        rep = analysis.fusion_report(fb, tol=1e-7)
+        lattice = (2, result.block, 2)  # M, Q, R: M * R = 4 channels
+        bounds = analysis.gabor_frame_bounds(result.signal, *lattice)
+        proj = analysis.gabor_channel_orthonormal(result.signal, *lattice, tol=_DESIGN_TOL)
         report["A"] = bounds.A
         report["B"] = bounds.B
-        report["is_tight"] = rep.is_tight
-        report["channel_projection"] = list(rep.channel_projection)
+        report["is_tight"] = bounds.is_tight(_DESIGN_TOL)
+        report["channel_projection"] = [proj] * 4  # modulation keeps polyphase norms
+        report["tolerance"] = _DESIGN_TOL
         if args.out is not None:
             _write_json(signal_to_json(result.signal), args.out)
         else:

@@ -369,7 +369,7 @@ def design_maxflat(
     if 2 * t > 4 * q:
         raise ValueError(f"2T = {2 * t} taps do not fit in period {4 * q}")
 
-    best = (np.inf, -1, 0)  # residual, restart, iterations
+    best = (np.inf, -1, 0, None)  # residual, restart, iterations, even taps
     trace = []
     for restart in range(restarts):
         rng = _restart_rng(seed, restart)
@@ -383,31 +383,25 @@ def design_maxflat(
         )
         res_inf = float(np.max(np.abs(run.residual)))
         trace.append((res_inf, run.iterations))
-        if res_inf <= tol:
-            even = run.x
-            taps = interleave_taps(even, flatness_solve_odd(even))
-            nrm = np.linalg.norm(taps)
-            taps = taps / nrm  # no-op within tolerance: the 1/2-targets force unit norm
-            return MaxFlatResult(
-                converged=True,
-                taps=taps,
-                signal=embed_taps(taps, q),
-                residual_inf=res_inf,
-                restart=restart,
-                iterations=run.iterations,
-                half_taps=t,
-                block=q,
-                trace=tuple(trace),
-            )
         if res_inf < best[0]:
-            best = (res_inf, restart, run.iterations)
+            best = (res_inf, restart, run.iterations, run.x)
+        if res_inf <= tol:
+            break
+    res_inf, restart, iterations, even = best
+    converged = res_inf <= tol
+    taps = signal = None
+    if converged:
+        taps = interleave_taps(even, flatness_solve_odd(even))
+        # no-op within tolerance: the 1/2-targets force unit norm
+        taps = taps / np.linalg.norm(taps)
+        signal = embed_taps(taps, q)
     return MaxFlatResult(
-        converged=False,
-        taps=None,
-        signal=None,
-        residual_inf=best[0],
-        restart=best[1],
-        iterations=best[2],
+        converged=converged,
+        taps=taps,
+        signal=signal,
+        residual_inf=res_inf,
+        restart=restart,
+        iterations=iterations,
         half_taps=t,
         block=q,
         trace=tuple(trace),

@@ -190,6 +190,13 @@ def test_channel_projection_daubechies_lowpass():
     assert channel_is_projection(fb.filters[1], 2)
 
 
+def test_channel_projection_overflow_is_value_error():
+    # finite samples whose squared polyphase norms overflow have no verdict
+    phi = Signal(np.array([1e200, 0.0, 0.0, 0.0]))
+    with pytest.raises(ValueError, match="not finite"):
+        channel_is_projection(phi, 2)
+
+
 def test_fusion_report_product_bank():
     rep = fusion_report(bank_of(daubechies_mercedes(4)))
     assert rep.is_puntf and rep.is_tight

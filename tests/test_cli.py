@@ -8,7 +8,8 @@ from fbff import constructions
 from fbff.analysis import fusion_report, report_to_json
 from fbff.cli import frequency_table, main
 from fbff.constructions import named_bank
-from fbff.signals import bank_from_json, bank_to_json
+from fbff.gabor import GaborSystem, gabor_bank
+from fbff.signals import bank_from_json, bank_to_json, signal_from_json
 
 
 def _run(capsys, *argv):
@@ -253,6 +254,19 @@ def test_design_maxflat_cli(capsys, tmp_path):
     assert filt["period"] == 4 * report["block"]
 
 
+def test_design_maxflat_verdicts_match_the_materialized_bank(capsys):
+    code, out, _ = _run(capsys, "design-maxflat", "--half-taps", "4", "--seed", "1")
+    assert code == 0
+    report = json.loads(out)
+    phi = signal_from_json(report["filter"])
+    ref = fusion_report(gabor_bank(GaborSystem(phi, 2, report["block"], 2)), tol=1e-7)
+    assert abs(report["A"] - ref.bounds.A) <= 1e-12 * ref.bounds.B
+    assert abs(report["B"] - ref.bounds.B) <= 1e-12 * ref.bounds.B
+    assert report["is_tight"] is ref.is_tight
+    assert report["channel_projection"] == list(ref.channel_projection)
+    assert report["tolerance"] == ref.tolerance
+
+
 def test_design_maxflat_reports_each_restart(capsys):
     code, out, _ = _run(
         capsys, "design-maxflat", "--half-taps", "2", "--tol", "0", "--restarts", "3"
@@ -382,6 +396,21 @@ def test_overflowing_samples_are_usage_error(capsys, tmp_path, argv_head):
     code, out, err = _run(capsys, *argv_head, str(path))
     assert code == 2
     assert "error:" in err and "not finite" in err and "Traceback" not in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("verify", [False, True], ids=["compose", "compose-verify"])
+def test_compose_overflowing_samples_is_usage_error(capsys, tmp_path, verify):
+    # the bank of test_overflowing_samples_are_usage_error as a one-node tree
+    bank = _malformed_bank(lambda o: o["filters"][0]["samples"].__setitem__(0, [1e200, 0.0]))
+    path = tmp_path / "tree.json"
+    path.write_text(json.dumps({"bank": bank}))
+    argv = ["compose", "--tree", str(path), "--inner-dim", "1"] + ["--verify"] * verify
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow RuntimeWarning either
+        code, out, err = _run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error:") and "not finite" in err and "Traceback" not in err
     assert out == ""
 
 

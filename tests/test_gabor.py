@@ -8,6 +8,7 @@ import pytest
 from fbff import gabor
 
 from fbff.analysis import (
+    fusion_report,
     gabor_channel_orthonormal,
     gabor_frame_bounds,
     gabor_tightness,
@@ -260,15 +261,20 @@ def test_tightness_residual_matches_spectral_form():
         assert defect == pytest.approx(predicted, abs=1e-10)
 
 
+def _half_norm_pair(q):
+    """u interleaved with u twisted by z -> -z, u the Daubechies-4 lowpass / sqrt 2."""
+    low = bank_of(daubechies4(4)).filters[0]
+    u = low.samples[:4] / np.sqrt(2.0)
+    even = np.concatenate([u, np.zeros(2 * q - u.size)])
+    odd = np.array([(-1.0) ** p for p in range(2 * q)]) * even
+    return Signal(interleave_taps(even.real, odd.real))
+
+
 def test_half_norm_scaled_orthonormal_pair_passes_both_checks():
     # interleaving u with u twisted by z -> -z satisfies both the tightness
     # and the per-channel orthonormality conditions
-    low = bank_of(daubechies4(4)).filters[0]
-    u = low.samples[:4] / np.sqrt(2.0)
     q = 2
-    even = np.concatenate([u, np.zeros(2 * q - u.size)])
-    odd = np.array([(-1.0) ** p for p in range(2 * q)]) * even
-    phi = Signal(interleave_taps(even.real, odd.real))
+    phi = _half_norm_pair(q)
     assert phi.period == 4 * q
     assert gabor_tightness(phi, 2, q, 2)
     assert gabor_channel_orthonormal(phi, 2, q, 2)
@@ -284,6 +290,28 @@ def test_gabor_tightness_generic_failure():
     assert not gabor_tightness(phi, 2, 2, 2)
     bounds = gabor_frame_bounds(phi, 2, 2, 2)
     assert bounds.B - bounds.A > 1e-6  # generic prototypes are not tight
+
+
+def test_zak_verdicts_match_the_materialized_bank():
+    # reference: fusion_report of the modulated bank itself, at the CLI's tolerance
+    cases = []
+    for t in (2, 4, 6):
+        result = design_maxflat(t, seed=1)
+        assert result.converged
+        cases.append((result.signal, result.block))
+    generic = _random_signal(np.random.default_rng(5), 8)  # as in the generic failure test
+    cases += [(Signal(generic.samples / generic.norm()), 2), (_half_norm_pair(2), 2)]
+    verdicts = set()
+    for phi, q in cases:
+        ref = fusion_report(gabor_bank(GaborSystem(phi, 2, q, 2)), tol=1e-7)
+        bounds = gabor_frame_bounds(phi, 2, q, 2)
+        assert abs(bounds.A - ref.bounds.A) <= 1e-12 * ref.bounds.B
+        assert abs(bounds.B - ref.bounds.B) <= 1e-12 * ref.bounds.B
+        assert bounds.is_tight(1e-7) == ref.is_tight
+        channels = [gabor_channel_orthonormal(phi, 2, q, 2, tol=1e-7)] * 4
+        assert channels == list(ref.channel_projection)
+        verdicts.add((ref.is_tight, channels[0]))
+    assert {v[0] for v in verdicts} == {v[1] for v in verdicts} == {False, True}
 
 
 def test_levenberg_marquardt_small_system():
