@@ -151,16 +151,9 @@ def _cmd_freq(args) -> int:
     return 0
 
 
-def _resolve_tree_bank(period: int):
-    def resolve(name: str) -> FilterBank:
-        return constructions.named_bank(name, period)
-
-    return resolve
-
-
 def _max_tree_rate(obj) -> int:
     """Largest product of per-level rates along any root-to-leaf path."""
-    probe = multilevel.tree_from_json(obj, _resolve_tree_bank(4))
+    probe = multilevel.tree_from_json(obj, lambda s: constructions.named_bank(s, 4))
 
     def walk(node) -> int:
         m = node.bank.downsample
@@ -176,7 +169,7 @@ def _max_tree_rate(obj) -> int:
 def _cmd_compose(args) -> int:
     spec = _load_json(args.tree)
     ambient = args.inner_dim * _max_tree_rate(spec)
-    tree = multilevel.tree_from_json(spec, _resolve_tree_bank(ambient))
+    tree = multilevel.tree_from_json(spec, lambda s: constructions.named_bank(s, ambient))
     leaves = multilevel.compose_tree(tree, ambient, tol=args.tol)
     out = {
         "ambient_dim": ambient,

@@ -2,8 +2,10 @@
 
 The synthesis operator is materialized as an explicit matrix of translated
 filters, and every frame quantity is read off it directly, with no
-polyphase machinery anywhere on this path.  Deliberately naive: O((MP)^3)
-eigensolves by the round-robin parallel Jacobi routine, which the
+polyphase machinery anywhere on this path.  A channel is judged by the
+polyphase route's defect, the largest entry of T^H T - I, read from its
+P x P translate Gram; spectra match to tol * max(1, B).  Deliberately naive:
+O((MP)^3) eigensolves by the round-robin parallel Jacobi routine, which the
 polyphase route never uses, gated to dense dimension 256, where one solve
 takes seconds (at 512 it takes most of a minute).
 """
@@ -70,31 +72,27 @@ class ChannelGram:
     is_projection: bool
     rank: int
     trace: float
-    idempotency_defect: float
-    selfadjoint_defect: float
+    defect: float  # largest entry of T^H T - I
 
 
 def dense_channel_gram(d: DenseSynthesis, n: int, tol: float = 1e-9) -> ChannelGram:
-    """Form the channel's translate Gram densely and test projection-ness."""
+    """Form the P x P Gram T^H T of the channel's translates densely; the
+    channel is a projection iff its largest entry of T^H T - I is <= tol."""
     if not 0 <= n < d.n_channels:
         raise ValueError(f"channel index {n} out of range")
     cols = d.matrix[:, n * d.translates : (n + 1) * d.translates]
-    pi = cols @ cols.conj().T
-    idem = float(np.sqrt(np.sum(np.abs(pi @ pi - pi) ** 2)))
-    herm = float(np.sqrt(np.sum(np.abs(pi - pi.conj().T) ** 2)))
-    trace = float(np.trace(pi).real)
+    gram = cols.conj().T @ cols
+    defect = float(np.max(np.abs(gram - np.eye(d.translates))))
+    trace = float(np.trace(gram).real)  # = trace of the projection T T^H
     return ChannelGram(
-        is_projection=bool(idem <= tol and herm <= tol),
-        rank=int(round(trace)),
-        trace=trace,
-        idempotency_defect=idem,
-        selfadjoint_defect=herm,
+        is_projection=defect <= tol, rank=int(round(trace)), trace=trace, defect=defect
     )
 
 
 def _union_matches(dense: np.ndarray, spectra: np.ndarray, tol: float) -> bool:
     # the synthesis operator block-diagonalizes by root: spectra are a union
-    return bool(np.max(np.abs(dense - np.sort(spectra, axis=None))) <= tol)
+    gap = np.max(np.abs(dense - np.sort(spectra, axis=None)))
+    return bool(gap <= tol * max(1.0, float(dense[-1])))
 
 
 def spectrum_union_check(fb: FilterBank, tol: float = 1e-8) -> bool:
@@ -106,7 +104,8 @@ def spectrum_union_check(fb: FilterBank, tol: float = 1e-8) -> bool:
 def cross_check(fb: FilterBank, rep: FusionReport, tol: float = 1e-8) -> dict:
     """Hold a fusion report of ``fb`` against one dense solve of the bank:
     its bounds, its channel verdicts, and the per-root spectra its bounds
-    were read from, whose union must be the dense spectrum."""
+    were read from, whose union must be the dense spectrum, all to
+    ``tol * max(1, B_dense)``."""
     dense = densify(fb)
     spectrum = dense_frame_spectrum(dense)
     a_dense = max(float(spectrum[0]), 0.0)
@@ -123,5 +122,5 @@ def cross_check(fb: FilterBank, rep: FusionReport, tol: float = 1e-8) -> dict:
         "bound_gap": bound_gap,
         "channel_match": channel_match,
         "spectrum_union_ok": union_ok,
-        "agrees": bool(bound_gap <= tol and channel_match and union_ok),
+        "agrees": bool(bound_gap <= tol * max(1.0, b_dense) and channel_match and union_ok),
     }

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from fbff.analysis import (
+    channel_defect,
     channel_is_projection,
     frame_bounds,
     fusion_report,
@@ -12,7 +13,7 @@ from fbff.analysis import (
 )
 from fbff.constructions import daubechies4, daubechies_mercedes, mercedes_benz, modulated_daubechies_stack
 from fbff.polyphase import bank_of, matrix_of
-from fbff.signals import FilterBank, Signal
+from fbff.signals import FilterBank, Signal, translate_matrix
 
 
 def _random_hermitian(rng, n):
@@ -188,6 +189,25 @@ def test_channel_projection_daubechies_lowpass():
     fb = bank_of(daubechies4(4))
     assert channel_is_projection(fb.filters[0], 2)
     assert channel_is_projection(fb.filters[1], 2)
+
+
+def test_channel_defect_reads_twice_the_scaling_of_a_projection_channel():
+    # the defect is the largest entry of T^H T - I: (1 + d)^2 - 1 = 2d + d^2
+    phi = bank_of(mercedes_benz(16)).filters[0]
+    assert channel_defect(phi, 2) <= 1e-15
+    for d in (1e-11, 1e-8, 1e-3):
+        scaled = Signal((1.0 + d) * phi.samples)
+        assert channel_defect(scaled, 2) == pytest.approx(2 * d + d * d, rel=1e-4)
+    assert channel_is_projection(Signal((1.0 + 4e-10) * phi.samples), 2, tol=1e-9)
+    assert not channel_is_projection(Signal((1.0 + 6e-10) * phi.samples), 2, tol=1e-9)
+
+
+def test_channel_defect_is_the_largest_autocorrelation_defect():
+    rng = np.random.default_rng(6)
+    phi = Signal(rng.standard_normal(12) + 1j * rng.standard_normal(12))
+    t = translate_matrix(phi, 3)
+    expected = np.max(np.abs(t.conj().T @ t - np.eye(4)))
+    assert channel_defect(phi, 3) == pytest.approx(expected, rel=1e-12)
 
 
 def test_channel_projection_overflow_is_value_error():

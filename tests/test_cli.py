@@ -9,7 +9,7 @@ from fbff.analysis import fusion_report, report_to_json
 from fbff.cli import frequency_table, main
 from fbff.constructions import named_bank
 from fbff.gabor import GaborSystem, gabor_bank
-from fbff.signals import bank_from_json, bank_to_json, signal_from_json
+from fbff.signals import FilterBank, Signal, bank_from_json, bank_to_json, signal_from_json
 
 
 def _run(capsys, *argv):
@@ -121,6 +121,38 @@ def test_analyze_oracle_agreement(capsys, tmp_path):
     got = json.loads(out)
     assert got["oracle"]["agrees"] is True
     assert got["oracle"]["bound_gap"] <= 1e-8
+
+
+def test_analyze_oracle_agrees_across_the_projection_boundary(capsys, tmp_path):
+    # filter 0 scaled by 1 + d has defect 2d + d^2, which crosses the
+    # verdict tolerance 1e-9 inside the ladder; both routes read that number
+    fb = named_bank("mercedes-benz", 16)
+    path = tmp_path / "scaled.json"
+    flags = []
+    for delta in np.geomspace(1e-11, 1e-8, 30):
+        scaled = Signal((1.0 + delta) * fb.filters[0].samples)
+        path.write_text(json.dumps(bank_to_json(FilterBank((scaled,) + fb.filters[1:], 2))))
+        code, out, err = _run(capsys, "analyze", str(path), "--oracle")
+        got = json.loads(out)
+        assert code == 0 and got["oracle"]["agrees"] is True, (delta, got["oracle"], err)
+        flags.append(got["channel_projection"][0])
+    assert flags[0] is True and flags[-1] is False
+
+
+def test_analyze_oracle_on_large_samples(capsys, tmp_path):
+    # samples of about 1e3 give B near 1e8: the oracle compares on that scale
+    rng = np.random.default_rng(0)
+    filters = tuple(
+        Signal(1e3 * (rng.standard_normal(16) + 1j * rng.standard_normal(16)))
+        for _ in range(3)
+    )
+    path = tmp_path / "large.json"
+    path.write_text(json.dumps(bank_to_json(FilterBank(filters, 2))))
+    code, out, err = _run(capsys, "analyze", str(path), "--oracle")
+    assert code == 0, err
+    got = json.loads(out)
+    assert got["B"] > 1e8
+    assert got["oracle"]["spectrum_union_ok"] is True and got["oracle"]["agrees"] is True
 
 
 def test_freq_flat_for_delta(capsys, tmp_path):

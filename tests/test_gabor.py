@@ -292,6 +292,23 @@ def test_gabor_tightness_generic_failure():
     assert bounds.B - bounds.A > 1e-6  # generic prototypes are not tight
 
 
+@pytest.mark.parametrize("t", [2, 4, 6])
+def test_gabor_tightness_near_a_design_never_raises(t):
+    # the Zak and translate-Gram routes read one defect, so perturbations
+    # near the tolerance give one verdict instead of a disagreement
+    result = design_maxflat(t, seed=1)
+    phi, q = result.signal, result.block
+    rng = np.random.default_rng(t)
+    scales = np.geomspace(1e-12, 1e-7, 11)
+    verdicts = []
+    for scale in scales:
+        for _ in range(5):
+            d = _random_signal(rng, phi.period).samples
+            perturbed = Signal(phi.samples + scale * d / np.linalg.norm(d))
+            verdicts.append(gabor_tightness(perturbed, 2, q, 2))
+    assert all(verdicts[:5]) and not any(verdicts[-5:])
+
+
 def test_zak_verdicts_match_the_materialized_bank():
     # reference: fusion_report of the modulated bank itself, at the CLI's tolerance
     cases = []

@@ -1,10 +1,17 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from fbff.analysis import FrameBounds, frame_bounds, fusion_report
-from fbff.constructions import daubechies4, daubechies_mercedes, mercedes_benz
+from fbff.analysis import FrameBounds, channel_defect, frame_bounds, fusion_report
+from fbff.constructions import (
+    daubechies4,
+    daubechies_mercedes,
+    mercedes_benz,
+    paraunitary_chain,
+)
 from fbff.oracle import (
     _MAX_DIM,
     cross_check,
@@ -137,3 +144,73 @@ def test_cross_check_reads_the_report_spectra():
     shifted = replace(rep, bounds=FrameBounds(rep.bounds.spectra + 1e-6))
     out = cross_check(fb, shifted)
     assert not out["spectrum_union_ok"] and not out["agrees"]
+
+
+@pytest.mark.parametrize("random", [False, True], ids=["mercedes-benz", "random"])
+def test_cross_check_catches_a_flipped_channel_verdict(random):
+    rng = np.random.default_rng(4)
+    fb = (
+        FilterBank(tuple(_random_signal(rng, 6) for _ in range(3)), 2)
+        if random
+        else bank_of(mercedes_benz(4))
+    )
+    rep = fusion_report(fb)
+    assert cross_check(fb, rep)["agrees"]
+    flags = list(rep.channel_projection)
+    flags[1] = not flags[1]
+    out = cross_check(fb, replace(rep, channel_projection=tuple(flags)))
+    assert out["spectrum_union_ok"]
+    assert not out["channel_match"] and not out["agrees"]
+
+
+def test_cross_check_compares_on_the_spectrum_scale():
+    # samples of about 1e3 put B near 1e8; the absolute gaps of two correct
+    # routes are then about 1e-7, well within 1e-8 of B
+    rng = np.random.default_rng(0)
+    fb = FilterBank(tuple(Signal(1e3 * _random_signal(rng, 16).samples) for _ in range(3)), 2)
+    rep = fusion_report(fb)
+    out = cross_check(fb, rep)
+    assert out["B_dense"] > 1e8
+    assert out["spectrum_union_ok"] and out["agrees"]
+    assert spectrum_union_check(fb)
+    shifted = replace(rep, bounds=FrameBounds(rep.bounds.spectra + 1e-7 * rep.bounds.B))
+    out = cross_check(fb, shifted)
+    assert not out["spectrum_union_ok"] and not out["agrees"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=1, max_value=16),
+    st.integers(min_value=1, max_value=3),
+    st.booleans(),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_channel_defect_matches_the_dense_gram_defect(m, p, n, paraunitary, seed):
+    # paraunitary banks have projection channels (defects near 1e-16),
+    # random ones do not
+    rng = np.random.default_rng(seed)
+    if paraunitary:
+        fb = bank_of(paraunitary_chain(m, 2, p, seed=seed))
+    else:
+        fb = FilterBank(tuple(_random_signal(rng, m * p) for _ in range(n)), m)
+    dense = densify(fb)
+    for idx, phi in enumerate(fb.filters):
+        poly = channel_defect(phi, m)
+        cg = dense_channel_gram(dense, idx)
+        assert abs(poly - cg.defect) <= 1e-12 * max(1.0, poly)
+        assert cg.is_projection == (cg.defect <= 1e-9)
+
+
+def test_channel_gram_forms_no_dim_by_dim_matrix():
+    # one channel of 2 translates at the gate's dimension 256: a dim x dim
+    # complex matrix would take 1 MiB, the 2 x 2 Gram takes 64 bytes
+    dense = densify(FilterBank((Signal.delta(0, _MAX_DIM),), _MAX_DIM // 2))
+    tracemalloc.start()
+    try:
+        cg = dense_channel_gram(dense, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cg.is_projection and cg.rank == 2 and cg.defect == 0.0
+    assert peak < _MAX_DIM * _MAX_DIM * 16 // 8
