@@ -295,37 +295,30 @@ def report_to_json(rep: FusionReport) -> dict:
     }
 
 
-def verify_weighted_parseval(projections, dim: int, tol: float = 1e-9):
-    """Check that weighted operators form a Parseval fusion frame.
+def isometry_defect(t: np.ndarray) -> float:
+    """Largest entry of T^H T - I for a dense T: 0 exactly when T T^H is
+    the orthogonal projection of rank ``T.shape[1]`` onto T's span."""
+    return float(np.max(np.abs(t.conj().T @ t - np.eye(t.shape[1])), initial=0.0))
 
-    ``projections`` is an iterable of (matrix, weight, rank) triples with
-    dim x dim matrices, consumed one triple at a time, so a generator can
-    form each matrix only when it is checked.  Each operator must be an
-    orthogonal projection of the stated rank (self-adjoint, idempotent,
-    trace = rank), and the weighted sum must resolve the identity.
 
-    Returns (ok, max_residual) where the residual is the largest defect
-    observed across all checks.
+def verify_weighted_parseval(isometries, dim: int, tol: float = 1e-9):
+    """Check that weighted projections form a Parseval fusion frame.
+
+    ``isometries`` yields (T, weight) pairs, T a dim x r matrix, one at a
+    time, so a generator forms each T only when it is reached.  Returns
+    (ok, max_residual): the largest of every :func:`isometry_defect` and of
+    |sum w T T^H - I|, and whether it is at most ``tol``.
     """
     total = np.zeros((dim, dim), dtype=complex)
     worst = 0.0
-    ok = True
-    for mat, weight, rank in projections:
-        mat = np.asarray(mat, dtype=complex)
-        if mat.shape != (dim, dim):
-            raise ValueError(f"operator has shape {mat.shape}, expected ({dim}, {dim})")
-        herm = float(np.max(np.abs(mat - mat.conj().T)))
-        idem = float(np.max(np.abs(mat @ mat - mat)))
-        rank_defect = abs(float(np.trace(mat).real) - float(rank))
-        worst = max(worst, herm, idem)
-        if herm > tol or idem > tol or rank_defect > tol * max(1.0, float(dim)):
-            ok = False
-        total += float(weight) * mat
-    sum_defect = float(np.max(np.abs(total - np.eye(dim))))
-    worst = max(worst, sum_defect)
-    if sum_defect > tol:
-        ok = False
-    return ok, worst
+    for t, weight in isometries:
+        t = np.asarray(t, dtype=complex)
+        if t.ndim != 2 or t.shape[0] != dim:
+            raise ValueError(f"isometry has shape {t.shape}, expected ({dim}, r)")
+        worst = max(worst, isometry_defect(t))
+        total += (float(weight) * t) @ t.conj().T
+    worst = max(worst, float(np.max(np.abs(total - np.eye(dim)))))
+    return bool(worst <= tol), worst
 
 
 def gabor_frame_bounds(phi: Signal, m: int, q: int, r: int) -> FrameBounds:
@@ -361,8 +354,8 @@ def gabor_tightness(phi: Signal, m: int, q: int, r: int, tol: float = 1e-9) -> b
     """
     rows = zak_row_sums(GaborSystem(phi, m, q, r))
     zak_defect = _autocorrelation_defect(rows[:, :q] / r)
-    ts = [translate_matrix(Signal(np.sqrt(m) * phi.samples[k::m]), r) for k in range(m)]
-    time_defect = max(float(np.max(np.abs(t.conj().T @ t - np.eye(q)))) for t in ts)
+    comps = (Signal(np.sqrt(m) * phi.samples[k::m]) for k in range(m))
+    time_defect = max(isometry_defect(translate_matrix(c, r)) for c in comps)
     if abs(zak_defect - time_defect) > _ROUNDING * max(1.0, zak_defect):
         raise RuntimeError(
             f"tightness defects disagree: Zak {zak_defect:.3e}, Gram {time_defect:.3e}"

@@ -85,13 +85,16 @@ def zak_row_sums(sys: GaborSystem) -> np.ndarray:
     """M x (Q*R) grid: M * sum_r |Zak(m, r)|^2 at every root.
 
     The extreme entries are the optimal frame bounds of the bank; a tight
-    design makes every entry equal to the redundancy R.
+    design makes every entry equal to the redundancy R.  Raises ValueError
+    when the sums are not finite.
     """
     from .polyphase import zak_of, zak_power_rows
 
-    return sys.rate * zak_power_rows(
-        zak_of(sys.prototype, sys.rate, sys.redundancy)
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        rows = sys.rate * zak_power_rows(zak_of(sys.prototype, sys.rate, sys.redundancy))
+    if not np.all(np.isfinite(rows)):
+        raise ValueError("Zak row sums are not finite (samples too large)")
+    return rows
 
 
 # -- max-flat design ----------------------------------------------------------

@@ -8,7 +8,9 @@ child leaves a channel as a leaf, a bank child splits it again.
 
 A chain of channels is one channel at the product rate (the noble
 identities), so each flattened leaf is a one-channel bank, applied through
-the same translate-matrix operators as any other bank.
+the same translate-matrix operators as any other bank.  Compose judges each
+level's channels, and verify each leaf, by the one projection rule: the
+largest entry of T^H T - I, from polyphase norms or from the leaf's T.
 
 Filters at inner levels are never reused verbatim; they are folded to the
 level's period with :func:`fbff.signals.periodize`, which preserves the
@@ -21,13 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .analysis import channel_is_projection, verify_weighted_parseval
-from .signals import (
-    FilterBank,
-    Signal,
-    periodize,
-    synthesis_apply,
-    translate_matrix,
-)
+from .signals import FilterBank, Signal, periodize, synthesis_apply, translate_matrix
 
 __all__ = [
     "equivalent_filter",
@@ -160,14 +156,11 @@ def _walk(
 
 
 def verify_tree(leaves, dim: int, tol: float = 1e-9):
-    """Check the flattened leaves against the weighted Parseval identity.
-
-    A leaf's projection is T T^H, T its filter's rate-translates; each is
-    formed when the check reaches it, so one dim x dim matrix is alive.
-    """
-    ts = (translate_matrix(leaf.filters[0], leaf.downsample) for leaf, _, _ in leaves)
-    projections = ((t @ t.conj().T, w, r) for t, (_, w, r) in zip(ts, leaves))
-    return verify_weighted_parseval(projections, dim, tol)
+    """Check the flattened leaves against the weighted Parseval identity:
+    each leaf's dim x rank translate matrix T, formed when the check reaches
+    it, by the one rule max|T^H T - I| <= tol, and sum w T T^H against I."""
+    ts = ((translate_matrix(leaf.filters[0], leaf.downsample), w) for leaf, w, _ in leaves)
+    return verify_weighted_parseval(ts, dim, tol)
 
 
 def tree_from_json(obj, resolve_bank) -> TreeNode:

@@ -251,7 +251,7 @@ def test_fusion_report_json_shape():
 
 def test_weighted_parseval_identity():
     ok, residual = verify_weighted_parseval(
-        [(np.eye(4), 1.0, 4)], dim=4, tol=1e-12
+        [(np.eye(4), 1.0)], dim=4, tol=1e-12
     )
     assert ok and residual <= 1e-15
 
@@ -264,8 +264,8 @@ def test_weighted_parseval_tetrahedron():
     ) / np.sqrt(3)
     projections = []
     for v in verts:
-        pi = np.eye(3) - np.outer(v, v)
-        projections.append((pi, 3.0 / 8.0, 2))
+        basis = np.linalg.eigh(np.eye(3) - np.outer(v, v))[1][:, 1:]  # of v's complement
+        projections.append((basis, 3.0 / 8.0))
     ok, residual = verify_weighted_parseval(projections, dim=3, tol=1e-12)
     assert ok
     assert residual <= 1e-12
@@ -273,15 +273,15 @@ def test_weighted_parseval_tetrahedron():
 
 def test_weighted_parseval_detects_bad_weights():
     ok, residual = verify_weighted_parseval(
-        [(np.eye(4), 0.5, 4)], dim=4, tol=1e-9
+        [(np.eye(4), 0.5)], dim=4, tol=1e-9
     )
     assert not ok and residual == pytest.approx(0.5)
 
 
 def test_weighted_parseval_detects_non_projection():
-    mat = np.diag([2.0, 1.0, 1.0])
+    mat = np.diag([np.sqrt(2.0), 1.0, 1.0])  # T T^H = diag(2, 1, 1)
     ok, _ = verify_weighted_parseval(
-        [(mat, 1.0, 3)], dim=3, tol=1e-9
+        [(mat, 1.0)], dim=3, tol=1e-9
     )
     assert not ok
 
@@ -289,6 +289,11 @@ def test_weighted_parseval_detects_non_projection():
 def test_weighted_parseval_dimension_mismatch():
     with pytest.raises(ValueError):
         verify_weighted_parseval([(np.eye(3)[:2], 1.0, 2)], dim=3)
+
+
+def test_weighted_parseval_rejects_a_basis_of_the_wrong_length():
+    with pytest.raises(ValueError, match="shape"):
+        verify_weighted_parseval([(np.eye(3)[:2], 1.0)], dim=3)
 
 
 def test_random_bank_verdicts_match_dense_oracle():

@@ -215,6 +215,14 @@ def test_flatness_overflow_is_value_error(t):
             flatness_solve_odd(even)
 
 
+@pytest.mark.parametrize("check", [gabor_frame_bounds, gabor_tightness])
+def test_zak_row_sum_overflow_is_value_error(check):
+    # squared samples beyond the float range: a ValueError, not a numpy
+    # overflow warning and inf bounds
+    with pytest.raises(ValueError, match="not finite"):
+        check(Signal([1e200, 0, 0, 0, 0, 0, 0, 0]), 2, 2, 2)
+
+
 def test_tightness_jacobian_matches_central_differences():
     # the residual is quadratic in the even taps, so central differences are
     # exact up to rounding of order eps * |r| / step

@@ -3,8 +3,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fbff.analysis import fusion_report, verify_weighted_parseval
+from fbff.analysis import (
+    channel_defect,
+    channel_is_projection,
+    fusion_report,
+    verify_weighted_parseval,
+)
 from fbff.constructions import (
+    daubechies4,
     mercedes_benz,
     modulated_daubechies_stack,
     paraunitary_chain,
@@ -150,12 +156,9 @@ def test_packet_tree_leaves():
     assert ok and residual <= 1e-9
 
 
-def _basis_projection(ch, dim):
-    # the leaf's synthesis-analysis composite applied to each basis vector
-    cols = [
-        synthesis_apply(ch, [analysis_apply(ch, Signal.delta(i, dim))[0]]).samples
-        for i in range(dim)
-    ]
+def _basis_isometry(ch, rank):
+    # the leaf's synthesis applied to each basis vector of its input space
+    cols = [synthesis_apply(ch, [Signal.delta(k, rank)]).samples for k in range(rank)]
     return np.stack(cols, axis=1)
 
 
@@ -178,10 +181,36 @@ def _scale_first_filter(leaves):
 def test_verify_tree_matches_basis_reference(tree, edit, expected):
     leaves = edit(compose_tree(tree(_stacked_bank(), 2), AMBIENT))
     ok, residual = verify_tree(leaves, AMBIENT)
-    reference = [(_basis_projection(ch, AMBIENT), w, r) for ch, w, r in leaves]
+    reference = [(_basis_isometry(ch, r), w) for ch, w, r in leaves]
     ref_ok, ref_residual = verify_weighted_parseval(reference, AMBIENT)
     assert ok == ref_ok == expected
     assert abs(residual - ref_residual) <= 1e-12
+
+
+def test_verify_tree_reads_the_leaf_channel_defect():
+    # the first leaf scaled by 1 + delta: the tree's residual is that leaf's
+    # polyphase channel defect, and its verdict flips where the leaf's does
+    (ch, w, rank), *rest = compose_tree(dwt_tree(_stacked_bank(), 2), AMBIENT)
+    verdicts = set()
+    for delta in np.geomspace(1e-11, 1e-8, 30):
+        phi = (1 + delta) * ch.filters[0]
+        scaled = [(FilterBank((phi,), ch.downsample), w, rank), *rest]
+        ok, residual = verify_tree(scaled, AMBIENT)
+        defect = channel_defect(phi, ch.downsample)
+        assert abs(residual - defect) <= 1e-12 * max(1.0, defect)
+        assert ok == channel_is_projection(phi, ch.downsample)
+        verdicts.add(ok)
+    assert verdicts == {True, False}
+
+
+def test_large_packet_tree_verifies():
+    # 5 levels of Daubechies-4 at ambient 1024: 32 leaves of rank 32
+    leaves = compose_tree(packet_tree(bank_of(daubechies4(512)), 5), 1024)
+    assert len(leaves) == 32
+    ok, residual = verify_tree(leaves, 1024)
+    assert ok and residual <= 1e-12
+    for edit in (_double_first_weight, _scale_first_filter):
+        assert not verify_tree(edit(leaves), 1024)[0]
 
 
 def test_weight_accounting_exact():
