@@ -8,11 +8,12 @@ batched LAPACK ``eigvalsh`` call gives every root's spectrum; bounds and
 row checks both read from that stack, and the bounds keep the spectra so
 that the dense oracle checks the very numbers they were read from.
 
-The round-robin parallel Jacobi eigensolver kept here (Brent & Luk's
-ordering in pure numpy, tested against an independent characteristic-
-polynomial root finder) serves only the dense oracle, so the polyphase
-route and the oracle share no eigensolver.  Evaluated Grams and polyphase
-norms that are not finite are rejected with ValueError.
+The round-robin parallel Jacobi eigenvalue solver kept here (Brent &
+Luk's ordering in pure numpy, tested against an independent characteristic-
+polynomial root finder) computes eigenvalues only, no eigenvectors, and
+serves only the dense oracle, so the polyphase route and the oracle share
+no eigensolver.  Evaluated Grams and polyphase norms that are not finite
+are rejected with ValueError.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .polyphase import PolyphaseMatrix, decompose, eval_all_roots, gram, matrix_
 from .signals import FilterBank, Signal, translate_matrix
 
 __all__ = [
-    "jacobi_eigh",
     "hermitian_eigs",
     "FrameBounds",
     "gram_stack",
@@ -79,17 +79,16 @@ def _rotate(xp: np.ndarray, xq: np.ndarray, c, s) -> None:
     xp[...] = new_p
 
 
-def jacobi_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigen-decomposition of a Hermitian matrix by round-robin parallel
-    Jacobi rotations (Brent & Luk, 1985).
+def hermitian_eigs(h: np.ndarray) -> np.ndarray:
+    """Real eigenvalues of a Hermitian matrix, ascending, by round-robin
+    parallel Jacobi rotations (Brent & Luk, 1985); no eigenvectors are formed.
 
     Each sweep runs n - 1 rounds, and a round applies n/2 disjoint 2x2
     rotations as one array update of the columns, then of the rows.  Odd n
     is padded by a zero row and column, which only ever meets the identity
-    rotation.  Returns (eigenvalues ascending, unitary eigenvector matrix).
-    Sweeps stop when the off-diagonal Frobenius norm falls below 1e-13
-    times the matrix norm.  Raises ValueError for non-finite or
-    non-Hermitian input.
+    rotation.  Sweeps stop when the off-diagonal Frobenius norm falls below
+    1e-13 times the matrix norm, and the diagonal is the spectrum.  Raises
+    ValueError for non-finite or non-Hermitian input.
     """
     a = np.array(h, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -105,22 +104,20 @@ def jacobi_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     e = int(np.frexp(top)[1])
     a = np.ldexp(a.real, -e) + 1j * np.ldexp(a.imag, -e)
 
-    # x stacks the working matrix (rows :m) on the eigenvectors (rows m:),
-    # stored so that the current round pairs positions (2i, 2i + 1)
+    # the working matrix, stored so that the current round pairs positions
+    # (2i, 2i + 1)
     m = n + n % 2
-    x = np.zeros((2 * m, m), dtype=complex)
+    x = np.zeros((m, m), dtype=complex)
     x[:n, :n] = (a + a.conj().T) / 2.0
-    x[m:] = np.eye(m)
     perm = _round_robin_perm(m)
-    gather = np.concatenate([perm, m + np.arange(m)])[:, None] * m + perm
+    gather = perm[:, None] * m + perm
     p = np.arange(0, m, 2) * (m + 1)  # flat index of each pair's a_pp
     block = np.stack([p, p + m + 1, p + 1])
     off_pairs = np.concatenate([p + 1, p + m])
 
-    norm = _frobenius(x[:m])
+    norm = _frobenius(x)
     for _ in range(_MAX_SWEEPS):
-        a = x[:m]
-        if _frobenius(a - np.diag(np.diag(a))) <= _JACOBI_OFF_TOL * norm:
+        if _frobenius(x - np.diag(np.diag(x))) <= _JACOBI_OFF_TOL * norm:
             break
         for _ in range(m - 1):
             # [[c, -s], [conj(s), c]] zeroes each pair's a_pq, with
@@ -135,21 +132,13 @@ def jacobi_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             c = 1.0 / np.sqrt(1.0 + (r / den) ** 2)
             s = c * sign * apq / den
             _rotate(x[:, 0::2], x[:, 1::2], c, s.conj())
-            _rotate(x[0:m:2], x[1:m:2], c[:, None], s[:, None])
+            _rotate(x[0::2], x[1::2], c[:, None], s[:, None])
             np.put(x, off_pairs, 0.0)
             x = x.take(gather)
     else:
         raise RuntimeError("Jacobi sweeps did not converge")
 
-    w = np.ldexp(np.diag(x[:n, :n]).real, e)
-    order = np.argsort(w, kind="stable")
-    return w[order], x[m : m + n, :n][:, order]
-
-
-def hermitian_eigs(h: np.ndarray) -> np.ndarray:
-    """Real eigenvalues of a Hermitian matrix, ascending."""
-    w, _ = jacobi_eigh(h)
-    return w
+    return np.sort(np.ldexp(np.diag(x[:n, :n]).real, e), kind="stable")
 
 
 @dataclass(frozen=True, eq=False)

@@ -181,28 +181,22 @@ def flatness_solve_odd(even) -> np.ndarray:
     return odd
 
 
-def tightness_residual(even, odd=None) -> np.ndarray:
+def tightness_residual(even) -> np.ndarray:
     """Defects of the two tightness conditions, as a flat residual vector.
 
-    For each of the even and odd tap subsequences s the entries are the
-    aperiodic correlations <s, s shifted by 2q> minus delta_q / 2 for
-    q = 0 .. ceil(T/2) - 1; the zero vector is equivalent to tightness of
-    the rate-2, redundancy-2 system at any even embedding period.  When
-    ``odd`` is omitted it is derived through :func:`flatness_solve_odd`.
+    For the even taps s and then for the odd taps derived through
+    :func:`flatness_solve_odd`, the entries are the aperiodic correlations
+    <s, s shifted by 2q> minus delta_q / 2 for q = 0 .. ceil(T/2) - 1; the
+    zero vector is equivalent to tightness of the rate-2, redundancy-2
+    system at any even embedding period.
     """
     even = np.asarray(even, dtype=float)
-    if odd is None:
-        odd = flatness_solve_odd(even)
-    odd = np.asarray(odd, dtype=float)
     t = even.size
-    k = (t + 1) // 2
-    res = []
-    for s in (even, odd):
-        for q in range(k):
-            lag = 2 * q
-            corr = float(np.dot(s[: t - lag], s[lag:])) if lag < t else 0.0
-            res.append(corr - (0.5 if q == 0 else 0.0))
-    return np.array(res)
+    res = np.array(
+        [np.correlate(s, s, "full")[t - 1 :: 2] for s in (even, flatness_solve_odd(even))]
+    )
+    res[:, 0] -= 0.5
+    return res.ravel()
 
 
 def tightness_jacobian(even) -> np.ndarray:

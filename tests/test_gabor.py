@@ -238,7 +238,7 @@ def test_tightness_jacobian_matches_central_differences():
 
 
 def test_tightness_residual_unit_deltas():
-    res = tightness_residual([2**-0.5], [2**-0.5])
+    res = tightness_residual([2**-0.5])  # T = 1: odd = -even
     np.testing.assert_allclose(res, np.zeros(2), atol=1e-15)
 
 
@@ -248,7 +248,7 @@ def test_tightness_residual_matches_spectral_form():
     low = bank_of(daubechies4(4)).filters[0]
     s = (low.samples[:4].real) / np.sqrt(2.0)  # satisfies the half-norm conditions
     t = 4
-    res = tightness_residual(s, s)[: (t + 1) // 2]
+    res = tightness_residual(s)[: (t + 1) // 2]  # the even half
     period = 2 * t
     from fbff.cyclic import CyclicPoly
 
