@@ -32,13 +32,14 @@ __all__ = [
     "FrameBounds",
     "gram_stack",
     "frame_bounds",
+    "channel_defect",
     "channel_is_projection",
     "FusionReport",
     "fusion_report",
     "report_to_json",
+    "isometry_defect",
     "verify_weighted_parseval",
     "gabor_frame_bounds",
-    "gabor_channel_orthonormal",
     "gabor_tightness",
 ]
 
@@ -318,18 +319,6 @@ def gabor_frame_bounds(phi: Signal, m: int, q: int, r: int) -> FrameBounds:
     the extreme values of that grid over all rows and roots.
     """
     return FrameBounds(np.sort(zak_row_sums(GaborSystem(phi, m, q, r)).T, axis=1))
-
-
-def gabor_channel_orthonormal(
-    phi: Signal, m: int, q: int, r: int, tol: float = 1e-9
-) -> bool:
-    """Whether every modulated channel has orthonormal M-translates.
-
-    Modulation does not change polyphase norms, so this reduces to the
-    prototype's own verdict, :func:`channel_defect` <= tol.
-    """
-    GaborSystem(phi, m, q, r)  # validates the lattice shape
-    return channel_is_projection(phi, m, tol)
 
 
 def gabor_tightness(phi: Signal, m: int, q: int, r: int, tol: float = 1e-9) -> bool:

@@ -195,7 +195,10 @@ def _cmd_compose(args) -> int:
 
 
 def _cmd_design_maxflat(args) -> int:
-    seed = int(os.environ.get("FBFF_SEED", args.seed))
+    try:
+        seed = int(os.environ.get("FBFF_SEED", args.seed))
+    except ValueError as exc:  # args.seed is an int already
+        raise ValueError(f"FBFF_SEED must be an integer ({exc})") from None
     result = gabor.design_maxflat(
         args.half_taps, seed=seed, restarts=args.restarts, q=args.q, tol=args.tol
     )
@@ -214,7 +217,7 @@ def _cmd_design_maxflat(args) -> int:
     if result.converged:
         lattice = (2, result.block, 2)  # M, Q, R: M * R = 4 channels
         bounds = analysis.gabor_frame_bounds(result.signal, *lattice)
-        proj = analysis.gabor_channel_orthonormal(result.signal, *lattice, tol=_DESIGN_TOL)
+        proj = analysis.channel_is_projection(result.signal, 2, _DESIGN_TOL)
         report["A"] = bounds.A
         report["B"] = bounds.B
         report["is_tight"] = bounds.is_tight(_DESIGN_TOL)

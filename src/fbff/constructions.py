@@ -24,7 +24,6 @@ __all__ = [
     "tensor",
     "paraunitary_product",
     "elementary_paraunitary",
-    "modulated_copy",
     "daubechies_mercedes",
     "modulated_daubechies_stack",
     "paraunitary_chain",
@@ -134,21 +133,6 @@ def elementary_paraunitary(u: np.ndarray, period: int) -> PolyphaseMatrix:
         raise ValueError("u must have unit norm")
     proj = np.outer(u, np.conj(u))
     return _laurent({0: np.eye(u.size) - proj, -1: proj}, period)
-
-
-def modulated_copy(psi: PolyphaseMatrix, perm) -> PolyphaseMatrix:
-    """Substitute z -> -z entrywise, then permute the rows.
-
-    The substitution is the order-2 twist and needs an even period.  ``perm``
-    lists, for each output row, which twisted row to take; the classic 2x2
-    usage is perm = (1, 0).
-    """
-    if psi.period % 2 != 0:
-        raise ValueError("z -> -z needs an even period")
-    perm = tuple(perm)
-    if sorted(perm) != list(range(psi.n_rows)):
-        raise ValueError(f"perm must permute {psi.n_rows} rows")
-    return PolyphaseMatrix(twist(psi.coeffs, 1, 2)[list(perm)])
 
 
 def daubechies_mercedes(period: int) -> PolyphaseMatrix:

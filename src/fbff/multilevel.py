@@ -172,6 +172,7 @@ def tree_from_json(obj, resolve_bank) -> TreeNode:
     ``resolve_bank`` maps a bank name to a FilterBank; inline banks use the
     shared filter-bank JSON format.
     """
+    # imported per call, so a patched fbff.signals.bank_from_json is seen
     from .signals import bank_from_json
 
     if not isinstance(obj, dict) or "bank" not in obj:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cyclic import CyclicPoly, conj_reverse, twist
+from .cyclic import CyclicPoly, twist
 from .signals import FilterBank, Signal
 
 __all__ = [
@@ -24,7 +24,6 @@ __all__ = [
     "reconstruct",
     "matrix_of",
     "bank_of",
-    "adjoint",
     "eval_matrix",
     "eval_all_roots",
     "gram",
@@ -103,17 +102,6 @@ def bank_of(mat: PolyphaseMatrix) -> FilterBank:
         raise ValueError("cannot build a bank from an empty matrix")
     samples = mat.coeffs.transpose(1, 2, 0).reshape(mat.n_cols, -1)
     return FilterBank(tuple(Signal(s) for s in samples), mat.n_rows)
-
-
-def adjoint(mat: PolyphaseMatrix) -> PolyphaseMatrix:
-    """Transpose with conjugate-reversed entries.
-
-    Evaluating the adjoint at any root gives the conjugate transpose of the
-    original evaluation.
-    """
-    if mat.n_cols == 0:
-        raise ValueError("adjoint of an empty matrix is not representable")
-    return PolyphaseMatrix(conj_reverse(mat.coeffs).transpose(1, 0, 2))
 
 
 def eval_matrix(mat: PolyphaseMatrix, p: int) -> np.ndarray:

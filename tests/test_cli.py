@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -456,6 +460,40 @@ def test_design_maxflat_overflow_is_usage_error(capsys, half_taps):
     assert code == 2
     assert err.startswith("error:") and "floats" in err and "Traceback" not in err
     assert out == ""
+
+
+@pytest.mark.parametrize(
+    "env_seed,argv,message",
+    [
+        (None, ["--seed", "-5"], "seed must be in [0, 2**128), got -5"),
+        ("-1", [], "seed must be in [0, 2**128), got -1"),
+        ("abc", [], "FBFF_SEED must be an integer"),
+        (None, ["--q", "0"], "block size q must be >= 1, got 0"),
+    ],
+    ids=["seed-flag-negative", "seed-env-negative", "seed-env-not-integer", "q-zero"],
+)
+def test_design_maxflat_bad_input_names_it(capsys, monkeypatch, env_seed, argv, message):
+    monkeypatch.delenv("FBFF_SEED", raising=False)
+    if env_seed is not None:
+        monkeypatch.setenv("FBFF_SEED", env_seed)
+    code, out, err = _run(capsys, "design-maxflat", "--half-taps", "2", *argv)
+    assert code == 2
+    assert err.startswith("error:") and message in err and "Traceback" not in err
+    assert out == ""
+
+
+def test_package_runs_as_a_process(tmp_path):
+    # a fresh interpreter imports the package, __main__ and every module the
+    # CLI loads, with each warning an error
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    fbff = [sys.executable, "-W", "error", "-m", "fbff"]
+    bank = tmp_path / "bank.json"
+    build = ["build", "mercedes-benz", "--period", "2", "--out", str(bank)]
+    for argv in (build, ["verify", str(bank)]):
+        run = subprocess.run(fbff + argv, env=env, cwd=tmp_path, capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout)["ok"] is True
 
 
 def _deep_bank_text(depth):

@@ -11,7 +11,6 @@ from fbff.constructions import (
     daubechies_mercedes,
     elementary_paraunitary,
     mercedes_benz,
-    modulated_copy,
     modulated_daubechies_stack,
     named_matrix,
     paraunitary_chain,
@@ -145,34 +144,6 @@ def test_stacked_bank_quarter_band_shift():
         )
         shift = period // 4  # pi/2 in bins
         np.testing.assert_allclose(spec_mod, np.roll(spec_base, shift), atol=1e-9)
-
-
-def test_modulated_copy_of_constants_is_unchanged():
-    mat = mercedes_benz(4)
-    assert modulated_copy(mat, (0, 1)) == mat
-
-
-def test_modulated_copy_row_swap():
-    mat = daubechies4(4)
-    out = modulated_copy(mat, (1, 0))
-    a, b, c, d = DAUB_A, DAUB_B, DAUB_C, DAUB_D
-    np.testing.assert_allclose(out.entry(0, 0).coeffs, _linear(c, -d, 4).coeffs, atol=1e-15)
-    np.testing.assert_allclose(out.entry(1, 0).coeffs, _linear(a, -b, 4).coeffs, atol=1e-15)
-    assert _unitary_at_all_roots(out)
-
-
-def test_modulated_copy_needs_even_period():
-    with pytest.raises(ValueError):
-        modulated_copy(daubechies4(5), (1, 0))
-    with pytest.raises(ValueError):
-        modulated_copy(daubechies4(4), (0, 0))
-
-
-def test_union_of_base_and_modulated_copy_is_puntf():
-    mat = union(daubechies4(4), modulated_copy(daubechies4(4), (1, 0)))
-    rep = fusion_report(bank_of(mat))
-    assert rep.is_puntf
-    assert rep.bounds.A == pytest.approx(2.0, abs=1e-9)
 
 
 def test_tensor_with_identity():

@@ -6,7 +6,6 @@ from fbff.cyclic import CyclicPoly
 from fbff.constructions import daubechies4, mercedes_benz, DAUB_A, DAUB_B, DAUB_C, DAUB_D
 from fbff.polyphase import (
     PolyphaseMatrix,
-    adjoint,
     bank_of,
     decompose,
     eval_matrix,
@@ -95,31 +94,6 @@ def test_matrix_of_single_delta_filter():
     mat = matrix_of(fb)
     assert mat.entry(0, 0) == CyclicPoly.constant(1.0, 4)
     assert mat.entry(1, 0) == CyclicPoly.zero(4)
-
-
-def test_adjoint_of_real_constants_is_transpose():
-    mat = mercedes_benz(3)
-    adj = adjoint(mat)
-    assert adj.n_rows == 3 and adj.n_cols == 2
-    for m in range(2):
-        for n in range(3):
-            assert adj.entry(n, m) == mat.entry(m, n)
-
-
-def test_adjoint_involution():
-    rng = np.random.default_rng(1)
-    mat = _random_matrix(rng, 2, 3, 5)
-    assert adjoint(adjoint(mat)) == mat
-
-
-def test_adjoint_evaluates_to_conjugate_transpose():
-    rng = np.random.default_rng(2)
-    mat = _random_matrix(rng, 3, 2, 8)
-    adj = adjoint(mat)
-    for p in range(8):
-        np.testing.assert_allclose(
-            eval_matrix(adj, p), eval_matrix(mat, p).conj().T, atol=1e-12
-        )
 
 
 def test_eval_constant_matrix():
