@@ -34,7 +34,7 @@ _DESIGN_TOL = 1e-7  # verdict tolerance of a converged design-maxflat report
 def frequency_table(fb: FilterBank, n_samples: int):
     """Squared-magnitude response of every filter at n_samples frequencies.
 
-    Yields (channel, omega, mag2) rows in channel-major order with
+    Returns a list of (channel, omega, mag2) rows in channel-major order with
     omega = 2 pi k / n_samples, by one FFT of each filter folded modulo
     n_samples, which is exact for any filter period.  Raises ValueError when
     a magnitude is not finite (finite samples whose squares overflow).
@@ -48,10 +48,9 @@ def frequency_table(fb: FilterBank, n_samples: int):
         mag2 = np.abs(np.fft.fft(folded, axis=-1)) ** 2
     if not np.all(np.isfinite(mag2)):
         raise ValueError("squared magnitudes are not finite (samples too large)")
+    omegas = [2.0 * np.pi * i / n_samples for i in range(n_samples)]
     return [
-        (n, 2.0 * np.pi * i / n_samples, float(mag2[n, i]))
-        for n in range(fb.n_channels)
-        for i in range(n_samples)
+        (n, omega, m) for n, mags in enumerate(mag2.tolist()) for omega, m in zip(omegas, mags)
     ]
 
 
@@ -104,7 +103,7 @@ def _split_names(raw, message):
 
 
 def _write_json(obj, path=None) -> None:
-    _write_text(json.dumps(obj, indent=2) + "\n", path)
+    _write_text(json.dumps(obj) + "\n", path)  # one line, by the C encoder
 
 
 def _write_text(text: str, path=None) -> None:

@@ -243,7 +243,7 @@ def analysis_apply(fb: FilterBank, x: Signal) -> list[Signal]:
 def signal_to_json(x: Signal) -> dict:
     return {
         "period": x.period,
-        "samples": [[float(v.real), float(v.imag)] for v in x.samples],
+        "samples": np.stack([x.samples.real, x.samples.imag], axis=-1).tolist(),
     }
 
 

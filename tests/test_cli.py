@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fbff import constructions
+from fbff import cli, constructions, signals
 from fbff.analysis import fusion_report, report_to_json
 from fbff.cli import frequency_table, main
 from fbff.constructions import named_bank
@@ -347,7 +347,62 @@ def test_output_json_reparses_identically(capsys, tmp_path):
     path = _build(capsys, tmp_path, "example5", 4)
     text = path.read_text()
     fb = bank_from_json(json.loads(text))
-    assert json.dumps(bank_to_json(fb), indent=2) + "\n" == text
+    assert json.dumps(bank_to_json(fb)) + "\n" == text
+
+
+def _per_sample_signal_to_json(x):
+    return {"period": x.period, "samples": [[float(v.real), float(v.imag)] for v in x.samples]}
+
+
+def _indented_json(obj, path=None):
+    cli._write_text(json.dumps(obj, indent=2) + "\n", path)
+
+
+def _json_outputs(capsys, argv, out_path):
+    """Exit code and the nonempty texts a command wrote: stdout, then ``out_path``."""
+    code = main(argv)
+    texts = [capsys.readouterr().out]
+    if out_path is not None:
+        texts.append(out_path.read_text())
+        out_path.unlink()
+    return code, [t for t in texts if t]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("build", "example7", "--period", "4"),
+        ("analyze", "{bank}"),
+        ("verify", "{bank}"),
+        ("compose", "--tree", "{tree}", "--inner-dim", "4", "--verify"),
+        ("design-maxflat", "--half-taps", "2", "--seed", "3", "--restarts", "20"),
+    ],
+    ids=lambda argv: argv[0],
+)
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out-file"])
+def test_json_output_is_one_line_with_the_indented_format_values(
+    capsys, tmp_path, monkeypatch, argv, to_file
+):
+    # the indented writer with per-sample floats is the format before one-line output
+    bank = _build(capsys, tmp_path, "example7", 4)
+    tree = tmp_path / "tree.json"
+    tree.write_text(
+        json.dumps({"bank": "example7", "children": [{"bank": "daubechies4"}] + ["identity"] * 3})
+    )
+    out_path = tmp_path / "out.json" if to_file else None
+    argv = [a.format(bank=bank, tree=tree) for a in argv] + ["--out", str(out_path)] * to_file
+    code, texts = _json_outputs(capsys, argv, out_path)
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_write_json", _indented_json)
+        patch.setattr(cli, "signal_to_json", _per_sample_signal_to_json)
+        patch.setattr(signals, "signal_to_json", _per_sample_signal_to_json)
+        old_code, old_texts = _json_outputs(capsys, argv, out_path)
+    assert code == old_code == 0
+    assert len(texts) == len(old_texts) == 1 + (to_file and argv[0] == "design-maxflat")
+    for text, old in zip(texts, old_texts):
+        assert text.endswith("\n") and text.count("\n") == 1
+        # same keys in the same order, same floats, same reprs
+        assert text == json.dumps(json.loads(old)) + "\n"
 
 
 def test_missing_file_is_usage_error(capsys):

@@ -281,6 +281,30 @@ def test_signal_json_round_trip():
     assert again == x
 
 
+_EXTREMES = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.7e308, -1.7e308])
+
+
+@given(
+    st.lists(
+        st.one_of(
+            st.complex_numbers(allow_nan=False, allow_infinity=False),
+            st.builds(complex, _EXTREMES, _EXTREMES),
+        ),
+        min_size=1,
+        max_size=16,
+    )
+)
+def test_signal_json_samples_match_the_per_sample_floats(values):
+    x = Signal(values)
+    obj = signal_to_json(x)
+    expected = [[float(v.real), float(v.imag)] for v in x.samples]
+    # float.hex tells -0.0 from 0.0, which == does not
+    assert [[(type(f), f.hex()) for f in pair] for pair in obj["samples"]] == [
+        [(float, f.hex()) for f in pair] for pair in expected
+    ]
+    assert signal_from_json(json.loads(json.dumps(obj))) == x
+
+
 def test_bank_json_round_trip():
     fb = _mercedes_bank(3)
     again = bank_from_json(json.loads(json.dumps(bank_to_json(fb))))

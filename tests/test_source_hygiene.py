@@ -31,8 +31,7 @@ TEST_ONLY = {
     "inner",  # test_acceptance.py, criteria 4 and 8-10: the time-domain inner product
     "upsample",  # synthesis_apply's reference in test_multilevel.py and test_signals.py
     "involution",  # analysis_apply's reference in test_multilevel.py and test_signals.py
-    # only test_signals.py's own four tests call it: it should go, with them
-    "downsample",
+    "downsample",  # analysis_apply's reference in test_signals.py
 }
 
 
