@@ -12,8 +12,10 @@ The round-robin parallel Jacobi eigenvalue solver kept here (Brent &
 Luk's ordering in pure numpy, tested against an independent characteristic-
 polynomial root finder) computes eigenvalues only, no eigenvectors, and
 serves only the dense oracle, so the polyphase route and the oracle share
-no eigensolver.  Evaluated Grams and polyphase norms that are not finite
-are rejected with ValueError.
+no eigensolver.  Every channel verdict, the Gabor one included, reads
+T^H T - I from squared polyphase norms (:func:`autocorrelation_defect`), and
+a report takes all channels' norms from one FFT.  Evaluated Grams and
+polyphase norms that are not finite are rejected with ValueError.
 """
 
 from __future__ import annotations
@@ -23,15 +25,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from .gabor import GaborSystem, zak_row_sums
 from .polyphase import PolyphaseMatrix, decompose, eval_all_roots, gram, matrix_of
-from .signals import FilterBank, Signal, translate_matrix
+from .signals import FilterBank, Signal
 
 __all__ = [
     "hermitian_eigs",
     "FrameBounds",
     "gram_stack",
     "frame_bounds",
+    "autocorrelation_defect",
     "channel_defect",
     "channel_is_projection",
     "FusionReport",
@@ -39,14 +41,11 @@ __all__ = [
     "report_to_json",
     "isometry_defect",
     "verify_weighted_parseval",
-    "gabor_frame_bounds",
-    "gabor_tightness",
 ]
 
 # Relative gap guard for the tightness verdict; keeps the zero bank from
 # reporting a vacuous "tight".
 _TIGHT_EPS = 1e-300
-_ROUNDING = 1e-12  # relative gap between two computations of one defect
 
 _HERMITIAN_TOL = 1e-10
 _JACOBI_OFF_TOL = 1e-13
@@ -201,25 +200,30 @@ def frame_bounds(mat: PolyphaseMatrix) -> FrameBounds:
     return _gram_bounds(gram_stack(mat))
 
 
-def _autocorrelation_defect(norms2: np.ndarray) -> float:
-    """Largest entry of T^H T - I, over all leading axes: squared polyphase
-    norms (last axis) are the DFT of T^H T's first column <phi, T^{Mj} phi>."""
-    corr = np.fft.ifft(norms2, axis=-1)
-    corr[..., 0] -= 1.0
-    return float(np.max(np.abs(corr)))
+def autocorrelation_defect(norms2: np.ndarray) -> np.ndarray:
+    """Largest entry of T^H T - I for each row of squared polyphase norms
+    (last axis), which are the DFT of T^H T's first column <phi, T^{Mj} phi>.
+    Raises ValueError when the norms are not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        corr = np.fft.ifft(norms2, axis=-1)
+        corr[..., 0] -= 1.0
+        defect = np.max(np.abs(corr), axis=-1)
+    if not np.all(np.isfinite(defect)):
+        raise ValueError("polyphase norms are not finite (samples too large)")
+    return defect
+
+
+def _column_defects(mat: PolyphaseMatrix) -> np.ndarray:
+    """:func:`autocorrelation_defect` of every column of ``mat``, from one FFT."""
+    with np.errstate(over="ignore", invalid="ignore"):  # reported there
+        return autocorrelation_defect(np.sum(np.abs(eval_all_roots(mat)) ** 2, axis=0))
 
 
 def channel_defect(phi: Signal, m: int) -> float:
     """Largest entry of T^H T - I for T the m-translates of ``phi``, i.e.
     max_j |<phi, T^{mj} phi> - delta_j|, by one inverse FFT of the squared
-    polyphase norms; (1 + d) times an orthonormal channel reads 2d + d^2.
-    Raises ValueError when the norms are not finite."""
-    with np.errstate(over="ignore", invalid="ignore"):  # reported below
-        norms2 = np.sum(np.abs(eval_all_roots(decompose(phi, m))) ** 2, axis=(0, 1))
-        defect = _autocorrelation_defect(norms2)
-    if not np.isfinite(defect):
-        raise ValueError("polyphase norms are not finite (samples too large)")
-    return defect
+    polyphase norms; (1 + d) times an orthonormal channel reads 2d + d^2."""
+    return float(_column_defects(decompose(phi, m))[0])
 
 
 def channel_is_projection(phi: Signal, m: int, tol: float = 1e-9) -> bool:
@@ -249,11 +253,10 @@ class FusionReport:
 
 
 def fusion_report(fb: FilterBank, tol: float = 1e-9) -> FusionReport:
-    grams = gram_stack(matrix_of(fb))
+    mat = matrix_of(fb)
+    grams = gram_stack(mat)
     bounds = _gram_bounds(grams)
-    channels = tuple(
-        channel_is_projection(phi, fb.downsample, tol) for phi in fb.filters
-    )
+    channels = tuple(bool(d <= tol) for d in _column_defects(mat))
     target = fb.n_channels / fb.downsample
     defect = np.max(np.abs(grams - target * np.eye(fb.downsample)))
     rows_ok = defect <= tol * max(1.0, target)
@@ -309,33 +312,3 @@ def verify_weighted_parseval(isometries, dim: int, tol: float = 1e-9):
         total += (float(weight) * t) @ t.conj().T
     worst = max(worst, float(np.max(np.abs(total - np.eye(dim)))))
     return bool(worst <= tol), worst
-
-
-def gabor_frame_bounds(phi: Signal, m: int, q: int, r: int) -> FrameBounds:
-    """Optimal bounds of the translate-and-modulate bank built on ``phi``.
-
-    The evaluated Gram of such a bank is diagonal, with entry m equal to
-    M times the squared-modulus row sum of the Zak matrix; the bounds are
-    the extreme values of that grid over all rows and roots.
-    """
-    return FrameBounds(np.sort(zak_row_sums(GaborSystem(phi, m, q, r)).T, axis=1))
-
-
-def gabor_tightness(phi: Signal, m: int, q: int, r: int, tol: float = 1e-9) -> bool:
-    """Whether the translate-and-modulate bank on ``phi`` is a tight frame.
-
-    It is iff each component s_k = sqrt(M) * phi[k::M] has orthonormal
-    R-translates.  Their :func:`channel_defect` is read from the Zak row
-    sums, whose first Q columns over R are the components' squared
-    polyphase norms, and from the dense translate Grams.  The verdict is
-    Zak defect <= tol; defects differing beyond rounding raise RuntimeError.
-    """
-    rows = zak_row_sums(GaborSystem(phi, m, q, r))
-    zak_defect = _autocorrelation_defect(rows[:, :q] / r)
-    comps = (Signal(np.sqrt(m) * phi.samples[k::m]) for k in range(m))
-    time_defect = max(isometry_defect(translate_matrix(c, r)) for c in comps)
-    if abs(zak_defect - time_defect) > _ROUNDING * max(1.0, zak_defect):
-        raise RuntimeError(
-            f"tightness defects disagree: Zak {zak_defect:.3e}, Gram {time_defect:.3e}"
-        )
-    return zak_defect <= tol

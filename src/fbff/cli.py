@@ -215,7 +215,7 @@ def _cmd_design_maxflat(args) -> int:
     }
     if result.converged:
         lattice = (2, result.block, 2)  # M, Q, R: M * R = 4 channels
-        bounds = analysis.gabor_frame_bounds(result.signal, *lattice)
+        bounds = gabor.gabor_frame_bounds(result.signal, *lattice)
         proj = analysis.channel_is_projection(result.signal, 2, _DESIGN_TOL)
         report["A"] = bounds.A
         report["B"] = bounds.B

@@ -1,8 +1,8 @@
 """Translate-and-modulate (Gabor) banks and the max-flat prototype design.
 
 A Gabor bank takes M*R regular modulates of one prototype of period M*Q*R
-and downsamples by M; tightness and per-channel orthonormality reduce to
-norm conditions on the prototype's Zak matrix.
+and downsamples by M.  Its bounds and tightness verdict read the Zak row
+sums: the prototype's squared polyphase norms folded over R, an (M, Q) grid.
 
 The designed prototype has 2T taps.  Its odd-indexed taps are a linear
 function of the even-indexed ones (chosen so the first T derivatives of the
@@ -27,12 +27,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signals import FilterBank, Signal, modulate
+from .analysis import FrameBounds, autocorrelation_defect, isometry_defect
+from .signals import FilterBank, Signal, modulate, translate_matrix
 
 __all__ = [
     "GaborSystem",
     "gabor_bank",
     "zak_row_sums",
+    "gabor_frame_bounds",
+    "gabor_tightness",
     "flatness_solve_odd",
     "tightness_residual",
     "tightness_jacobian",
@@ -81,20 +84,50 @@ def gabor_bank(sys: GaborSystem) -> FilterBank:
 
 
 def zak_row_sums(sys: GaborSystem) -> np.ndarray:
-    """M x (Q*R) grid: M * sum_r |Zak(m, r)|^2 at every root.
+    """M x Q grid: M * sum_r |Zak(m, r)|^2 at roots 0 .. Q-1 (then it repeats).
 
     The extreme entries are the optimal frame bounds of the bank; a tight
     design makes every entry equal to the redundancy R.  Raises ValueError
     when the sums are not finite.
     """
     # imported per call, so a patched fbff.polyphase.zak_power_rows is seen
-    from .polyphase import zak_of, zak_power_rows
+    from .polyphase import decompose, zak_power_rows
 
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
-        rows = sys.rate * zak_power_rows(zak_of(sys.prototype, sys.rate, sys.redundancy))
+        rows = sys.rate * zak_power_rows(decompose(sys.prototype, sys.rate), sys.redundancy)
     if not np.all(np.isfinite(rows)):
         raise ValueError("Zak row sums are not finite (samples too large)")
     return rows
+
+
+def gabor_frame_bounds(phi: Signal, m: int, q: int, r: int) -> FrameBounds:
+    """Optimal bounds of the translate-and-modulate bank built on ``phi``.
+
+    The evaluated Gram of such a bank is diagonal, with entry m equal to
+    M times the squared-modulus row sum of the Zak matrix; the bounds are
+    the extreme values of that grid, whose Q roots are its ``per_root``.
+    """
+    return FrameBounds(np.sort(zak_row_sums(GaborSystem(phi, m, q, r)).T, axis=1))
+
+
+def gabor_tightness(phi: Signal, m: int, q: int, r: int, tol: float = 1e-9) -> bool:
+    """Whether the translate-and-modulate bank on ``phi`` is a tight frame.
+
+    It is iff each component s_k = sqrt(M) * phi[k::M] has orthonormal
+    R-translates.  Their defect is read from the Zak row sums over R, which
+    are the components' squared polyphase norms, and from the dense
+    translate Grams.  The verdict is Zak defect <= tol; defects differing
+    beyond rounding, 1e-12 of max(1, defect), raise RuntimeError.
+    """
+    rows = zak_row_sums(GaborSystem(phi, m, q, r))
+    zak_defect = float(np.max(autocorrelation_defect(rows / r)))
+    comps = (Signal(np.sqrt(m) * phi.samples[k::m]) for k in range(m))
+    time_defect = max(isometry_defect(translate_matrix(c, r)) for c in comps)
+    if abs(zak_defect - time_defect) > 1e-12 * max(1.0, zak_defect):
+        raise RuntimeError(
+            f"tightness defects disagree: Zak {zak_defect:.3e}, Gram {time_defect:.3e}"
+        )
+    return zak_defect <= tol
 
 
 # -- max-flat design ----------------------------------------------------------
@@ -324,8 +357,9 @@ def design_maxflat(
     Each restart draws Gaussian even taps (normalized to squared norm 1/2),
     derives the odd taps from the flatness system, and runs damped least
     squares on the tightness residual with its exact Jacobian.  The first
-    restart whose residual infinity norm reaches ``tol`` wins; running out
-    of restarts reports the best attempt with ``converged=False``.
+    restart whose residual infinity norm and returned design's
+    :func:`gabor_tightness` both pass ``tol`` wins; running out of restarts
+    reports the smallest residual with ``converged=False``.
     Odd T gives T + 1 residual equations in T unknowns, yet solutions exist
     as for even T: with seed 1, every odd T up to 11 converges at restart 0.
     """
@@ -342,7 +376,7 @@ def design_maxflat(
     if 2 * t > 4 * q:
         raise ValueError(f"2T = {2 * t} taps do not fit in period {4 * q}")
 
-    best = (np.inf, -1, 0, None)  # residual, restart, iterations, even taps
+    best = (np.inf, -1, 0)  # residual, restart, iterations of the closest attempt
     trace = []
     for restart in range(restarts):
         rng = _restart_rng(seed, restart)
@@ -357,19 +391,20 @@ def design_maxflat(
         res_inf = float(np.max(np.abs(run.residual)))
         trace.append((res_inf, run.iterations))
         if res_inf < best[0]:
-            best = (res_inf, restart, run.iterations, run.x)
+            best = (res_inf, restart, run.iterations)
         if res_inf <= tol:
-            break
-    res_inf, restart, iterations, even = best
-    converged = res_inf <= tol
-    taps = signal = None
-    if converged:
-        taps = interleave_taps(even, flatness_solve_odd(even))
-        # no-op within tolerance: the 1/2-targets force unit norm
-        taps = taps / np.linalg.norm(taps)
-        signal = embed_taps(taps, q)
+            taps = interleave_taps(run.x, flatness_solve_odd(run.x))
+            # no-op within tolerance: the 1/2-targets force unit norm
+            taps = taps / np.linalg.norm(taps)
+            signal = embed_taps(taps, q)
+            if gabor_tightness(signal, 2, q, 2, tol):
+                best = (res_inf, restart, run.iterations)
+                break
+    else:
+        taps = signal = None
+    res_inf, restart, iterations = best
     return MaxFlatResult(
-        converged=converged,
+        converged=signal is not None,
         taps=taps,
         signal=signal,
         residual_inf=res_inf,

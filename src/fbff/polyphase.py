@@ -1,12 +1,12 @@
-"""Polyphase decomposition, polyphase and Zak matrices, and their evaluation.
+"""Polyphase decomposition, polyphase matrices, and their evaluation.
 
 A filter of period M * P splits into M cyclic polynomials of period P, one
 per residue class of the sample index mod M.  Stacking the components of N
 filters column by column gives the M x N polyphase matrix, held as one
-complex (M, N, P) coefficient array; a single filter is an M x 1 matrix and
-its Zak matrix an M x R one.  Evaluating the matrix at the P-th roots of
-unity reduces every frame-theoretic question about the bank to
-finite-dimensional linear algebra, one root at a time.
+complex (M, N, P) coefficient array; a single filter is an M x 1 matrix.
+Evaluating it at the P-th roots of unity reduces every frame-theoretic
+question about the bank to finite-dimensional linear algebra, one root at a
+time; a filter's Zak row sums are its squared polyphase norms folded over R.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cyclic import CyclicPoly, twist
+from .cyclic import CyclicPoly
 from .signals import FilterBank, Signal
 
 __all__ = [
@@ -27,7 +27,6 @@ __all__ = [
     "eval_matrix",
     "eval_all_roots",
     "gram",
-    "zak_of",
     "zak_power_rows",
     "pp_inner",
 ]
@@ -126,25 +125,18 @@ def gram(mat: PolyphaseMatrix, p: int) -> np.ndarray:
     return e @ e.conj().T
 
 
-def zak_of(phi: Signal, m: int, r_count: int) -> PolyphaseMatrix:
-    """Zak matrix of a filter (m x r_count): entry (m, r) twists component m
-    by r of R, so column 0 is the plain polyphase vector."""
-    vec = decompose(phi, m)
-    if r_count < 1 or vec.period % r_count != 0:
-        raise ValueError(
-            f"redundancy {r_count} must divide inner period {vec.period}"
-        )
-    return PolyphaseMatrix(
-        np.concatenate([twist(vec.coeffs, r, r_count) for r in range(r_count)], axis=1)
-    )
+def zak_power_rows(vec: PolyphaseMatrix, r_count: int) -> np.ndarray:
+    """Row sums of squared moduli across the Zak columns of the filter whose
+    M x 1 polyphase vector is ``vec``, by one FFT of ``vec``.
 
-
-def zak_power_rows(zak: PolyphaseMatrix) -> np.ndarray:
-    """Row sums of squared moduli across the Zak columns, at every root.
-
-    Returns a real (M, P) grid: entry (m, p) is sum_r |Zak[m, r](z_p)|^2.
+    Zak column r evaluates to column 0's values shifted by rQ roots (P = QR),
+    so entry (m, p) of the real (M, Q) grid is the folded sum_r
+    |E_m(z_{p + rQ})|^2; the row sums repeat with period Q.
     """
-    return np.sum(np.abs(eval_all_roots(zak)) ** 2, axis=1)
+    if r_count < 1 or vec.period % r_count != 0:
+        raise ValueError(f"redundancy {r_count} must divide inner period {vec.period}")
+    power = np.abs(eval_all_roots(vec)) ** 2
+    return power.reshape(vec.n_rows, -1, r_count, vec.period // r_count).sum(axis=(1, 2))
 
 
 def pp_inner(phi: Signal, psi: Signal, m: int) -> complex:

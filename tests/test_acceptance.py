@@ -14,8 +14,6 @@ from fbff.analysis import (
     channel_is_projection,
     frame_bounds,
     fusion_report,
-    gabor_frame_bounds,
-    gabor_tightness,
     verify_weighted_parseval,
 )
 from fbff.constructions import (
@@ -24,7 +22,13 @@ from fbff.constructions import (
     mercedes_benz,
     modulated_daubechies_stack,
 )
-from fbff.gabor import GaborSystem, design_maxflat, gabor_bank
+from fbff.gabor import (
+    GaborSystem,
+    design_maxflat,
+    gabor_bank,
+    gabor_frame_bounds,
+    gabor_tightness,
+)
 from fbff.multilevel import (
     compose_tree,
     dwt_tree,

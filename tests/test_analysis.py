@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fbff import analysis
 from fbff.analysis import (
     channel_defect,
     channel_is_projection,
@@ -10,7 +11,13 @@ from fbff.analysis import (
     report_to_json,
     verify_weighted_parseval,
 )
-from fbff.constructions import daubechies4, daubechies_mercedes, mercedes_benz, modulated_daubechies_stack
+from fbff.constructions import (
+    daubechies4,
+    daubechies_mercedes,
+    mercedes_benz,
+    modulated_daubechies_stack,
+    named_bank,
+)
 from fbff.polyphase import bank_of, matrix_of
 from fbff.signals import FilterBank, Signal, translate_matrix
 
@@ -216,6 +223,44 @@ def test_channel_defect_is_the_largest_autocorrelation_defect():
     t = translate_matrix(phi, 3)
     expected = np.max(np.abs(t.conj().T @ t - np.eye(4)))
     assert channel_defect(phi, 3) == pytest.approx(expected, rel=1e-12)
+
+
+def _random_banks():
+    rng = np.random.default_rng(11)
+    for m, n, p in [(1, 2, 3), (2, 3, 4), (3, 5, 2), (2, 2, 8), (4, 6, 5)]:
+        filters = tuple(
+            Signal(rng.standard_normal(m * p) + 1j * rng.standard_normal(m * p)) for _ in range(n)
+        )
+        yield FilterBank(filters, m)
+
+
+def _ladder():
+    """Filter 0 of two projection banks scaled by 1 + d: its defect 2d + d^2
+    crosses tol 1e-9."""
+    for name in ("mercedes-benz", "daubechies4"):
+        fb = named_bank(name, 16)
+        for d in np.geomspace(1e-11, 1e-8, 30):
+            scaled = Signal((1.0 + d) * fb.filters[0].samples)
+            yield FilterBank((scaled,) + fb.filters[1:], fb.downsample)
+
+
+def _one_fft_channels(fb, tol):
+    """The report's channel verdicts, after checking that its one-FFT
+    defects agree with each filter decomposed on its own."""
+    per_filter = [channel_defect(phi, fb.downsample) for phi in fb.filters]
+    one_fft = analysis._column_defects(matrix_of(fb))
+    for got, want in zip(one_fft, per_filter, strict=True):
+        assert abs(got - want) <= 1e-12 * max(1.0, want)
+    channels = fusion_report(fb, tol=tol).channel_projection
+    assert channels == tuple(d <= tol for d in per_filter)
+    return channels
+
+
+def test_fusion_report_channels_match_the_per_filter_defects():
+    for fb in _random_banks():
+        _one_fft_channels(fb, 1e-9)
+    ladder = [_one_fft_channels(fb, 1e-9)[0] for fb in _ladder()]
+    assert 0 < sum(ladder) < len(ladder)
 
 
 def test_channel_projection_overflow_is_value_error():

@@ -8,12 +8,7 @@ import pytest
 
 from fbff import gabor
 
-from fbff.analysis import (
-    channel_is_projection,
-    fusion_report,
-    gabor_frame_bounds,
-    gabor_tightness,
-)
+from fbff.analysis import channel_is_projection, fusion_report
 from fbff.constructions import daubechies4
 from fbff.gabor import (
     GaborSystem,
@@ -21,6 +16,8 @@ from fbff.gabor import (
     embed_taps,
     flatness_solve_odd,
     gabor_bank,
+    gabor_frame_bounds,
+    gabor_tightness,
     interleave_taps,
     levenberg_marquardt,
     tightness_jacobian,
@@ -120,22 +117,24 @@ def test_modulation_commutation_identity():
 
 
 def test_zak_row_sums_delta():
-    # every twisted component of the delta evaluates to 1, so row 0 is the
-    # constant M * R and the other rows vanish; the dense spectrum of this
-    # degenerate bank (extremes 0 and M * R) pins the scale down
+    # every twisted component of the delta evaluates to 1, so row 0 of the
+    # (M, Q) grid is the constant M * R and the other rows vanish; the dense
+    # spectrum of this degenerate bank (extremes 0 and M * R) pins the scale
     sys_ = GaborSystem(Signal.delta(0, 8), 2, 2, 2)
     rows = zak_row_sums(sys_)
-    np.testing.assert_allclose(rows[0], 4.0 * np.ones(4), atol=1e-12)
-    np.testing.assert_allclose(rows[1], np.zeros(4), atol=1e-12)
+    assert rows.shape == (2, 2)
+    np.testing.assert_allclose(rows[0], 4.0 * np.ones(2), atol=1e-12)
+    np.testing.assert_allclose(rows[1], np.zeros(2), atol=1e-12)
     spectrum = dense_frame_spectrum(densify(gabor_bank(sys_)))
     assert spectrum[0] == pytest.approx(0.0, abs=1e-12)
     assert spectrum[-1] == pytest.approx(4.0, abs=1e-12)
 
 
-def test_zak_row_sums_extremes_match_dense():
+@pytest.mark.parametrize("m, q, r", [(2, 2, 2), (3, 2, 2), (2, 3, 4), (1, 4, 3)])
+def test_zak_row_sums_extremes_match_dense(m, q, r):
     rng = np.random.default_rng(3)
-    phi = _random_signal(rng, 8)
-    sys_ = GaborSystem(phi, 2, 2, 2)
+    phi = _random_signal(rng, m * q * r)
+    sys_ = GaborSystem(phi, m, q, r)
     rows = zak_row_sums(sys_)
     spectrum = dense_frame_spectrum(densify(gabor_bank(sys_)))
     assert rows.min() == pytest.approx(max(spectrum[0], 0.0), abs=1e-8)
@@ -426,13 +425,23 @@ def test_design_odd_half_length_reports_outcome():
     # odd T gives T + 1 residual equations in T unknowns, yet every odd T up
     # to 11 converges at the first restart, and the result passes the
     # tightness check for real; T = 11 stops at residual 5.3e-10, whose Zak
-    # defect 1.05e-9 passes only at the CLI's verdict tolerance 1e-7
+    # defect 1.05e-9 passes the search's tol 1e-8 but not 1e-9
     for t in (1, 3, 5, 7, 9, 11):
         result = design_maxflat(t, seed=1)
         assert result.converged and result.restart == 0, t
         assert result.residual_inf <= 1e-8
-        tol = 1e-7 if t == 11 else 1e-9
+        tol = 1e-8 if t == 11 else 1e-9
         assert gabor_tightness(result.signal, 2, result.block, 2, tol=tol), t
+
+
+def test_design_converges_only_on_the_verdict_it_reports():
+    # at tol 1e-9, restart 0 of T = 11 (residual 5.3e-10, Zak defect
+    # 1.05e-9) is rejected by the tightness verdict, and the search goes on
+    result = design_maxflat(11, seed=1, tol=1e-9)
+    assert result.converged and result.restart > 0
+    assert result.trace[0][0] <= 1e-9
+    assert result.residual_inf <= 1e-9
+    assert gabor_tightness(result.signal, 2, result.block, 2, tol=1e-9)
 
 
 def test_design_failure_is_reported_not_raised():

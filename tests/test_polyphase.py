@@ -13,7 +13,6 @@ from fbff.polyphase import (
     matrix_of,
     pp_inner,
     reconstruct,
-    zak_of,
     zak_power_rows,
 )
 from fbff.signals import FilterBank, Signal, inner, translate
@@ -139,50 +138,33 @@ def test_gram_hermitian():
         np.testing.assert_allclose(g, g.conj().T, atol=1e-14)
 
 
-def test_zak_single_column_is_polyphase_vector():
-    rng = np.random.default_rng(5)
-    phi = _random_signal(rng, 8)
-    zak = zak_of(phi, 2, 1)
-    vec = decompose(phi, 2)
-    assert zak.n_cols == 1
-    for m in range(2):
-        assert zak.entry(m, 0) == vec.entry(m, 0)
-
-
-def test_zak_of_delta():
-    zak = zak_of(Signal.delta(0, 8), 2, 2)
-    for r in range(2):
-        assert zak.entry(0, r) == CyclicPoly.constant(1.0, 4)
-        assert zak.entry(1, r) == CyclicPoly.zero(4)
-
-
-def test_zak_columns_are_twists_of_column_zero():
-    rng = np.random.default_rng(6)
-    phi = _random_signal(rng, 16)
-    zak = zak_of(phi, 2, 4)
-    for m in range(2):
-        for r in range(4):
-            assert zak.entry(m, r) == zak.entry(m, 0).twist(r, 4)
-
-
-def test_zak_2x2_structure():
+@pytest.mark.parametrize(
+    "m, q, r", [(2, 2, 2), (1, 3, 1), (3, 1, 4), (2, 4, 3), (3, 2, 1), (1, 1, 2)]
+)
+def test_zak_power_rows_fold_the_twisted_columns(m, q, r):
+    # reference: the Zak matrix's columns, component m twisted by r of R,
+    # evaluated root by root; the folded grid is its first Q roots, and the
+    # reference repeats with period Q
     rng = np.random.default_rng(7)
-    phi = _random_signal(rng, 8)  # M=2, Q=2, R=2
-    zak = zak_of(phi, 2, 2)
-    vec = decompose(phi, 2)
-    assert zak.n_rows == 2 and zak.n_cols == 2
-    for m in range(2):
-        assert zak.entry(m, 0) == vec.entry(m, 0)
-        assert zak.entry(m, 1) == vec.entry(m, 0).twist(1, 2)
-    # power rows sum the squared moduli of the two twisted evaluations
-    rows = zak_power_rows(zak)
-    for m in range(2):
-        for p in range(4):
-            expect = (
-                abs(vec.entry(m, 0).eval_at_root(p)) ** 2
-                + abs(vec.entry(m, 0).twist(1, 2).eval_at_root(p)) ** 2
-            )
-            assert rows[m, p] == pytest.approx(expect, abs=1e-12)
+    phi = _random_signal(rng, m * q * r)
+    vec = decompose(phi, m)
+    rows = zak_power_rows(vec, r)
+    expect = np.array(
+        [
+            [
+                sum(abs(vec.entry(k, 0).twist(s, r).eval_at_root(p)) ** 2 for s in range(r))
+                for p in range(q * r)
+            ]
+            for k in range(m)
+        ]
+    )
+    assert rows.shape == (m, q)
+    np.testing.assert_allclose(np.tile(rows, r), expect, rtol=0, atol=1e-12 * expect.max())
+
+
+def test_zak_power_rows_needs_a_divisor():
+    with pytest.raises(ValueError, match="redundancy"):
+        zak_power_rows(decompose(Signal.delta(0, 8), 2), 3)
 
 
 def test_pp_inner_delta():

@@ -21,7 +21,6 @@ TRACER = ROOT / "perfbench" / "tracer.py"
 # form of a claim the tests check, or the reference another function is
 # tested against.
 TEST_ONLY = {
-    "gabor_tightness",  # test_acceptance.py, criteria 8 and 9
     "dwt_tree",  # test_acceptance.py, criterion 5
     "packet_tree",  # test_acceptance.py, criterion 5
     "translate",  # test_acceptance.py, criterion 10
