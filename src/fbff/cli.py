@@ -24,7 +24,7 @@ from .signals import (
     signal_to_json,
 )
 
-__all__ = ["main", "frequency_table", "write_frequency_table", "build_bank"]
+__all__ = ["main", "frequency_table", "write_frequency_table"]
 
 _USAGE_ERROR = 2
 _VERIFY_ERROR = 1
@@ -64,25 +64,25 @@ def write_frequency_table(fb: FilterBank, n_samples: int, path=None) -> None:
     _write_text("\n".join(lines) + "\n", path)
 
 
-def build_bank(name: str, period: int, args=None) -> FilterBank:
-    """Build a named bank; composite names consume extra arguments."""
+def _named_bank(args) -> FilterBank:
+    """The bank ``build`` names; composite names read their extra options."""
+    name, period = args.name, args.period
     if name in constructions.NAMED_MATRICES:
         return constructions.named_bank(name, period)
-    if name in ("union", "tensor"):
-        raw, flag, combine = {
-            "union": (args.parts, "--parts", constructions.union),
-            "tensor": (args.factors, "--factors", constructions.tensor),
-        }[name]
-        parts = _split_names(raw, f"{name} needs {flag} name1,name2")
-        mats = [constructions.named_matrix(p, period) for p in parts]
-        return bank_of(functools.reduce(combine, mats))
     if name == "paraunitary-chain":
         return bank_of(
-            constructions.paraunitary_chain(
-                args.dim, args.count, period, seed=args.seed
-            )
+            constructions.paraunitary_chain(args.dim, args.count, period, seed=args.seed)
         )
-    raise ValueError(f"unknown bank name: {name!r}")
+    if name not in ("union", "tensor"):
+        raise ValueError(f"unknown bank name: {name!r}")
+    flag, combine = (
+        ("parts", constructions.union) if name == "union" else ("factors", constructions.tensor)
+    )
+    parts = [p.strip() for p in (getattr(args, flag) or "").split(",") if p.strip()]
+    if len(parts) < 2:
+        raise ValueError(f"{name} needs --{flag} name1,name2")
+    mats = [constructions.named_matrix(p, period) for p in parts]
+    return bank_of(functools.reduce(combine, mats))
 
 
 def _tolerance(text: str) -> float:
@@ -91,15 +91,6 @@ def _tolerance(text: str) -> float:
     if not 0.0 <= value < np.inf:
         raise argparse.ArgumentTypeError(f"tolerance must be finite and >= 0, got {text}")
     return value
-
-
-def _split_names(raw, message):
-    if not raw:
-        raise ValueError(message)
-    names = [p.strip() for p in raw.split(",") if p.strip()]
-    if len(names) < 2:
-        raise ValueError(message)
-    return names
 
 
 def _write_json(obj, path=None) -> None:
@@ -124,25 +115,25 @@ def _load_bank(path: str) -> FilterBank:
 
 
 def _cmd_build(args) -> int:
-    fb = build_bank(args.name, args.period, args)
-    _write_json(bank_to_json(fb), args.out)
+    _write_json(bank_to_json(_named_bank(args)), args.out)
     return 0
 
 
-def _checked_report(args):
-    """The bank file's fusion report and its JSON, plus ``--oracle``'s verdict."""
+def _cmd_report(args) -> int:
+    """``analyze`` and ``verify``: the bank file's fusion report as JSON, plus
+    ``--oracle``'s verdict.  Exit 1 when the oracle disagrees; ``verify`` also
+    writes ``ok``, which needs ``is_puntf`` too, and exits 1 when it is false."""
     fb = _load_bank(args.bank)
     rep = analysis.fusion_report(fb, tol=args.tol)
     out = analysis.report_to_json(rep)
+    ok = True
     if args.oracle:
         out["oracle"] = oracle.cross_check(fb, rep, args.oracle_tol)
-    return rep, out
-
-
-def _cmd_analyze(args) -> int:
-    _, out = _checked_report(args)
+        ok = out["oracle"]["agrees"]
+    if args.cmd == "verify":
+        ok = out["ok"] = bool(rep.is_puntf and ok)
     _write_json(out, args.out)
-    return _VERIFY_ERROR if args.oracle and not out["oracle"]["agrees"] else 0
+    return 0 if ok else _VERIFY_ERROR
 
 
 def _cmd_freq(args) -> int:
@@ -166,6 +157,8 @@ def _max_tree_rate(obj) -> int:
 
 
 def _cmd_compose(args) -> int:
+    if args.inner_dim < 1:
+        raise ValueError(f"--inner-dim must be positive, got {args.inner_dim}")
     spec = _load_json(args.tree)
     ambient = args.inner_dim * _max_tree_rate(spec)
     tree = multilevel.tree_from_json(spec, lambda s: constructions.named_bank(s, ambient))
@@ -230,18 +223,22 @@ def _cmd_design_maxflat(args) -> int:
     return 0 if result.converged else _VERIFY_ERROR
 
 
-def _cmd_verify(args) -> int:
-    rep, out = _checked_report(args)
-    out["ok"] = bool(rep.is_puntf and (not args.oracle or out["oracle"]["agrees"]))
-    _write_json(out, args.out)
-    return 0 if out["ok"] else _VERIFY_ERROR
-
-
+@functools.cache  # one parser per process: main only parses and dispatches
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fbff",
         description="Construct and verify filter bank fusion frames.",
     )
+    report = argparse.ArgumentParser(add_help=False)  # analyze and verify share these
+    report.add_argument("bank")
+    report.add_argument("--tol", type=_tolerance, default=1e-9)
+    report.add_argument(
+        "--oracle",
+        action="store_true",
+        help="cross-check against the dense oracle; exit 1 on disagreement",
+    )
+    report.add_argument("--oracle-tol", type=_tolerance, default=1e-8)
+    report.add_argument("--out")
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("build", help="emit a named bank as JSON")
@@ -259,17 +256,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=_cmd_build)
 
-    p = sub.add_parser("analyze", help="fusion-frame report for a bank JSON")
-    p.add_argument("bank")
-    p.add_argument("--tol", type=_tolerance, default=1e-9)
-    p.add_argument(
-        "--oracle",
-        action="store_true",
-        help="cross-check against the dense oracle; exit 1 on disagreement",
-    )
-    p.add_argument("--oracle-tol", type=_tolerance, default=1e-8)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_analyze)
+    p = sub.add_parser("analyze", parents=[report], help="fusion-frame report for a bank JSON")
+    p.set_defaults(func=_cmd_report)
 
     p = sub.add_parser("freq", help="CSV table of squared frequency responses")
     p.add_argument("bank")
@@ -301,23 +289,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "verify",
+        parents=[report],
         help="assert a bank is a tight fusion frame with projection channels "
         "(the zero bank is reported as not tight)",
     )
-    p.add_argument("bank")
-    p.add_argument("--tol", type=_tolerance, default=1e-9)
-    p.add_argument("--oracle", action="store_true", help="add dense cross-checks")
-    p.add_argument("--oracle-tol", type=_tolerance, default=1e-8)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_verify)
+    p.set_defaults(func=_cmd_report)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -143,6 +143,8 @@ def translate(x: Signal, k: int) -> Signal:
 def translate_matrix(x: Signal, m: int) -> np.ndarray:
     """The P x (P/m) matrix whose column k is ``translate(x, m * k)``; m | P."""
     p = x.period
+    if m < 1 or p % m != 0:
+        raise ValueError(f"translation step {m} must divide period {p}")
     return x.samples[(np.arange(p)[:, None] - m * np.arange(p // m)) % p]
 
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -422,19 +423,24 @@ def _malformed_bank(edit):
 
 
 @pytest.mark.parametrize(
-    "argv_head,payload",
+    "argv_head,payload,message",
     [
-        (("analyze",), _malformed_bank(lambda o: o["filters"][0]["samples"][0].__setitem__(0, float("nan")))),
-        (("analyze",), _malformed_bank(lambda o: o["filters"][1]["samples"][2].__setitem__(1, float("inf")))),
-        (("analyze",), _malformed_bank(lambda o: o.pop("downsample"))),
-        (("analyze",), [bank_to_json(named_bank("mercedes-benz", 2))]),
-        (("analyze",), _malformed_bank(lambda o: o["filters"][0]["samples"].__setitem__(1, ["0.5", 0.0]))),
-        (("compose", "--inner-dim", "4", "--tree"), {"bank": 5}),
-        (("build", "mercedes-benz", "--period", "0"), None),
+        (("analyze",), _malformed_bank(lambda o: o["filters"][0]["samples"][0].__setitem__(0, float("nan"))), "samples must be finite"),
+        (("analyze",), _malformed_bank(lambda o: o["filters"][1]["samples"][2].__setitem__(1, float("inf"))), "samples must be finite"),
+        (("analyze",), _malformed_bank(lambda o: o.pop("downsample")), "bank must be an object"),
+        (("analyze",), [bank_to_json(named_bank("mercedes-benz", 2))], "bank must be an object"),
+        (("analyze",), _malformed_bank(lambda o: o["filters"][0]["samples"].__setitem__(1, ["0.5", 0.0])), "samples must be a list"),
+        (("compose", "--inner-dim", "4", "--tree"), {"bank": 5}, "bank must be an object"),
+        (("build", "mercedes-benz", "--period", "0"), None, "period must be positive"),
+        (("compose", "--inner-dim", "0", "--tree"), {"bank": "example7"}, "--inner-dim must be positive, got 0"),
+        (("compose", "--inner-dim", "-2", "--tree"), {"bank": bank_to_json(named_bank("daubechies4", 2))}, "--inner-dim must be positive, got -2"),
     ],
-    ids=["nan-sample", "inf-sample", "no-downsample", "top-level-list", "string-sample", "tree-bank-5", "period-0"],
+    ids=[
+        "nan-sample", "inf-sample", "no-downsample", "top-level-list", "string-sample", "tree-bank-5",
+        "period-0", "inner-dim-0", "inner-dim-negative",
+    ],
 )
-def test_malformed_input_is_usage_error(capsys, tmp_path, argv_head, payload):
+def test_malformed_input_is_usage_error(capsys, tmp_path, argv_head, payload, message):
     argv = list(argv_head)
     if payload is not None:
         path = tmp_path / "input.json"
@@ -442,27 +448,29 @@ def test_malformed_input_is_usage_error(capsys, tmp_path, argv_head, payload):
         argv.append(str(path))
     code, out, err = _run(capsys, *argv)
     assert code == 2
-    assert err.startswith("error:") and "Traceback" not in err
+    assert err.startswith("error:") and message in err and "Traceback" not in err
     assert out == ""
+
+
+_BAD_REPORT_TOLERANCES = {
+    "nan": ("--tol", "nan"),
+    "inf": ("--tol", "inf"),
+    "minus-inf": ("--tol=-inf",),
+    "negative": ("--tol", "-1"),
+    "oracle-negative": ("--oracle", "--oracle-tol", "-1"),
+    "oracle-inf": ("--oracle", "--oracle-tol", "inf"),
+}
 
 
 @pytest.mark.parametrize(
     "argv",
-    [
-        ("verify", "{bank}", "--tol", "nan"),
-        ("verify", "{bank}", "--tol", "-1"),
-        ("verify", "{bank}", "--tol", "inf"),
-        ("verify", "{bank}", "--tol=-inf"),
-        ("analyze", "{bank}", "--tol", "nan"),
-        ("verify", "{bank}", "--oracle", "--oracle-tol", "-1"),
-        ("analyze", "{bank}", "--oracle", "--oracle-tol", "inf"),
+    [(cmd, "{bank}", *opts) for cmd in ("analyze", "verify") for opts in _BAD_REPORT_TOLERANCES.values()]
+    + [
         ("compose", "--tree", "{tree}", "--inner-dim", "4", "--verify", "--tol", "inf"),
         ("design-maxflat", "--half-taps", "2", "--restarts", "1", "--tol", "nan"),
     ],
-    ids=[
-        "verify-nan", "verify-negative", "verify-inf", "verify-minus-inf", "analyze-nan",
-        "oracle-negative", "oracle-inf", "compose-inf", "maxflat-nan",
-    ],
+    ids=[f"{cmd}-{case}" for cmd in ("analyze", "verify") for case in _BAD_REPORT_TOLERANCES]
+    + ["compose-inf", "maxflat-nan"],
 )
 def test_bad_tolerance_is_usage_error(capsys, tmp_path, argv):
     bank = _build(capsys, tmp_path, "mercedes-benz", 2)
@@ -549,6 +557,40 @@ def test_package_runs_as_a_process(tmp_path):
         run = subprocess.run(fbff + argv, env=env, cwd=tmp_path, capture_output=True, text=True)
         assert run.returncode == 0, run.stderr
     assert json.loads(run.stdout)["ok"] is True
+
+
+def test_commands_in_one_process_match_each_run_alone(capsys, tmp_path, monkeypatch):
+    # one parser serves every call in a process: an --oracle flag or a parse
+    # error must not carry over to the next call, and no parser is rebuilt
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    bank = str(_build(capsys, tmp_path, "example7", 4))
+    sequence = [
+        ["verify", bank, "--oracle"],
+        ["verify", bank],
+        ["analyze", bank, "--tol", "nan"],
+        ["analyze", bank],
+    ]
+    alone = [
+        subprocess.run([sys.executable, "-m", "fbff", *argv], env=env, cwd=tmp_path, capture_output=True, text=True)
+        for argv in sequence
+    ]
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    together = [_run(capsys, *sequence[0])]
+    after_first = len(built)
+    together += [_run(capsys, *argv) for argv in sequence[1:]]
+    assert len(built) == after_first
+    assert [(code, out) for code, out, _ in together] == [(r.returncode, r.stdout) for r in alone]
+    assert [code for code, _, _ in together] == [0, 0, 2, 0]
+    assert "oracle" in json.loads(together[0][1]) and "oracle" not in json.loads(together[1][1])
+    assert "tolerance" in together[2][2]
 
 
 def _deep_bank_text(depth):

@@ -21,6 +21,7 @@ from fbff.signals import (
     signal_to_json,
     synthesis_apply,
     translate,
+    translate_matrix,
     upsample,
 )
 
@@ -243,6 +244,13 @@ def test_translate_matrix_operators_match_convolution_formulas(m):
     phi, psi = fb.filters[0], ys[0]
     close(equivalent_filter(phi, psi, m), circ_convolve(phi, upsample(psi, m)))
     close(circ_convolve(x, fb.filters[1]), direct_convolve(x, fb.filters[1]))
+
+
+@pytest.mark.parametrize("m", [4, 0, -2, 12])
+def test_translate_matrix_requires_positive_divisor(m):
+    # a 6-sample signal: no step coerced to a 6 x 1, 6 x 0 or 6 x 6 matrix
+    with pytest.raises(ValueError, match="must divide period 6"):
+        translate_matrix(Signal.delta(0, 6), m)
 
 
 def test_periodize_identity():
