@@ -17,7 +17,7 @@ import sys
 
 from fbff.cli import write_frequency_table
 from fbff.constructions import named_bank
-from fbff.gabor import GaborSystem, design_maxflat, gabor_bank
+from fbff.gabor import design_maxflat, gabor_bank
 
 
 def write_table(fb, n_samples, path):
@@ -52,7 +52,7 @@ def main() -> int:
         f"max-flat T={args.half_taps}: restart {result.restart}, "
         f"residual {result.residual_inf:.2e}"
     )
-    bank = gabor_bank(GaborSystem(result.signal, 2, result.block, 2))
+    bank = gabor_bank(result.signal, 2, 2)
     write_table(bank, args.samples, outdir / "maxflat_responses.csv")
 
     taps_path = outdir / "maxflat_taps.csv"

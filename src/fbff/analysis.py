@@ -43,10 +43,6 @@ __all__ = [
     "verify_weighted_parseval",
 ]
 
-# Relative gap guard for the tightness verdict; keeps the zero bank from
-# reporting a vacuous "tight".
-_TIGHT_EPS = 1e-300
-
 _HERMITIAN_TOL = 1e-10
 _JACOBI_OFF_TOL = 1e-13
 _MAX_SWEEPS = 100
@@ -170,7 +166,7 @@ class FrameBounds:
 
     def is_tight(self, tol: float) -> bool:
         """Whether B > 0 and B - A <= tol * B: the zero bank is not tight."""
-        return bool(self.B > 0 and self.B - self.A <= tol * max(self.B, _TIGHT_EPS))
+        return bool(self.B > 0 and self.B - self.A <= tol * self.B)
 
 
 def gram_stack(mat: PolyphaseMatrix) -> np.ndarray:

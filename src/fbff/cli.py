@@ -168,16 +168,16 @@ def _cmd_compose(args) -> int:
         "leaves": [
             {
                 "weight": {"num": w.numerator, "den": w.denominator},
-                "rank": rank,
+                "rank": leaf.inner_period,
                 "rate": leaf.downsample,
                 "filter": signal_to_json(leaf.filters[0]),
             }
-            for leaf, w, rank in leaves
+            for leaf, w in leaves
         ],
     }
     status = 0
     if args.verify:
-        ok, residual = multilevel.verify_tree(leaves, ambient, tol=args.tol)
+        ok, residual = multilevel.verify_tree(leaves, tol=args.tol)
         out["verified"] = ok
         out["max_residual"] = residual
         if not ok:
@@ -196,7 +196,7 @@ def _cmd_design_maxflat(args) -> int:
     )
     report = {
         "converged": result.converged,
-        "half_taps": result.half_taps,
+        "half_taps": args.half_taps,
         "residual_inf": result.residual_inf,
         "restart": result.restart,
         "iterations": result.iterations,
@@ -207,8 +207,7 @@ def _cmd_design_maxflat(args) -> int:
         ],
     }
     if result.converged:
-        lattice = (2, result.block, 2)  # M, Q, R: M * R = 4 channels
-        bounds = gabor.gabor_frame_bounds(result.signal, *lattice)
+        bounds = gabor.gabor_frame_bounds(result.signal, 2, 2)  # M = R = 2: 4 channels
         proj = analysis.channel_is_projection(result.signal, 2, _DESIGN_TOL)
         report["A"] = bounds.A
         report["B"] = bounds.B

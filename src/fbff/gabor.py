@@ -1,7 +1,8 @@
 """Translate-and-modulate (Gabor) banks and the max-flat prototype design.
 
 A Gabor bank takes M*R regular modulates of one prototype of period M*Q*R
-and downsamples by M.  Its bounds and tightness verdict read the Zak row
+and downsamples by M, so a system is (prototype, M, R) and its block Q is
+period / (M*R).  Its bounds and tightness verdict read the Zak row
 sums: the prototype's squared polyphase norms folded over R, an (M, Q) grid.
 
 The designed prototype has 2T taps.  Its odd-indexed taps are a linear
@@ -31,7 +32,6 @@ from .analysis import FrameBounds, autocorrelation_defect, isometry_defect
 from .signals import FilterBank, Signal, modulate, translate_matrix
 
 __all__ = [
-    "GaborSystem",
     "gabor_bank",
     "zak_row_sums",
     "gabor_frame_bounds",
@@ -48,69 +48,44 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GaborSystem:
-    """Prototype plus lattice parameters: rate M, block Q, redundancy R.
-
-    The bank has M*R channels, channel n being the prototype modulated by
-    Q*n, all downsampled by M over the inner period Q*R.
-    """
-
-    prototype: Signal
-    rate: int
-    block: int
-    redundancy: int
-
-    def __post_init__(self) -> None:
-        m, q, r = self.rate, self.block, self.redundancy
-        if m < 1 or q < 1 or r < 1:
-            raise ValueError("rate, block and redundancy must be positive")
-        if self.prototype.period != m * q * r:
-            raise ValueError(
-                f"prototype period {self.prototype.period} != {m}*{q}*{r}"
-            )
-
-    @property
-    def n_channels(self) -> int:
-        return self.rate * self.redundancy
+def gabor_bank(phi: Signal, m: int, r: int) -> FilterBank:
+    """The M*R modulates of ``phi`` by Q*n, Q = period / (M*R), downsampled
+    by M over the inner period Q*R, as a plain filter bank."""
+    if m < 1 or r < 1 or phi.period % (m * r):
+        raise ValueError(f"M*R = {m}*{r} must divide the prototype period {phi.period}")
+    q = phi.period // (m * r)
+    return FilterBank(tuple(modulate(phi, q * n) for n in range(m * r)), m)
 
 
-def gabor_bank(sys: GaborSystem) -> FilterBank:
-    """Materialize the modulated filters as a plain filter bank."""
-    filters = tuple(
-        modulate(sys.prototype, sys.block * n) for n in range(sys.n_channels)
-    )
-    return FilterBank(filters, sys.rate)
-
-
-def zak_row_sums(sys: GaborSystem) -> np.ndarray:
+def zak_row_sums(phi: Signal, m: int, r: int) -> np.ndarray:
     """M x Q grid: M * sum_r |Zak(m, r)|^2 at roots 0 .. Q-1 (then it repeats).
 
     The extreme entries are the optimal frame bounds of the bank; a tight
     design makes every entry equal to the redundancy R.  Raises ValueError
-    when the sums are not finite.
+    when M or R does not fit the prototype's period, or when the sums are
+    not finite.
     """
     # imported per call, so a patched fbff.polyphase.zak_power_rows is seen
     from .polyphase import decompose, zak_power_rows
 
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
-        rows = sys.rate * zak_power_rows(decompose(sys.prototype, sys.rate), sys.redundancy)
+        rows = m * zak_power_rows(decompose(phi, m), r)
     if not np.all(np.isfinite(rows)):
         raise ValueError("Zak row sums are not finite (samples too large)")
     return rows
 
 
-def gabor_frame_bounds(phi: Signal, m: int, q: int, r: int) -> FrameBounds:
+def gabor_frame_bounds(phi: Signal, m: int, r: int) -> FrameBounds:
     """Optimal bounds of the translate-and-modulate bank built on ``phi``.
 
     The evaluated Gram of such a bank is diagonal, with entry m equal to
     M times the squared-modulus row sum of the Zak matrix; the bounds are
     the extreme values of that grid, whose Q roots are its ``per_root``.
     """
-    return FrameBounds(np.sort(zak_row_sums(GaborSystem(phi, m, q, r)).T, axis=1))
+    return FrameBounds(np.sort(zak_row_sums(phi, m, r).T, axis=1))
 
 
-def gabor_tightness(phi: Signal, m: int, q: int, r: int, tol: float = 1e-9) -> bool:
+def gabor_tightness(phi: Signal, m: int, r: int, *, tol: float = 1e-9) -> bool:
     """Whether the translate-and-modulate bank on ``phi`` is a tight frame.
 
     It is iff each component s_k = sqrt(M) * phi[k::M] has orthonormal
@@ -119,7 +94,7 @@ def gabor_tightness(phi: Signal, m: int, q: int, r: int, tol: float = 1e-9) -> b
     translate Grams.  The verdict is Zak defect <= tol; defects differing
     beyond rounding, 1e-12 of max(1, defect), raise RuntimeError.
     """
-    rows = zak_row_sums(GaborSystem(phi, m, q, r))
+    rows = zak_row_sums(phi, m, r)
     zak_defect = float(np.max(autocorrelation_defect(rows / r)))
     comps = (Signal(np.sqrt(m) * phi.samples[k::m]) for k in range(m))
     time_defect = max(isometry_defect(translate_matrix(c, r)) for c in comps)
@@ -335,7 +310,6 @@ class MaxFlatResult:
     residual_inf: float
     restart: int
     iterations: int
-    half_taps: int
     block: int  # Q used for the embedding
     trace: tuple[tuple[float, int], ...]
 
@@ -397,7 +371,7 @@ def design_maxflat(
             # no-op within tolerance: the 1/2-targets force unit norm
             taps = taps / np.linalg.norm(taps)
             signal = embed_taps(taps, q)
-            if gabor_tightness(signal, 2, q, 2, tol):
+            if gabor_tightness(signal, 2, 2, tol=tol):
                 best = (res_inf, restart, run.iterations)
                 break
     else:
@@ -410,7 +384,6 @@ def design_maxflat(
         residual_inf=res_inf,
         restart=restart,
         iterations=iterations,
-        half_taps=t,
         block=q,
         trace=tuple(trace),
     )

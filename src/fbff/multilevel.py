@@ -28,8 +28,6 @@ from .signals import FilterBank, Signal, periodize, synthesis_apply, translate_m
 __all__ = [
     "equivalent_filter",
     "TreeNode",
-    "identity_leaf",
-    "bank_node",
     "dwt_tree",
     "packet_tree",
     "periodize_bank",
@@ -73,22 +71,13 @@ class TreeNode:
                 )
 
 
-def identity_leaf() -> TreeNode:
-    return TreeNode(None)
-
-
-def bank_node(bank: FilterBank, children=()) -> TreeNode:
-    return TreeNode(bank, tuple(children))
-
-
 def dwt_tree(bank: FilterBank, levels: int) -> TreeNode:
     """Classic tree: only channel 0 is re-expanded, ``levels`` times."""
     if levels < 1:
         raise ValueError("levels must be >= 1")
-    node = bank_node(bank)
+    node = TreeNode(bank)
     for _ in range(levels - 1):
-        children = [node] + [identity_leaf()] * (bank.n_channels - 1)
-        node = bank_node(bank, children)
+        node = TreeNode(bank, [node] + [TreeNode(None)] * (bank.n_channels - 1))
     return node
 
 
@@ -96,9 +85,9 @@ def packet_tree(bank: FilterBank, levels: int) -> TreeNode:
     """Full tree: every channel is re-expanded, ``levels`` times."""
     if levels < 1:
         raise ValueError("levels must be >= 1")
-    node = bank_node(bank)
+    node = TreeNode(bank)
     for _ in range(levels - 1):
-        node = bank_node(bank, [node] * bank.n_channels)
+        node = TreeNode(bank, [node] * bank.n_channels)
     return node
 
 
@@ -114,15 +103,15 @@ def periodize_bank(fb: FilterBank, filter_period: int) -> FilterBank:
 def compose_tree(tree: TreeNode, dim: int, tol: float = 1e-9):
     """Flatten a tree over an ambient dimension into weighted leaf channels.
 
-    Returns a list of (FilterBank, weight, rank) triples: the one-channel
-    bank of each leaf path, the product of the per-level channel weights M/N
-    as an exact fraction, and the leaf input dimension (its inner period).
-    Banks are folded to each level's period; every channel at every level
-    must have orthonormal translates, otherwise ValueError is raised.
+    Returns a list of (FilterBank, weight) pairs: the one-channel bank of
+    each leaf path, whose inner period is the leaf's rank, and the product of
+    the per-level channel weights M/N as an exact fraction.  Banks are folded
+    to each level's period; every channel at every level must have
+    orthonormal translates, otherwise ValueError is raised.
     """
     if tree.bank is None:
         raise ValueError("tree root must carry a bank")
-    leaves: list[tuple[FilterBank, Fraction, int]] = []
+    leaves: list[tuple[FilterBank, Fraction]] = []
     _walk(tree, dim, None, Fraction(1), leaves, tol)
     return leaves
 
@@ -141,7 +130,7 @@ def _walk(
         if not channel_is_projection(phi, m, tol):
             raise ValueError(f"channel {idx} translates are not orthonormal")
     channel_weight = Fraction(m, n)
-    children = node.children or tuple(identity_leaf() for _ in range(n))
+    children = node.children or (TreeNode(None),) * n
     for phi, child in zip(bank.filters, children):
         if prefix is None:
             eff = FilterBank((phi,), m)
@@ -150,16 +139,21 @@ def _walk(
             eff = FilterBank((equivalent_filter(outer, phi, rate),), rate * m)
         w = weight * channel_weight
         if child.bank is None:
-            leaves.append((eff, w, eff.inner_period))
+            leaves.append((eff, w))
         else:
             _walk(child, dim_here // m, eff, w, leaves, tol)
 
 
-def verify_tree(leaves, dim: int, tol: float = 1e-9):
-    """Check the flattened leaves against the weighted Parseval identity:
-    each leaf's dim x rank translate matrix T, formed when the check reaches
-    it, by the one rule max|T^H T - I| <= tol, and sum w T T^H against I."""
-    ts = ((translate_matrix(leaf.filters[0], leaf.downsample), w) for leaf, w, _ in leaves)
+def verify_tree(leaves, *, tol: float = 1e-9):
+    """Check the flattened leaves against the weighted Parseval identity on
+    their common filter period: each leaf's translate matrix T, formed when
+    the check reaches it, by the one rule max|T^H T - I| <= tol, and
+    sum w T T^H against I.  ValueError when there are no leaves or their
+    periods differ."""
+    if not leaves:
+        raise ValueError("verify_tree needs at least one leaf")
+    dim = leaves[0][0].filter_period
+    ts = ((translate_matrix(leaf.filters[0], leaf.downsample), w) for leaf, w in leaves)
     return verify_weighted_parseval(ts, dim, tol)
 
 
@@ -185,7 +179,7 @@ def tree_from_json(obj, resolve_bank) -> TreeNode:
     children = []
     for child in specs:
         if child == "identity":
-            children.append(identity_leaf())
+            children.append(TreeNode(None))
         else:
             children.append(tree_from_json(child, resolve_bank))
-    return TreeNode(bank, tuple(children))
+    return TreeNode(bank, children)

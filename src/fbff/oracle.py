@@ -22,7 +22,6 @@ from .polyphase import matrix_of
 from .signals import FilterBank, translate_matrix
 
 __all__ = [
-    "DenseSynthesis",
     "densify",
     "dense_frame_spectrum",
     "ChannelGram",
@@ -34,36 +33,23 @@ __all__ = [
 _MAX_DIM = 256
 
 
-@dataclass(frozen=True, eq=False)
-class DenseSynthesis:
-    """The (MP) x (NP) synthesis matrix; column (n, p) is T^{Mp} filter_n."""
-
-    matrix: np.ndarray
-    n_channels: int
-    translates: int  # P, the inner period
-
-    def __post_init__(self) -> None:
-        mat = np.array(self.matrix, dtype=complex)
-        if mat.shape[1] != self.n_channels * self.translates:
-            raise ValueError("column count must be N * P")
-        mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
-
-
-def densify(fb: FilterBank) -> DenseSynthesis:
-    """Materialize a bank's synthesis operator, channel-major columns."""
+def densify(fb: FilterBank) -> np.ndarray:
+    """Materialize a bank's synthesis operator as one read-only (MP, N, P)
+    array: slice ``[:, n, k]`` is T^{Mk} filter_n."""
     if fb.filter_period > _MAX_DIM:
         raise ValueError(
             f"dense oracle gated to dimension {_MAX_DIM}, got {fb.filter_period}"
         )
-    cols = [translate_matrix(phi, fb.downsample) for phi in fb.filters]
-    return DenseSynthesis(np.concatenate(cols, axis=1), fb.n_channels, fb.inner_period)
+    d = np.stack([translate_matrix(phi, fb.downsample) for phi in fb.filters], axis=1)
+    d.setflags(write=False)
+    return d
 
 
-def dense_frame_spectrum(d: DenseSynthesis) -> np.ndarray:
-    """Ascending eigenvalues of the dense frame operator D D^H."""
-    g = d.matrix @ d.matrix.conj().T
-    return hermitian_eigs(g)
+def dense_frame_spectrum(d: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the dense frame operator D D^H, D the
+    (MP, NP) matrix of channel-major columns."""
+    mat = d.reshape(len(d), -1)
+    return hermitian_eigs(mat @ mat.conj().T)
 
 
 @dataclass(frozen=True)
@@ -76,14 +62,15 @@ class ChannelGram:
     defect: float  # largest entry of T^H T - I
 
 
-def dense_channel_gram(d: DenseSynthesis, n: int, tol: float = 1e-9) -> ChannelGram:
-    """Form the P x P Gram T^H T of the channel's translates densely; the
-    channel is a projection iff its largest entry of T^H T - I is <= tol."""
-    if not 0 <= n < d.n_channels:
+def dense_channel_gram(d: np.ndarray, n: int, tol: float = 1e-9) -> ChannelGram:
+    """Form the P x P Gram T^H T of the channel's translates ``d[:, n, :]``
+    densely; the channel is a projection iff its largest entry of
+    T^H T - I is <= tol."""
+    if not 0 <= n < d.shape[1]:
         raise ValueError(f"channel index {n} out of range")
-    cols = d.matrix[:, n * d.translates : (n + 1) * d.translates]
+    cols = d[:, n, :]
     gram = cols.conj().T @ cols
-    defect = float(np.max(np.abs(gram - np.eye(d.translates))))
+    defect = float(np.max(np.abs(gram - np.eye(d.shape[2]))))
     trace = float(np.trace(gram).real)  # = trace of the projection T T^H
     return ChannelGram(
         is_projection=defect <= tol, rank=int(round(trace)), trace=trace, defect=defect

@@ -23,7 +23,6 @@ from fbff.constructions import (
     modulated_daubechies_stack,
 )
 from fbff.gabor import (
-    GaborSystem,
     design_maxflat,
     gabor_bank,
     gabor_frame_bounds,
@@ -74,7 +73,8 @@ def test_criterion_01_mercedes_benz():
         for n in range(3):
             cg = dense_channel_gram(dense, n)
             assert cg.is_projection and cg.rank == p
-        g = dense.matrix @ dense.matrix.conj().T
+        mat = dense.reshape(len(dense), -1)
+        g = mat @ mat.conj().T
         assert np.max(np.abs(g - 1.5 * np.eye(2 * p))) <= 1e-9
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
@@ -128,16 +128,16 @@ def test_criterion_05_parseval_trees():
 
     leaves = compose_tree(dwt_tree(fb, 2), 16)
     assert len(leaves) == 7
-    assert sorted(str(w) for _, w, _ in leaves) == ["1/2"] * 3 + ["1/4"] * 4
-    assert sorted(r for _, _, r in leaves) == [4] * 4 + [8] * 3
-    ok, residual = verify_tree(leaves, 16)
+    assert sorted(str(w) for _, w in leaves) == ["1/2"] * 3 + ["1/4"] * 4
+    assert sorted(leaf.inner_period for leaf, _ in leaves) == [4] * 4 + [8] * 3
+    ok, residual = verify_tree(leaves)
     assert ok and residual <= 1e-9
 
     leaves = compose_tree(packet_tree(fb, 2), 16)
     assert len(leaves) == 16
-    assert all(w == Fraction(1, 4) for _, w, _ in leaves)
-    assert all(r == 4 for _, _, r in leaves)
-    ok, residual = verify_tree(leaves, 16)
+    assert all(w == Fraction(1, 4) for _, w in leaves)
+    assert all(leaf.inner_period == 4 for leaf, _ in leaves)
+    ok, residual = verify_tree(leaves)
     assert ok and residual <= 1e-9
 
     elapsed = time.perf_counter() - start
@@ -192,8 +192,8 @@ def test_criterion_08_gabor_bounds_and_modulation_identity():
     m, q, r = 2, 2, 2
     for _ in range(20):
         phi = _random_signal(rng, m * q * r)
-        bounds = gabor_frame_bounds(phi, m, q, r)
-        bank = gabor_bank(GaborSystem(phi, m, q, r))
+        bounds = gabor_frame_bounds(phi, m, r)
+        bank = gabor_bank(phi, m, r)
         spectrum = dense_frame_spectrum(densify(bank))
         assert abs(max(spectrum[0], 0.0) - bounds.A) <= 1e-8
         assert abs(spectrum[-1] - bounds.B) <= 1e-8
@@ -214,15 +214,15 @@ def test_criterion_09_maxflat_designs():
         assert result.residual_inf <= 1e-8
         phi = result.signal
         q = result.block
-        bounds = gabor_frame_bounds(phi, 2, q, 2)
+        bounds = gabor_frame_bounds(phi, 2, 2)
         assert abs(bounds.A - 2.0) <= 1e-7
         assert abs(bounds.B - 2.0) <= 1e-7
-        assert gabor_tightness(phi, 2, q, 2)
+        assert gabor_tightness(phi, 2, 2)
         for base in (phi, translate(phi, 2)):
             assert abs(inner(base, base) - 1.0) <= 1e-8
             for shift in range(1, q):
                 assert abs(inner(base, translate(base, 4 * shift))) <= 1e-8
-        bank = gabor_bank(GaborSystem(phi, 2, q, 2))
+        bank = gabor_bank(phi, 2, 2)
         dense = densify(bank)
         for n in range(4):
             cg = dense_channel_gram(dense, n)

@@ -293,6 +293,18 @@ def test_fusion_report_zero_bank_not_tight():
     assert not rep.is_tight and not rep.is_puntf
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-151, 1e-152])
+@pytest.mark.parametrize("gain, tight", [(1.0, True), (1.01, False)])
+def test_tightness_verdict_does_not_depend_on_scale(scale, gain, tight):
+    # filter 0 times 1.01 gives A = 1.5, B = 1.5201: a 1.3 % gap, not tight
+    # at tol 1e-3 however small the bank (B = 1.52e-304 at scale 1e-152)
+    fb = bank_of(mercedes_benz(4))
+    filters = (gain * fb.filters[0],) + fb.filters[1:]
+    rep = fusion_report(FilterBank(tuple(scale * f for f in filters), 2), tol=1e-3)
+    assert rep.bounds.B == pytest.approx(scale**2 * (1.5201 if gain > 1 else 1.5), rel=1e-4)
+    assert rep.is_tight is tight
+
+
 def test_fusion_report_json_shape():
     rep = fusion_report(bank_of(mercedes_benz(2)))
     obj = report_to_json(rep)
@@ -398,7 +410,8 @@ def test_puntf_iff_dense_structure():
     for fb in banks:
         rep = fusion_report(fb)
         dense = densify(fb)
-        g = dense.matrix @ dense.matrix.conj().T
+        mat = dense.reshape(len(dense), -1)
+        g = mat @ mat.conj().T
         target = fb.n_channels / fb.downsample
         dense_tight = np.max(np.abs(g - target * np.eye(g.shape[0]))) <= 1e-9 * target
         dense_channels = all(

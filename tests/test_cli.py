@@ -13,7 +13,7 @@ from fbff import cli, constructions, signals
 from fbff.analysis import fusion_report, report_to_json
 from fbff.cli import frequency_table, main
 from fbff.constructions import named_bank
-from fbff.gabor import GaborSystem, gabor_bank
+from fbff.gabor import gabor_bank
 from fbff.signals import FilterBank, Signal, bank_from_json, bank_to_json, signal_from_json
 
 
@@ -296,7 +296,8 @@ def test_design_maxflat_verdicts_match_the_materialized_bank(capsys):
     assert code == 0
     report = json.loads(out)
     phi = signal_from_json(report["filter"])
-    ref = fusion_report(gabor_bank(GaborSystem(phi, 2, report["block"], 2)), tol=1e-7)
+    assert phi.period == 4 * report["block"]  # M * Q * R with M = R = 2
+    ref = fusion_report(gabor_bank(phi, 2, 2), tol=1e-7)
     assert abs(report["A"] - ref.bounds.A) <= 1e-12 * ref.bounds.B
     assert abs(report["B"] - ref.bounds.B) <= 1e-12 * ref.bounds.B
     assert report["is_tight"] is ref.is_tight

@@ -11,7 +11,6 @@ from fbff import gabor
 from fbff.analysis import channel_is_projection, fusion_report
 from fbff.constructions import daubechies4
 from fbff.gabor import (
-    GaborSystem,
     design_maxflat,
     embed_taps,
     flatness_solve_odd,
@@ -54,21 +53,26 @@ def _falling(m, k):
     return out
 
 
-def test_gabor_system_validation():
-    with pytest.raises(ValueError):
-        GaborSystem(Signal.zero(7), 2, 2, 2)
-    sys_ = GaborSystem(Signal.delta(0, 8), 2, 2, 2)
-    assert sys_.n_channels == 4
+def test_gabor_lattice_validation():
+    # Q = period / (M*R), so the lattice must fit the prototype's period
+    with pytest.raises(ValueError, match=r"M\*R = 2\*2"):
+        gabor_bank(Signal.zero(7), 2, 2)
+    phi = Signal.delta(0, 8)
+    assert gabor_bank(phi, 2, 2).n_channels == 4
+    with pytest.raises(ValueError, match="redundancy 3 must divide"):
+        zak_row_sums(phi, 2, 3)
+    # tol is keyword-only: a stale (phi, M, Q, R) call cannot read Q as R
+    with pytest.raises(TypeError):
+        gabor_tightness(phi, 2, 2, 2)
 
 
 def test_gabor_bank_critically_sampled_orthonormal():
     # R = 1 needs every polyphase component at constant modulus 1/sqrt(M);
     # the normalized length-M window does it and yields the Haar-type basis
     phi = Signal(np.concatenate([np.full(2, 2**-0.5), np.zeros(6)]))
-    sys_ = GaborSystem(phi, 2, 4, 1)
-    fb = gabor_bank(sys_)
+    fb = gabor_bank(phi, 2, 1)
     assert fb.n_channels == 2
-    bounds = gabor_frame_bounds(phi, 2, 4, 1)
+    bounds = gabor_frame_bounds(phi, 2, 1)
     assert bounds.A == pytest.approx(1.0, abs=1e-10)
     assert bounds.B == pytest.approx(1.0, abs=1e-10)
     spectrum = dense_frame_spectrum(densify(fb))
@@ -78,8 +82,7 @@ def test_gabor_bank_critically_sampled_orthonormal():
 def test_gabor_bank_filters_are_modulates():
     rng = np.random.default_rng(0)
     phi = _random_signal(rng, 8)
-    sys_ = GaborSystem(phi, 2, 2, 2)
-    fb = gabor_bank(sys_)
+    fb = gabor_bank(phi, 2, 2)
     for n in range(4):
         assert fb.filters[n] == modulate(phi, 2 * n)
 
@@ -87,8 +90,8 @@ def test_gabor_bank_filters_are_modulates():
 def test_gabor_bounds_rectangular_window_vs_dense():
     # normalized length-2 window at M=2, Q=1, R=2
     phi = Signal(np.array([2**-0.5, 2**-0.5, 0, 0]))
-    bounds = gabor_frame_bounds(phi, 2, 1, 2)
-    spectrum = dense_frame_spectrum(densify(gabor_bank(GaborSystem(phi, 2, 1, 2))))
+    bounds = gabor_frame_bounds(phi, 2, 2)
+    spectrum = dense_frame_spectrum(densify(gabor_bank(phi, 2, 2)))
     assert bounds.A == pytest.approx(max(spectrum[0], 0.0), abs=1e-8)
     assert bounds.B == pytest.approx(spectrum[-1], abs=1e-8)
 
@@ -97,8 +100,8 @@ def test_gabor_bounds_random_vs_dense():
     rng = np.random.default_rng(1)
     for _ in range(20):
         phi = _random_signal(rng, 8)
-        bounds = gabor_frame_bounds(phi, 2, 2, 2)
-        spectrum = dense_frame_spectrum(densify(gabor_bank(GaborSystem(phi, 2, 2, 2))))
+        bounds = gabor_frame_bounds(phi, 2, 2)
+        spectrum = dense_frame_spectrum(densify(gabor_bank(phi, 2, 2)))
         assert bounds.A == pytest.approx(max(spectrum[0], 0.0), abs=1e-8)
         assert bounds.B == pytest.approx(spectrum[-1], abs=1e-8)
 
@@ -120,12 +123,12 @@ def test_zak_row_sums_delta():
     # every twisted component of the delta evaluates to 1, so row 0 of the
     # (M, Q) grid is the constant M * R and the other rows vanish; the dense
     # spectrum of this degenerate bank (extremes 0 and M * R) pins the scale
-    sys_ = GaborSystem(Signal.delta(0, 8), 2, 2, 2)
-    rows = zak_row_sums(sys_)
+    phi = Signal.delta(0, 8)
+    rows = zak_row_sums(phi, 2, 2)
     assert rows.shape == (2, 2)
     np.testing.assert_allclose(rows[0], 4.0 * np.ones(2), atol=1e-12)
     np.testing.assert_allclose(rows[1], np.zeros(2), atol=1e-12)
-    spectrum = dense_frame_spectrum(densify(gabor_bank(sys_)))
+    spectrum = dense_frame_spectrum(densify(gabor_bank(phi, 2, 2)))
     assert spectrum[0] == pytest.approx(0.0, abs=1e-12)
     assert spectrum[-1] == pytest.approx(4.0, abs=1e-12)
 
@@ -134,9 +137,9 @@ def test_zak_row_sums_delta():
 def test_zak_row_sums_extremes_match_dense(m, q, r):
     rng = np.random.default_rng(3)
     phi = _random_signal(rng, m * q * r)
-    sys_ = GaborSystem(phi, m, q, r)
-    rows = zak_row_sums(sys_)
-    spectrum = dense_frame_spectrum(densify(gabor_bank(sys_)))
+    rows = zak_row_sums(phi, m, r)
+    assert rows.shape == (m, q)
+    spectrum = dense_frame_spectrum(densify(gabor_bank(phi, m, r)))
     assert rows.min() == pytest.approx(max(spectrum[0], 0.0), abs=1e-8)
     assert rows.max() == pytest.approx(spectrum[-1], abs=1e-8)
 
@@ -235,7 +238,7 @@ def test_zak_row_sum_overflow_is_value_error(check):
     # squared samples beyond the float range: a ValueError, not a numpy
     # overflow warning and inf bounds
     with pytest.raises(ValueError, match="not finite"):
-        check(Signal([1e200, 0, 0, 0, 0, 0, 0, 0]), 2, 2, 2)
+        check(Signal([1e200, 0, 0, 0, 0, 0, 0, 0]), 2, 2)
 
 
 def test_tightness_jacobian_matches_central_differences():
@@ -299,9 +302,9 @@ def test_half_norm_scaled_orthonormal_pair_passes_both_checks():
     q = 2
     phi = _half_norm_pair(q)
     assert phi.period == 4 * q
-    assert gabor_tightness(phi, 2, q, 2)
+    assert gabor_tightness(phi, 2, 2)
     assert channel_is_projection(phi, 2)
-    bounds = gabor_frame_bounds(phi, 2, q, 2)
+    bounds = gabor_frame_bounds(phi, 2, 2)
     assert bounds.A == pytest.approx(2.0, abs=1e-9)
     assert bounds.B == pytest.approx(2.0, abs=1e-9)
 
@@ -310,8 +313,8 @@ def test_gabor_tightness_generic_failure():
     rng = np.random.default_rng(5)
     phi = _random_signal(rng, 8)
     phi = Signal(phi.samples / phi.norm())
-    assert not gabor_tightness(phi, 2, 2, 2)
-    bounds = gabor_frame_bounds(phi, 2, 2, 2)
+    assert not gabor_tightness(phi, 2, 2)
+    bounds = gabor_frame_bounds(phi, 2, 2)
     assert bounds.B - bounds.A > 1e-6  # generic prototypes are not tight
 
 
@@ -320,7 +323,7 @@ def test_gabor_tightness_near_a_design_never_raises(t):
     # the Zak and translate-Gram routes read one defect, so perturbations
     # near the tolerance give one verdict instead of a disagreement
     result = design_maxflat(t, seed=1)
-    phi, q = result.signal, result.block
+    phi = result.signal
     rng = np.random.default_rng(t)
     scales = np.geomspace(1e-12, 1e-7, 11)
     verdicts = []
@@ -328,7 +331,7 @@ def test_gabor_tightness_near_a_design_never_raises(t):
         for _ in range(5):
             d = _random_signal(rng, phi.period).samples
             perturbed = Signal(phi.samples + scale * d / np.linalg.norm(d))
-            verdicts.append(gabor_tightness(perturbed, 2, q, 2))
+            verdicts.append(gabor_tightness(perturbed, 2, 2))
     assert all(verdicts[:5]) and not any(verdicts[-5:])
 
 
@@ -338,13 +341,13 @@ def test_zak_verdicts_match_the_materialized_bank():
     for t in (2, 4, 6):
         result = design_maxflat(t, seed=1)
         assert result.converged
-        cases.append((result.signal, result.block))
+        cases.append(result.signal)
     generic = _random_signal(np.random.default_rng(5), 8)  # as in the generic failure test
-    cases += [(Signal(generic.samples / generic.norm()), 2), (_half_norm_pair(2), 2)]
+    cases += [Signal(generic.samples / generic.norm()), _half_norm_pair(2)]
     verdicts = set()
-    for phi, q in cases:
-        ref = fusion_report(gabor_bank(GaborSystem(phi, 2, q, 2)), tol=1e-7)
-        bounds = gabor_frame_bounds(phi, 2, q, 2)
+    for phi in cases:
+        ref = fusion_report(gabor_bank(phi, 2, 2), tol=1e-7)
+        bounds = gabor_frame_bounds(phi, 2, 2)
         assert abs(bounds.A - ref.bounds.A) <= 1e-12 * ref.bounds.B
         assert abs(bounds.B - ref.bounds.B) <= 1e-12 * ref.bounds.B
         assert bounds.is_tight(1e-7) == ref.is_tight
@@ -396,7 +399,7 @@ def test_tight_system_splits_into_orthonormal_subsequences():
     result = design_maxflat(2, seed=0, restarts=20)
     phi = result.signal
     m, q, r = 2, result.block, 2
-    assert gabor_tightness(phi, m, q, r)
+    assert gabor_tightness(phi, m, r)
     for n in range(m * r):
         mod = modulate(phi, q * n)
         for res in range(r):
@@ -414,7 +417,7 @@ def test_design_t2_converges():
     assert result.taps.size == 4
     assert np.linalg.norm(result.taps) == pytest.approx(1.0, abs=1e-10)
     phi = result.signal
-    assert gabor_tightness(phi, 2, result.block, 2)
+    assert gabor_tightness(phi, 2, 2)
     # the flatness constraints hold by construction for solver output
     for k in range(2):
         deriv = sum(_falling(m, k) * result.taps[m] for m in range(4))
@@ -431,7 +434,7 @@ def test_design_odd_half_length_reports_outcome():
         assert result.converged and result.restart == 0, t
         assert result.residual_inf <= 1e-8
         tol = 1e-8 if t == 11 else 1e-9
-        assert gabor_tightness(result.signal, 2, result.block, 2, tol=tol), t
+        assert gabor_tightness(result.signal, 2, 2, tol=tol), t
 
 
 def test_design_converges_only_on_the_verdict_it_reports():
@@ -441,7 +444,7 @@ def test_design_converges_only_on_the_verdict_it_reports():
     assert result.converged and result.restart > 0
     assert result.trace[0][0] <= 1e-9
     assert result.residual_inf <= 1e-9
-    assert gabor_tightness(result.signal, 2, result.block, 2, tol=1e-9)
+    assert gabor_tightness(result.signal, 2, 2, tol=1e-9)
 
 
 def test_design_failure_is_reported_not_raised():
@@ -458,7 +461,7 @@ def test_design_t12_converges():
     result = design_maxflat(12, seed=1, restarts=3)
     assert result.converged
     assert result.residual_inf <= 1e-8
-    assert gabor_tightness(result.signal, 2, result.block, 2)
+    assert gabor_tightness(result.signal, 2, 2)
 
 
 def test_design_trace_has_one_entry_per_restart():
@@ -503,7 +506,7 @@ def test_designed_translate_orthogonality():
         for shift in range(1, q):
             assert abs(inner(base, translate(base, 4 * shift))) <= 1e-8
         assert inner(base, base) == pytest.approx(1.0, abs=1e-8)
-    fb = gabor_bank(GaborSystem(phi, 2, q, 2))
+    fb = gabor_bank(phi, 2, 2)
     dense = densify(fb)
     for n in range(4):
         cg = dense_channel_gram(dense, n)

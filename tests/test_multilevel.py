@@ -18,11 +18,9 @@ from fbff.constructions import (
 )
 from fbff.multilevel import (
     TreeNode,
-    bank_node,
     compose_tree,
     dwt_tree,
     equivalent_filter,
-    identity_leaf,
     packet_tree,
     periodize_bank,
     tree_from_json,
@@ -126,23 +124,23 @@ def test_equivalent_filter_squared_response_factorizes():
 
 def test_depth_one_tree():
     fb = _stacked_bank()
-    leaves = compose_tree(bank_node(fb), AMBIENT)
+    leaves = compose_tree(TreeNode(fb), AMBIENT)
     assert len(leaves) == 4
-    assert all(w == Fraction(1, 2) for _, w, _ in leaves)
-    assert all(rank == 8 for _, _, rank in leaves)
-    ok, residual = verify_tree(leaves, AMBIENT)
+    assert all(w == Fraction(1, 2) for _, w in leaves)
+    assert all(leaf.inner_period == 8 for leaf, _ in leaves)
+    ok, residual = verify_tree(leaves)
     assert ok and residual <= 1e-9
 
 
 def test_dwt_tree_leaves():
     fb = _stacked_bank()
     leaves = compose_tree(dwt_tree(fb, 2), AMBIENT)
-    weights = sorted(str(w) for _, w, _ in leaves)
-    ranks = sorted(rank for _, _, rank in leaves)
+    weights = sorted(str(w) for _, w in leaves)
+    ranks = sorted(leaf.inner_period for leaf, _ in leaves)
     assert len(leaves) == 7
     assert weights == ["1/2", "1/2", "1/2", "1/4", "1/4", "1/4", "1/4"]
     assert ranks == [4, 4, 4, 4, 8, 8, 8]
-    ok, residual = verify_tree(leaves, AMBIENT)
+    ok, residual = verify_tree(leaves)
     assert ok and residual <= 1e-9
 
 
@@ -150,26 +148,27 @@ def test_packet_tree_leaves():
     fb = _stacked_bank()
     leaves = compose_tree(packet_tree(fb, 2), AMBIENT)
     assert len(leaves) == 16
-    assert all(w == Fraction(1, 4) for _, w, _ in leaves)
-    assert all(rank == 4 for _, _, rank in leaves)
-    ok, residual = verify_tree(leaves, AMBIENT)
+    assert all(w == Fraction(1, 4) for _, w in leaves)
+    assert all(leaf.inner_period == 4 for leaf, _ in leaves)
+    ok, residual = verify_tree(leaves)
     assert ok and residual <= 1e-9
 
 
-def _basis_isometry(ch, rank):
+def _basis_isometry(ch):
     # the leaf's synthesis applied to each basis vector of its input space
+    rank = ch.inner_period
     cols = [synthesis_apply(ch, [Signal.delta(k, rank)]).samples for k in range(rank)]
     return np.stack(cols, axis=1)
 
 
 def _double_first_weight(leaves):
-    (ch, w, rank), *rest = leaves
-    return [(ch, 2 * w, rank), *rest]
+    (ch, w), *rest = leaves
+    return [(ch, 2 * w), *rest]
 
 
 def _scale_first_filter(leaves):
-    (ch, w, rank), *rest = leaves
-    return [(FilterBank((2 * ch.filters[0],), ch.downsample), w, rank), *rest]
+    (ch, w), *rest = leaves
+    return [(FilterBank((2 * ch.filters[0],), ch.downsample), w), *rest]
 
 
 @pytest.mark.parametrize("tree", [dwt_tree, packet_tree], ids=["dwt", "packet"])
@@ -180,8 +179,8 @@ def _scale_first_filter(leaves):
 )
 def test_verify_tree_matches_basis_reference(tree, edit, expected):
     leaves = edit(compose_tree(tree(_stacked_bank(), 2), AMBIENT))
-    ok, residual = verify_tree(leaves, AMBIENT)
-    reference = [(_basis_isometry(ch, r), w) for ch, w, r in leaves]
+    ok, residual = verify_tree(leaves)
+    reference = [(_basis_isometry(ch), w) for ch, w in leaves]
     ref_ok, ref_residual = verify_weighted_parseval(reference, AMBIENT)
     assert ok == ref_ok == expected
     assert abs(residual - ref_residual) <= 1e-12
@@ -190,12 +189,12 @@ def test_verify_tree_matches_basis_reference(tree, edit, expected):
 def test_verify_tree_reads_the_leaf_channel_defect():
     # the first leaf scaled by 1 + delta: the tree's residual is that leaf's
     # polyphase channel defect, and its verdict flips where the leaf's does
-    (ch, w, rank), *rest = compose_tree(dwt_tree(_stacked_bank(), 2), AMBIENT)
+    (ch, w), *rest = compose_tree(dwt_tree(_stacked_bank(), 2), AMBIENT)
     verdicts = set()
     for delta in np.geomspace(1e-11, 1e-8, 30):
         phi = (1 + delta) * ch.filters[0]
-        scaled = [(FilterBank((phi,), ch.downsample), w, rank), *rest]
-        ok, residual = verify_tree(scaled, AMBIENT)
+        scaled = [(FilterBank((phi,), ch.downsample), w), *rest]
+        ok, residual = verify_tree(scaled)
         defect = channel_defect(phi, ch.downsample)
         assert abs(residual - defect) <= 1e-12 * max(1.0, defect)
         assert ok == channel_is_projection(phi, ch.downsample)
@@ -207,17 +206,29 @@ def test_large_packet_tree_verifies():
     # 5 levels of Daubechies-4 at ambient 1024: 32 leaves of rank 32
     leaves = compose_tree(packet_tree(bank_of(daubechies4(512)), 5), 1024)
     assert len(leaves) == 32
-    ok, residual = verify_tree(leaves, 1024)
+    ok, residual = verify_tree(leaves)
     assert ok and residual <= 1e-12
     for edit in (_double_first_weight, _scale_first_filter):
-        assert not verify_tree(edit(leaves), 1024)[0]
+        assert not verify_tree(edit(leaves))[0]
+
+
+def test_verify_tree_reads_the_dimension_from_its_leaves():
+    dwt = compose_tree(dwt_tree(_stacked_bank(), 2), AMBIENT)
+    short = compose_tree(TreeNode(_stacked_bank(8)), 8)
+    with pytest.raises(ValueError, match="isometry has shape"):
+        verify_tree(dwt + short)  # filter periods 16 and 8
+    with pytest.raises(ValueError, match="at least one leaf"):
+        verify_tree([])
+    # tol is keyword-only: a stale (leaves, dim) call cannot read dim as tol
+    with pytest.raises(TypeError):
+        verify_tree(dwt, AMBIENT)
 
 
 def test_weight_accounting_exact():
     fb = _stacked_bank()
-    for tree in (bank_node(fb), dwt_tree(fb, 2), packet_tree(fb, 2)):
+    for tree in (TreeNode(fb), dwt_tree(fb, 2), packet_tree(fb, 2)):
         leaves = compose_tree(tree, AMBIENT)
-        assert sum(w * r for _, w, r in leaves) == AMBIENT
+        assert sum(w * leaf.inner_period for leaf, w in leaves) == AMBIENT
 
 
 def test_inner_banks_are_periodized():
@@ -225,7 +236,7 @@ def test_inner_banks_are_periodized():
     # must use its folding, which the rank bookkeeping reflects
     fb = _stacked_bank()
     leaves = compose_tree(dwt_tree(fb, 2), AMBIENT)
-    deep = [ch for ch, _, rank in leaves if rank == 4]
+    deep = [ch for ch, _ in leaves if ch.inner_period == 4]
     assert all(ch.downsample == 4 and ch.filters[0].period == AMBIENT for ch in deep)
 
 
@@ -249,32 +260,32 @@ def test_random_paraunitary_tree():
     fb = bank_of(chain)
     assert fusion_report(fb).is_puntf
     leaves = compose_tree(dwt_tree(fb, 2), 16)
-    ok, residual = verify_tree(leaves, 16)
+    ok, residual = verify_tree(leaves)
     assert ok and residual <= 1e-9
-    assert sum(w * r for _, w, r in leaves) == 16
+    assert sum(w * leaf.inner_period for leaf, w in leaves) == 16
 
 
 def test_non_projection_bank_rejected():
     rng = np.random.default_rng(5)
     bad = FilterBank(tuple(_random_signal(rng, 8) for _ in range(3)), 2)
     with pytest.raises(ValueError):
-        compose_tree(bank_node(bad), 8)
+        compose_tree(TreeNode(bad), 8)
 
 
 def test_incompatible_period_rejected():
     fb = _stacked_bank(8)  # filters of period 8
     with pytest.raises(ValueError):
-        compose_tree(bank_node(fb), 12)
+        compose_tree(TreeNode(fb), 12)
 
 
 def test_tree_node_validation():
     fb = _stacked_bank()
     with pytest.raises(ValueError):
-        TreeNode(None, (identity_leaf(),))
+        TreeNode(None, (TreeNode(None),))
     with pytest.raises(ValueError):
-        TreeNode(fb, (identity_leaf(),))  # wrong child count
+        TreeNode(fb, (TreeNode(None),))  # wrong child count
     with pytest.raises(ValueError):
-        compose_tree(identity_leaf(), 8)
+        compose_tree(TreeNode(None), 8)
 
 
 def test_tree_from_json():

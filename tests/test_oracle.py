@@ -31,14 +31,15 @@ def _random_signal(rng, period):
 def test_densify_trivial_identity():
     fb = FilterBank((Signal.delta(0, 2),), 1)
     d = densify(fb)
-    np.testing.assert_array_equal(d.matrix, np.eye(2))
+    np.testing.assert_array_equal(d.reshape(len(d), -1), np.eye(2))
 
 
 def test_densify_mercedes_gram():
     fb = bank_of(mercedes_benz(2))
     d = densify(fb)
-    assert d.matrix.shape == (4, 6)
-    g = d.matrix @ d.matrix.conj().T
+    assert d.shape == (4, 3, 2) and not d.flags.writeable
+    mat = d.reshape(len(d), -1)
+    g = mat @ mat.conj().T
     np.testing.assert_allclose(g, 1.5 * np.eye(4), atol=1e-9)
 
 
@@ -49,7 +50,7 @@ def test_densify_columns_apply_like_synthesis():
     ys = [_random_signal(rng, 6) for _ in range(3)]
     stacked = np.concatenate([y.samples for y in ys])
     direct = synthesis_apply(fb, ys)
-    np.testing.assert_allclose(d.matrix @ stacked, direct.samples, atol=1e-12)
+    np.testing.assert_allclose(d.reshape(len(d), -1) @ stacked, direct.samples, atol=1e-12)
 
 
 def test_densify_gate():
@@ -60,7 +61,7 @@ def test_densify_gate():
 def test_densify_gate_edge():
     m = 2
     d = densify(FilterBank((Signal.zero(_MAX_DIM),), m))
-    assert d.matrix.shape == (_MAX_DIM, _MAX_DIM // m)
+    assert d.shape == (_MAX_DIM, 1, _MAX_DIM // m)
     with pytest.raises(ValueError, match="gated"):
         densify(FilterBank((Signal.zero(_MAX_DIM + m),), m))
 
@@ -101,7 +102,7 @@ def test_channel_gram_mercedes_ranks():
     # the three projections sum to 1.5 I
     total = np.zeros((4, 4), dtype=complex)
     for n in range(3):
-        cols = d.matrix[:, 2 * n : 2 * n + 2]
+        cols = d[:, n, :]
         total += cols @ cols.conj().T
     np.testing.assert_allclose(total, 1.5 * np.eye(4), atol=1e-12)
 
