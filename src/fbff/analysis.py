@@ -8,9 +8,9 @@ batched LAPACK ``eigvalsh`` call gives every root's spectrum; bounds and
 row checks both read from that stack, and the bounds keep the spectra so
 that the dense oracle checks the very numbers they were read from.
 
-The round-robin parallel Jacobi eigenvalue solver kept here (Brent &
-Luk's ordering in pure numpy, tested against an independent characteristic-
-polynomial root finder) computes eigenvalues only, no eigenvectors, and
+The Hermitian eigenvalue solver kept here (Householder tridiagonalization
+and Sturm multisection in pure numpy, tested against an independent
+characteristic-polynomial root finder) computes eigenvalues only and
 serves only the dense oracle, so the polyphase route and the oracle share
 no eigensolver.  Every channel verdict, the Gabor one included, reads
 T^H T - I from squared polyphase norms (:func:`autocorrelation_defect`), and
@@ -44,97 +44,97 @@ __all__ = [
 ]
 
 _HERMITIAN_TOL = 1e-10
-_JACOBI_OFF_TOL = 1e-13
-_MAX_SWEEPS = 100
+_OFF_TOL = 1e-13
+_SHIFTS = 15  # Sturm shifts per eigenvalue interval and pass
+_MAX_PASSES = 64
 
 
-def _frobenius(a: np.ndarray) -> float:
-    return float(np.sqrt(np.sum(np.abs(a) ** 2)))
+def _tridiagonalize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and |subdiagonal| of a Householder tridiagonal form of the
+    Hermitian ``a``, which is overwritten (Golub & Van Loan, Alg. 8.3.1):
+    step k reflects x = a[k+1:, k] by v = x + phase(x_0) |x| e_1 and updates
+    the trailing block by one matvec and one rank-2 update."""
+    for k in range(len(a) - 2):
+        x = a[k + 1 :, k]
+        tail = np.vdot(x[1:], x[1:]).real
+        if tail == 0.0:
+            continue
+        r = abs(x[0])
+        v = x.copy()
+        x[0] = np.sqrt(r * r + tail)
+        v[0] += x[0] * (v[0] / r if r > 0 else 1.0)
+        beta = 2.0 / np.vdot(v, v).real
+        s = a[k + 1 :, k + 1 :]
+        p = beta * (s @ v)
+        w = p - (beta * np.vdot(v, p).real / 2.0) * v
+        s -= np.stack([v, w], axis=1) @ np.stack([w, v]).conj()
+    return np.diag(a).real, np.abs(np.diag(a, -1))
 
 
-def _round_robin_perm(m: int) -> np.ndarray:
-    """Gather index taking one Brent-Luk round's layout to the next.
+def _sturm_eigs(d: np.ndarray, sub: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the real symmetric tridiagonal matrix with
+    diagonal ``d`` and subdiagonal ``sub``, by Sturm-count multisection.
 
-    Round k pairs storage positions (2i, 2i + 1).  In tournament order
-    L (position 2i holds L[i], position 2i + 1 holds L[m - 1 - i]) the next
-    round keeps L[0] and rotates the rest by one, so in m - 1 rounds every
-    pair of indices meets exactly once and the layout returns to the start.
+    Eigenvalue k keeps an interval [lo, hi) with at most k eigenvalues
+    below lo and at least k + 1 below hi.  A pass counts the negative
+    pivots q_i = d_i - x - b_i^2 / q_{i-1} of T - x at _SHIFTS shifts x
+    inside every interval, in one rolling recurrence, and keeps the
+    sixteenth holding eigenvalue k.  With b^2 floored at the smallest
+    normal float, a zero pivot makes the next one -inf (+inf after -0): by
+    sign bit the pair counts one negative.
     """
-    slot = np.empty(m, dtype=int)  # tournament index held at each position
-    slot[0::2] = np.arange(m // 2)
-    slot[1::2] = m - 1 - np.arange(m // 2)
-    rotated = np.concatenate([[0, m - 1], np.arange(1, m - 1)])[:m]
-    return np.argsort(slot)[rotated[slot]]
-
-
-def _rotate(xp: np.ndarray, xq: np.ndarray, c, s) -> None:
-    """In place: [xp, xq] <- [c xp + s xq, c xq - conj(s) xp]."""
-    new_p = c * xp + s * xq
-    xq *= c
-    xq -= s.conj() * xp
-    xp[...] = new_p
+    n, eps, diag = len(d), np.finfo(float).eps, d.tolist()
+    b2 = [0.0] + np.maximum(sub**2, np.finfo(float).tiny).tolist()  # b2[0] meets q = inf
+    rad = np.concatenate([sub, [0.0]]) + np.concatenate([[0.0], sub])
+    scale = float(np.max(np.abs(d) + rad))
+    lo = np.full(n, float(np.min(d - rad)) - 2.0 * n * eps * scale)
+    hi = np.full(n, float(np.max(d + rad)) + 2.0 * n * eps * scale)
+    k, steps = np.arange(n), np.arange(_SHIFTS + 2) / (_SHIFTS + 1.0)
+    with np.errstate(divide="ignore", over="ignore"):
+        for _ in range(_MAX_PASSES):
+            grid = lo[:, None] + np.outer(hi - lo, steps)
+            grid[:, -1] = hi
+            x = grid[:, 1:-1].ravel()
+            q, neg = np.full(n * _SHIFTS, np.inf), np.zeros(n * _SHIFTS, dtype=int)
+            for i in range(n):
+                np.divide(b2[i], q, out=q)
+                np.subtract(diag[i], q, out=q)
+                q -= x
+                np.add(neg, np.signbit(q), out=neg)
+            below = np.count_nonzero(neg.reshape(n, _SHIFTS) <= k[:, None], axis=1)
+            lo, hi = grid[k, below], grid[k, below + 1]
+            if np.max(hi - lo) <= 2.0 * eps * scale:
+                return (lo + hi) / 2.0
+    raise RuntimeError("Sturm multisection did not converge")
 
 
 def hermitian_eigs(h: np.ndarray) -> np.ndarray:
-    """Real eigenvalues of a Hermitian matrix, ascending, by round-robin
-    parallel Jacobi rotations (Brent & Luk, 1985); no eigenvectors are formed.
+    """Real eigenvalues of a Hermitian matrix, ascending; no eigenvectors.
 
-    Each sweep runs n - 1 rounds, and a round applies n/2 disjoint 2x2
-    rotations as one array update of the columns, then of the rows.  Odd n
-    is padded by a zero row and column, which only ever meets the identity
-    rotation.  Sweeps stop when the off-diagonal Frobenius norm falls below
-    1e-13 times the matrix norm, and the diagonal is the spectrum.  Raises
-    ValueError for non-finite or non-Hermitian input.
+    Householder reduction to real symmetric tridiagonal form, then
+    Sturm-count multisection from the Gershgorin interval down to 2 eps
+    times its scale (Barth, Martin & Wilkinson, 1967).  When the
+    off-diagonal Frobenius norm is at most 1e-13 times the matrix norm, the
+    sorted diagonal is the spectrum.  Raises ValueError for non-square,
+    non-finite or non-Hermitian input (relative to the largest entry).
     """
     a = np.array(h, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix has non-finite entries")
-    n = a.shape[0]
-    top = float(np.max(np.abs(a), initial=0.0))
-    if float(np.max(np.abs(a - a.conj().T), initial=0.0)) > _HERMITIAN_TOL * max(1.0, top):
-        raise ValueError("matrix is not Hermitian within tolerance")
-    # rotate a / 2**e, an exact rescaling with entries below 1, so the
-    # Frobenius norms of the stopping rule neither overflow nor underflow
-    e = int(np.frexp(top)[1])
+    # work on a / 2**e, an exact rescaling with entries below 1, so neither
+    # the norms nor the squared subdiagonal overflow or underflow
+    e = int(np.frexp(float(np.max(np.abs(a), initial=0.0)))[1])
     a = np.ldexp(a.real, -e) + 1j * np.ldexp(a.imag, -e)
-
-    # the working matrix, stored so that the current round pairs positions
-    # (2i, 2i + 1)
-    m = n + n % 2
-    x = np.zeros((m, m), dtype=complex)
-    x[:n, :n] = (a + a.conj().T) / 2.0
-    perm = _round_robin_perm(m)
-    gather = perm[:, None] * m + perm
-    p = np.arange(0, m, 2) * (m + 1)  # flat index of each pair's a_pp
-    block = np.stack([p, p + m + 1, p + 1])
-    off_pairs = np.concatenate([p + 1, p + m])
-
-    norm = _frobenius(x)
-    for _ in range(_MAX_SWEEPS):
-        if _frobenius(x - np.diag(np.diag(x))) <= _JACOBI_OFF_TOL * norm:
-            break
-        for _ in range(m - 1):
-            # [[c, -s], [conj(s), c]] zeroes each pair's a_pq, with
-            # t = tan(theta) = sign(d) |a_pq| / (|d| + hypot(d, |a_pq|)),
-            # so |theta| <= pi/4, and s = c t a_pq / |a_pq|
-            app, aqq, apq = x.take(block)
-            d = (app.real - aqq.real) / 2.0
-            r = np.abs(apq)
-            den = np.abs(d) + np.hypot(d, r)
-            den = np.where(den > 0, den, 1.0)  # 0 only where a_pq = 0 = d
-            sign = np.copysign(1.0, d)
-            c = 1.0 / np.sqrt(1.0 + (r / den) ** 2)
-            s = c * sign * apq / den
-            _rotate(x[:, 0::2], x[:, 1::2], c, s.conj())
-            _rotate(x[0::2], x[1::2], c[:, None], s[:, None])
-            np.put(x, off_pairs, 0.0)
-            x = x.take(gather)
-    else:
-        raise RuntimeError("Jacobi sweeps did not converge")
-
-    return np.sort(np.ldexp(np.diag(x[:n, :n]).real, e), kind="stable")
+    top = float(np.max(np.abs(a), initial=0.0))
+    if float(np.max(np.abs(a - a.conj().T), initial=0.0)) > _HERMITIAN_TOL * top:
+        raise ValueError("matrix is not Hermitian within tolerance")
+    a = (a + a.conj().T) / 2.0
+    w = np.diag(a).real
+    if np.linalg.norm(a - np.diag(w)) > _OFF_TOL * np.linalg.norm(a):
+        w = _sturm_eigs(*_tridiagonalize(a))
+    return np.sort(np.ldexp(w, e), kind="stable")
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fbff import analysis
 from fbff.analysis import (
@@ -113,7 +114,7 @@ def test_jacobi_odd_sizes_drop_the_padding(n):
 
 
 def test_jacobi_equal_diagonals():
-    # d = 0 in every pair: the rotation angle is pi/4
+    # equal diagonal entries; the all-ones matrix has an (n-1)-fold zero
     w = hermitian_eigs(np.array([[1.0, 2j], [-2j, 1.0]]))
     np.testing.assert_allclose(w, [-1.0, 3.0], atol=1e-14)
     for n in (4, 9):
@@ -124,7 +125,7 @@ def test_jacobi_equal_diagonals():
 
 
 def test_jacobi_block_diagonal_never_mixes_blocks():
-    # a_pq = 0 across the blocks: those pairs get the identity rotation, so
+    # no coupling across the blocks: the tridiagonal form splits there, and
     # the spectrum is the sorted union of the blocks' own spectra
     rng = np.random.default_rng(4)
     for k, n in ((3, 8), (5, 11)):
@@ -156,7 +157,8 @@ def test_jacobi_large_against_reference(n):
 
 @pytest.mark.parametrize("scale", [1e-300, 1e200])
 def test_jacobi_extreme_scales(scale):
-    # the stopping rule's norms must neither underflow nor overflow
+    # the stopping rule's norms and the squared subdiagonal must neither
+    # underflow nor overflow
     h = _random_hermitian(np.random.default_rng(2), 9)
     w = hermitian_eigs(scale * h) / scale
     np.testing.assert_allclose(
@@ -171,6 +173,54 @@ def test_jacobi_rejects_non_finite(bad):
     h[1, 1] = bad
     with pytest.raises(ValueError, match="non-finite"):
         hermitian_eigs(h)
+
+
+@pytest.mark.parametrize(
+    "h",
+    [[[0.0, 1e-12], [0.0, 0.0]], [[1e-11, 5e-11], [-5e-11, 2e-11]]],
+    ids=["nilpotent", "anti-hermitian-part"],
+)
+def test_eigs_reject_non_hermitian_below_unit_scale(h):
+    # the check is relative to the largest entry: no scale is small enough
+    # to have its anti-Hermitian part dropped
+    with pytest.raises(ValueError, match="not Hermitian"):
+        hermitian_eigs(np.array(h))
+
+
+@pytest.mark.parametrize("first", [0.0, -0.0], ids=["positive-zero", "negative-zero"])
+def test_sturm_counts_a_zero_pivot_once(first):
+    # the Gershgorin interval [-2, 2] puts one shift exactly at 0, where the
+    # first pivot is d_0 - 0 = +0 or -0; the next is -inf or +inf, and by
+    # sign bit the pair counts exactly one negative
+    w = analysis._sturm_eigs(np.array([first, 0.0, 0.0]), np.array([1.0, 1.0]))
+    np.testing.assert_allclose(w, [-np.sqrt(2), 0.0, np.sqrt(2)], atol=1e-14)
+    h = np.array([[first, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+    np.testing.assert_allclose(hermitian_eigs(h), w, atol=1e-14)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=40),
+    st.integers(min_value=1, max_value=44),
+    st.booleans(),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_eigs_of_gram_matrices_match_reference(n, cols, clustered, seed):
+    # S = D D^H is PSD; fewer columns than rows makes it rank-deficient, and
+    # orthonormal columns scaled by 1 + O(1e-9) cluster its nonzero spectrum
+    rng = np.random.default_rng(seed)
+    d = rng.standard_normal((n, cols)) + 1j * rng.standard_normal((n, cols))
+    if clustered:
+        q, _ = np.linalg.qr(d[:, : min(n, cols)])
+        d = q * (1.0 + 1e-9 * rng.random(q.shape[1]))
+    h = d @ d.conj().T
+    _assert_spectrum(h, hermitian_eigs(h), 1e-12)
+
+
+def test_eigs_raise_when_the_pass_cap_is_hit(monkeypatch):
+    monkeypatch.setattr(analysis, "_MAX_PASSES", 1)
+    with pytest.raises(RuntimeError, match="did not converge"):
+        hermitian_eigs(_random_hermitian(np.random.default_rng(8), 8))
 
 
 def test_frame_bounds_mercedes():

@@ -345,6 +345,15 @@ def test_verify_pass_and_corruption(capsys, tmp_path):
     assert json.loads(out)["ok"] is False
 
 
+def test_verify_oracle_at_the_gate(capsys, tmp_path):
+    # mercedes-benz at P = 128 has dense dimension 256, the oracle's gate
+    path = _build(capsys, tmp_path, "mercedes-benz", 128)
+    code, out, err = _run(capsys, "verify", str(path), "--oracle")
+    assert code == 0, err
+    got = json.loads(out)
+    assert got["ok"] is True and got["oracle"]["agrees"] is True
+
+
 def test_output_json_reparses_identically(capsys, tmp_path):
     path = _build(capsys, tmp_path, "example5", 4)
     text = path.read_text()

@@ -179,6 +179,33 @@ def test_cross_check_compares_on_the_spectrum_scale():
     assert not out["spectrum_union_ok"] and not out["agrees"]
 
 
+@pytest.mark.parametrize("random", [False, True], ids=["mercedes-benz", "random"])
+def test_cross_check_at_the_gate(random):
+    # dense dimension 256: mercedes-benz at P = 128 and a random (8, 10, 32)
+    rng = np.random.default_rng(5)
+    fb = (
+        FilterBank(tuple(_random_signal(rng, _MAX_DIM) for _ in range(10)), 8)
+        if random
+        else bank_of(mercedes_benz(_MAX_DIM // 2))
+    )
+    assert fb.filter_period == _MAX_DIM
+    rep = fusion_report(fb)
+    assert rep.is_puntf is not random
+    assert cross_check(fb, rep)["agrees"]
+
+
+def test_cross_check_at_the_gate_sees_a_scaled_filter():
+    # filter 0 scaled by 1 + 1e-6 has defect about 2e-6: not a PUNTF, and
+    # the dense frame operator is no longer diagonal, yet both routes agree
+    tight = bank_of(mercedes_benz(_MAX_DIM // 2))
+    scaled = Signal((1.0 + 1e-6) * tight.filters[0].samples)
+    fb = FilterBank((scaled,) + tight.filters[1:], tight.downsample)
+    rep = fusion_report(fb)
+    assert not rep.is_puntf and not rep.channel_projection[0]
+    out = cross_check(fb, rep)
+    assert out["B_dense"] > 1.5 and out["agrees"]
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.integers(min_value=1, max_value=4),
