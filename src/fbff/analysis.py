@@ -45,7 +45,6 @@ __all__ = [
 
 _HERMITIAN_TOL = 1e-10
 _OFF_TOL = 1e-13
-_SHIFTS = 15  # Sturm shifts per eigenvalue interval and pass
 _MAX_PASSES = 64
 
 
@@ -77,31 +76,33 @@ def _sturm_eigs(d: np.ndarray, sub: np.ndarray) -> np.ndarray:
 
     Eigenvalue k keeps an interval [lo, hi) with at most k eigenvalues
     below lo and at least k + 1 below hi.  A pass counts the negative
-    pivots q_i = d_i - x - b_i^2 / q_{i-1} of T - x at _SHIFTS shifts x
-    inside every interval, in one rolling recurrence, and keeps the
-    sixteenth holding eigenvalue k.  With b^2 floored at the smallest
-    normal float, a zero pivot makes the next one -inf (+inf after -0): by
-    sign bit the pair counts one negative.
+    pivots q_i = (d_i - x) - b_i^2 / q_{i-1} of T - x at the S shifts x
+    that cut every interval into S + 1 equal parts, all n * S shifts in one
+    recurrence on the (n, n * S) array of d_i - x, and keeps the part
+    holding eigenvalue k.  S + 1 is the largest power of two up to 1024 / n,
+    but at least 16: about 1024 shifts per pass, on a dyadic grid.  With b^2
+    floored at the smallest normal float, a zero pivot makes the next one
+    -inf (+inf after -0): by sign bit the pair counts one negative.
     """
-    n, eps, diag = len(d), np.finfo(float).eps, d.tolist()
-    b2 = [0.0] + np.maximum(sub**2, np.finfo(float).tiny).tolist()  # b2[0] meets q = inf
+    n, eps = len(d), np.finfo(float).eps
+    shifts = (1 << max(4, (1024 // n).bit_length() - 1)) - 1
+    b2 = np.maximum(sub**2, np.finfo(float).tiny).tolist()
     rad = np.concatenate([sub, [0.0]]) + np.concatenate([[0.0], sub])
     scale = float(np.max(np.abs(d) + rad))
     lo = np.full(n, float(np.min(d - rad)) - 2.0 * n * eps * scale)
     hi = np.full(n, float(np.max(d + rad)) + 2.0 * n * eps * scale)
-    k, steps = np.arange(n), np.arange(_SHIFTS + 2) / (_SHIFTS + 1.0)
+    k, steps = np.arange(n), np.arange(shifts + 2) / (shifts + 1.0)
+    ratio = np.empty(n * shifts)
     with np.errstate(divide="ignore", over="ignore"):
         for _ in range(_MAX_PASSES):
             grid = lo[:, None] + np.outer(hi - lo, steps)
             grid[:, -1] = hi
-            x = grid[:, 1:-1].ravel()
-            q, neg = np.full(n * _SHIFTS, np.inf), np.zeros(n * _SHIFTS, dtype=int)
-            for i in range(n):
-                np.divide(b2[i], q, out=q)
-                np.subtract(diag[i], q, out=q)
-                q -= x
-                np.add(neg, np.signbit(q), out=neg)
-            below = np.count_nonzero(neg.reshape(n, _SHIFTS) <= k[:, None], axis=1)
+            q = d[:, None] - grid[:, 1:-1].ravel()
+            for i in range(1, n):
+                np.divide(b2[i - 1], q[i - 1], out=ratio)
+                np.subtract(q[i], ratio, out=q[i])
+            neg = np.count_nonzero(np.signbit(q), axis=0)
+            below = np.count_nonzero(neg.reshape(n, shifts) <= k[:, None], axis=1)
             lo, hi = grid[k, below], grid[k, below + 1]
             if np.max(hi - lo) <= 2.0 * eps * scale:
                 return (lo + hi) / 2.0

@@ -141,9 +141,15 @@ def _cmd_freq(args) -> int:
     return 0
 
 
+def _named_banks(period: int):
+    """Tree bank resolver at ``period``; a packet tree names one bank at
+    many nodes, so each name is built once per resolver."""
+    return functools.cache(lambda name: constructions.named_bank(name, period))
+
+
 def _max_tree_rate(obj) -> int:
     """Largest product of per-level rates along any root-to-leaf path."""
-    probe = multilevel.tree_from_json(obj, lambda s: constructions.named_bank(s, 4))
+    probe = multilevel.tree_from_json(obj, _named_banks(4))
 
     def walk(node) -> int:
         m = node.bank.downsample
@@ -161,7 +167,7 @@ def _cmd_compose(args) -> int:
         raise ValueError(f"--inner-dim must be positive, got {args.inner_dim}")
     spec = _load_json(args.tree)
     ambient = args.inner_dim * _max_tree_rate(spec)
-    tree = multilevel.tree_from_json(spec, lambda s: constructions.named_bank(s, ambient))
+    tree = multilevel.tree_from_json(spec, _named_banks(ambient))
     leaves = multilevel.compose_tree(tree, ambient, tol=args.tol)
     out = {
         "ambient_dim": ambient,

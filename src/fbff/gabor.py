@@ -16,8 +16,12 @@ The even-to-odd map is exact: the flatness conditions say that the odd taps,
 placed at the odd nodes 1, 3, .., 2T-1, reproduce (with a minus sign) every
 moment of degree < T of the even taps placed at 0, 2, .., 2T-2, so the map's
 entries are Lagrange basis polynomials of the odd nodes evaluated at the even
-ones.  They are formed in integers once per T and rounded once to floats, and
-the search runs on an exact Jacobian of the tightness residual.
+ones.  They are formed in integers once per T and rounded once to floats.
+
+The tightness residual is quadratic in the even taps, one symmetric form per
+entry, so the search evaluates it and its exact Jacobian from one cached
+stack of forms and never forms odd taps; the checked odd-tap solve runs on
+each restart's start and end point.
 """
 
 from __future__ import annotations
@@ -148,6 +152,13 @@ def _odd_map(t: int) -> np.ndarray:
     return odd_map
 
 
+def _even_taps(even) -> np.ndarray:
+    even = np.asarray(even, dtype=float)
+    if even.ndim != 1 or even.size < 1:
+        raise ValueError("even coefficients must be a nonempty vector")
+    return even
+
+
 def flatness_solve_odd(even) -> np.ndarray:
     """Odd taps completing ``even`` to a maximally flat 2T-tap filter.
 
@@ -158,9 +169,7 @@ def flatness_solve_odd(even) -> np.ndarray:
     ValueError when either check fails, or when F @ |taps|, which bounds
     every other quantity here, overflows.
     """
-    even = np.asarray(even, dtype=float)
-    if even.ndim != 1 or even.size < 1:
-        raise ValueError("even coefficients must be a nonempty vector")
+    even = _even_taps(even)
     table = _derivative_table(even.size)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is caught below
         odd = _odd_map(even.size) @ even
@@ -177,42 +186,43 @@ def flatness_solve_odd(even) -> np.ndarray:
     return odd
 
 
+@functools.cache
+def _tightness_forms(t: int) -> np.ndarray:
+    """(2H, T, T) stack of symmetric B_j, H = ceil(T/2): entry j of the
+    tightness residual is x^T B_j x - c_j.  The even block is the lag-2q
+    shift A_q = (S^2q + S^-2q) / 2, with x^T A_q x = sum_i x_i x_{i+2q}, and
+    the odd block K^T A_q K, K = :func:`_odd_map`.  Cached per T, read-only.
+    """
+    lags = range(0, t, 2)
+    shifts = np.array([np.eye(t, k=lag) + np.eye(t, k=-lag) for lag in lags]) / 2.0
+    odd_map = _odd_map(t)
+    forms = np.concatenate([shifts, odd_map.T @ shifts @ odd_map])
+    forms = (forms + forms.transpose(0, 2, 1)) / 2.0  # exactly symmetric
+    forms.flags.writeable = False
+    return forms
+
+
 def tightness_residual(even) -> np.ndarray:
     """Defects of the two tightness conditions, as a flat residual vector.
 
-    For the even taps s and then for the odd taps derived through
-    :func:`flatness_solve_odd`, the entries are the aperiodic correlations
-    <s, s shifted by 2q> minus delta_q / 2 for q = 0 .. ceil(T/2) - 1; the
-    zero vector is equivalent to tightness of the rate-2, redundancy-2
-    system at any even embedding period.
+    For the even taps s and then for the odd taps K s of the flatness map,
+    the entries are the aperiodic correlations <s, s shifted by 2q> minus
+    delta_q / 2 for q = 0 .. ceil(T/2) - 1; the zero vector is equivalent to
+    tightness of the rate-2, redundancy-2 system at any even embedding
+    period.  Each is a quadratic form of :func:`_tightness_forms`, so no odd
+    taps are formed (and none checked: :func:`flatness_solve_odd` does that).
     """
-    even = np.asarray(even, dtype=float)
-    t = even.size
-    res = np.array(
-        [np.correlate(s, s, "full")[t - 1 :: 2] for s in (even, flatness_solve_odd(even))]
-    )
-    res[:, 0] -= 0.5
-    return res.ravel()
+    even = _even_taps(even)
+    res = (_tightness_forms(even.size) @ even) @ even
+    res[[0, res.size // 2]] -= 0.5
+    return res
 
 
 def tightness_jacobian(even) -> np.ndarray:
-    """Exact Jacobian of ``tightness_residual(even)`` in the even taps.
-
-    d/ds_j of sum_i s_i s_{i+2q} is s_{j+2q} + s_{j-2q} (zero outside the
-    taps); the odd block is chained through the even-to-odd map.
-    """
-    even = np.asarray(even, dtype=float)
-    t = even.size
-    odd_map = _odd_map(t)
-    blocks = []
-    for s in (even, odd_map @ even):
-        block = np.zeros(((t + 1) // 2, t))
-        for q in range(block.shape[0]):
-            lag = 2 * q
-            block[q, : t - lag] += s[lag:]
-            block[q, lag:] += s[: t - lag]
-        blocks.append(block)
-    return np.vstack([blocks[0], blocks[1] @ odd_map])
+    """Exact Jacobian of ``tightness_residual(even)`` in the even taps: the
+    gradient of x^T B_j x is 2 B_j x for the symmetric forms B_j."""
+    even = _even_taps(even)
+    return 2.0 * (_tightness_forms(even.size) @ even)
 
 
 def interleave_taps(even, odd) -> np.ndarray:
@@ -270,6 +280,7 @@ def levenberg_marquardt(
         jtj = jx.T @ jx
         grad = jx.T @ r
         damping_scale = np.maximum(np.diag(jtj), 1e-12)
+        r_norm = np.linalg.norm(r)
         accepted = False
         for _ in range(40):
             try:
@@ -279,7 +290,7 @@ def levenberg_marquardt(
                 continue
             x_new = x - step
             r_new = np.asarray(fn(x_new), dtype=float)
-            if np.linalg.norm(r_new) < np.linalg.norm(r):
+            if np.linalg.norm(r_new) < r_norm:
                 x, r = x_new, r_new
                 lam = max(lam / 3.0, 1e-14)
                 accepted = True
@@ -329,8 +340,10 @@ def design_maxflat(
     """Search for a unit-norm 2T-tap maximally flat tight prototype.
 
     Each restart draws Gaussian even taps (normalized to squared norm 1/2),
-    derives the odd taps from the flatness system, and runs damped least
-    squares on the tightness residual with its exact Jacobian.  The first
+    checks that the flatness map completes them (:func:`flatness_solve_odd`,
+    which raises ValueError when T is too large for floats), runs damped
+    least squares on the tightness residual with its exact Jacobian, and
+    derives the odd taps of the end point through the same check.  The first
     restart whose residual infinity norm and returned design's
     :func:`gabor_tightness` both pass ``tol`` wins; running out of restarts
     reports the smallest residual with ``converged=False``.
@@ -359,15 +372,17 @@ def design_maxflat(
         if nrm == 0.0:
             continue
         x0 *= 2.0**-0.5 / nrm
+        flatness_solve_odd(x0)  # before the forms are built: a T too large raises here
         run = levenberg_marquardt(
             tightness_residual, x0, tightness_jacobian, tol=1e-10, max_iter=500
         )
+        odd = flatness_solve_odd(run.x)
         res_inf = float(np.max(np.abs(run.residual)))
         trace.append((res_inf, run.iterations))
         if res_inf < best[0]:
             best = (res_inf, restart, run.iterations)
         if res_inf <= tol:
-            taps = interleave_taps(run.x, flatness_solve_odd(run.x))
+            taps = interleave_taps(run.x, odd)
             # no-op within tolerance: the 1/2-targets force unit norm
             taps = taps / np.linalg.norm(taps)
             signal = embed_taps(taps, q)

@@ -255,6 +255,77 @@ def test_tightness_jacobian_matches_central_differences():
         np.testing.assert_allclose(exact, numeric, rtol=0, atol=1e-7 * scale)
 
 
+def _residual_by_correlation(even):
+    """Reference tightness residual, with the sum of |terms| of each entry:
+    the correlations of the even taps and of their odd completion."""
+    t = even.size
+    rows, sizes = [], []
+    for s in (even, flatness_solve_odd(even)):
+        rows.append(np.correlate(s, s, "full")[t - 1 :: 2])
+        sizes.append(np.correlate(np.abs(s), np.abs(s), "full")[t - 1 :: 2])
+    res = np.array(rows)
+    res[:, 0] -= 0.5
+    return res.ravel(), np.ravel(sizes)
+
+
+def test_tightness_residual_matches_the_correlations():
+    # the quadratic forms reproduce both correlations to rounding of the
+    # largest product they sum, at unit-norm random taps
+    rng = np.random.default_rng(17)
+    for t in range(1, 17):
+        for _ in range(20):
+            even = rng.standard_normal(t)
+            even *= 2.0**-0.5 / np.linalg.norm(even)
+            ref, terms = _residual_by_correlation(even)
+            res = tightness_residual(even)
+            assert res.shape == ref.shape == (2 * ((t + 1) // 2),)
+            assert np.all(np.abs(res - ref) <= 1e-14 * np.maximum(1.0, terms)), t
+
+
+def test_tightness_forms_are_symmetric_cached_and_read_only():
+    for t in range(1, 17):
+        forms = gabor._tightness_forms(t)
+        assert forms.shape == (2 * ((t + 1) // 2), t, t)
+        np.testing.assert_array_equal(forms, forms.transpose(0, 2, 1))
+        assert gabor._tightness_forms(t) is forms
+        assert not forms.flags.writeable
+        with pytest.raises(ValueError):
+            forms[0, 0, 0] = 1.0
+
+
+@pytest.mark.parametrize("fn", [tightness_residual, tightness_jacobian, flatness_solve_odd])
+@pytest.mark.parametrize("even", [[], [[0.5, 0.5]]], ids=["empty", "matrix"])
+def test_even_taps_must_be_a_nonempty_vector(fn, even):
+    with pytest.raises(ValueError, match="nonempty vector"):
+        fn(even)
+
+
+@pytest.mark.parametrize(
+    "t, seed, restarts, tol",
+    [(6, 2, 100, 1e-8), (2, 0, 3, 0.0)],
+    ids=["won-at-restart-2", "all-failed"],
+)
+def test_design_checks_flatness_at_both_ends_of_every_restart(monkeypatch, t, seed, restarts, tol):
+    # the search itself forms no odd taps, so the flatness checks run once
+    # on each restart's start point and once on its end point
+    calls = []
+
+    def counting(even):
+        calls.append(np.array(even, dtype=float))
+        return flatness_solve_odd(even)
+
+    monkeypatch.setattr(gabor, "flatness_solve_odd", counting)
+    result = design_maxflat(t, seed=seed, restarts=restarts, tol=tol)
+    assert len(calls) == 2 * len(result.trace)
+    for restart, (start, end) in enumerate(zip(calls[0::2], calls[1::2])):
+        x0 = gabor._restart_rng(seed, restart).standard_normal(t)
+        np.testing.assert_array_equal(start, x0 * (2.0**-0.5 / np.linalg.norm(x0)))
+        assert np.max(np.abs(tightness_residual(end))) == result.trace[restart][0]
+    if result.converged:
+        assert result.restart == len(result.trace) - 1 == 2
+        np.testing.assert_allclose(result.taps[0::2], calls[-1], rtol=1e-12)
+
+
 def test_tightness_residual_unit_deltas():
     res = tightness_residual([2**-0.5])  # T = 1: odd = -even
     np.testing.assert_allclose(res, np.zeros(2), atol=1e-15)
