@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cyclic import conj_reverse, twist
+from .cyclic import _SCALARS, conj_reverse, twist
 
 __all__ = [
     "Signal",
@@ -38,8 +38,6 @@ __all__ = [
     "bank_to_json",
     "bank_from_json",
 ]
-
-_SCALARS = (int, float, complex, np.integer, np.floating, np.complexfloating)
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,4 +1,3 @@
-import functools
 import math
 import warnings
 from fractions import Fraction
@@ -8,7 +7,7 @@ import pytest
 
 from fbff import gabor
 
-from fbff.analysis import channel_is_projection, fusion_report
+from fbff.analysis import autocorrelation_defect, channel_is_projection, fusion_report
 from fbff.constructions import daubechies4
 from fbff.gabor import (
     design_maxflat,
@@ -19,7 +18,6 @@ from fbff.gabor import (
     gabor_tightness,
     interleave_taps,
     levenberg_marquardt,
-    tightness_jacobian,
     tightness_residual,
     zak_row_sums,
 )
@@ -248,8 +246,8 @@ def test_tightness_jacobian_matches_central_differences():
     for t in range(1, 13):
         even = rng.standard_normal(t)
         even *= 2.0**-0.5 / np.linalg.norm(even)
-        exact = tightness_jacobian(even)
-        numeric = _jacobian_cd(tightness_residual, even)
+        exact = tightness_residual(even)[1]
+        numeric = _jacobian_cd(lambda x: tightness_residual(x)[0], even)
         assert exact.shape == (2 * ((t + 1) // 2), t)
         scale = max(1.0, float(np.max(np.abs(exact))))
         np.testing.assert_allclose(exact, numeric, rtol=0, atol=1e-7 * scale)
@@ -277,7 +275,7 @@ def test_tightness_residual_matches_the_correlations():
             even = rng.standard_normal(t)
             even *= 2.0**-0.5 / np.linalg.norm(even)
             ref, terms = _residual_by_correlation(even)
-            res = tightness_residual(even)
+            res = tightness_residual(even)[0]
             assert res.shape == ref.shape == (2 * ((t + 1) // 2),)
             assert np.all(np.abs(res - ref) <= 1e-14 * np.maximum(1.0, terms)), t
 
@@ -293,7 +291,7 @@ def test_tightness_forms_are_symmetric_cached_and_read_only():
             forms[0, 0, 0] = 1.0
 
 
-@pytest.mark.parametrize("fn", [tightness_residual, tightness_jacobian, flatness_solve_odd])
+@pytest.mark.parametrize("fn", [tightness_residual, flatness_solve_odd])
 @pytest.mark.parametrize("even", [[], [[0.5, 0.5]]], ids=["empty", "matrix"])
 def test_even_taps_must_be_a_nonempty_vector(fn, even):
     with pytest.raises(ValueError, match="nonempty vector"):
@@ -320,14 +318,34 @@ def test_design_checks_flatness_at_both_ends_of_every_restart(monkeypatch, t, se
     for restart, (start, end) in enumerate(zip(calls[0::2], calls[1::2])):
         x0 = gabor._restart_rng(seed, restart).standard_normal(t)
         np.testing.assert_array_equal(start, x0 * (2.0**-0.5 / np.linalg.norm(x0)))
-        assert np.max(np.abs(tightness_residual(end))) == result.trace[restart][0]
+        assert np.max(np.abs(tightness_residual(end)[0])) == result.trace[restart][0]
     if result.converged:
         assert result.restart == len(result.trace) - 1 == 2
         np.testing.assert_allclose(result.taps[0::2], calls[-1], rtol=1e-12)
 
 
+def test_design_forms_one_product_per_evaluated_point(monkeypatch):
+    # the residual and its Jacobian come from one B x, so the search builds
+    # (or reads from the cache) the stack of forms once per evaluation
+    counts = {"forms": 0, "residual": 0}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(gabor, "_tightness_forms", counting("forms", gabor._tightness_forms))
+    monkeypatch.setattr(gabor, "tightness_residual", counting("residual", tightness_residual))
+    result = design_maxflat(6, seed=2)
+    assert result.converged
+    assert counts["residual"] >= sum(its for _, its in result.trace)
+    assert counts["forms"] == counts["residual"]
+
+
 def test_tightness_residual_unit_deltas():
-    res = tightness_residual([2**-0.5])  # T = 1: odd = -even
+    res = tightness_residual([2**-0.5])[0]  # T = 1: odd = -even
     np.testing.assert_allclose(res, np.zeros(2), atol=1e-15)
 
 
@@ -337,7 +355,7 @@ def test_tightness_residual_matches_spectral_form():
     low = bank_of(daubechies4(4)).filters[0]
     s = (low.samples[:4].real) / np.sqrt(2.0)  # satisfies the half-norm conditions
     t = 4
-    res = tightness_residual(s)[: (t + 1) // 2]  # the even half
+    res = tightness_residual(s)[0][: (t + 1) // 2]  # the even half
     period = 2 * t
     from fbff.cyclic import CyclicPoly
 
@@ -435,7 +453,9 @@ def test_levenberg_marquardt_small_system():
     def jacobian(x):
         return np.array([[2.0 * x[0], 2.0 * x[1]], [1.0, -1.0]])
 
-    run = levenberg_marquardt(residual, np.array([1.0, 0.2]), jacobian, tol=1e-12)
+    run = levenberg_marquardt(
+        lambda x: (residual(x), jacobian(x)), np.array([1.0, 0.2]), tol=1e-12
+    )
     assert run.converged
     np.testing.assert_allclose(np.abs(run.x), np.full(2, 2**-0.5), atol=1e-8)
 
@@ -451,17 +471,18 @@ def test_levenberg_marquardt_with_jacobian():
         return np.array([[2.0 * x[0], 2.0 * x[1]], [1.0, -1.0]])
 
     x0 = np.array([1.0, 0.2])
-    central = functools.partial(_jacobian_cd, residual)
-    numeric = levenberg_marquardt(residual, x0, central, tol=1e-12)
+    numeric = levenberg_marquardt(
+        lambda x: (residual(x), _jacobian_cd(residual, x)), x0, tol=1e-12
+    )
     numeric_calls = len(calls)
     calls.clear()
-    run = levenberg_marquardt(residual, x0, jacobian, tol=1e-12)
+    run = levenberg_marquardt(lambda x: (residual(x), jacobian(x)), x0, tol=1e-12)
     assert run.converged
     np.testing.assert_allclose(run.x, numeric.x, atol=1e-8)
-    # same steps, minus the 2 * x.size difference quotients of every
-    # iteration that forms a Jacobian (all but the last)
+    # same steps; the numeric callable adds the 2 * x.size difference
+    # quotients of its Jacobian to every point it evaluates
     assert run.iterations == numeric.iterations
-    assert numeric_calls - len(calls) == 4 * (run.iterations - 1)
+    assert numeric_calls == (1 + 2 * x0.size) * len(calls)
 
 
 def test_tight_system_splits_into_orthonormal_subsequences():
@@ -516,6 +537,22 @@ def test_design_converges_only_on_the_verdict_it_reports():
     assert result.trace[0][0] <= 1e-9
     assert result.residual_inf <= 1e-9
     assert gabor_tightness(result.signal, 2, 2, tol=1e-9)
+
+
+def test_design_residual_gate_is_half_the_verdict_scale():
+    # the residual's targets are 1/2 and the Zak defect's are 1, so the
+    # verdict reads twice the residual: restart 0 of T = 14, seed 4 stops at
+    # residual 8.3e-9, inside (tol/2, tol], and its design fails at tol 1e-8
+    result = design_maxflat(14, seed=4, restarts=1)
+    assert not result.converged
+    assert 0.5e-8 < result.residual_inf <= 1e-8
+    x0 = gabor._restart_rng(4, 0).standard_normal(14)
+    run = levenberg_marquardt(tightness_residual, x0 * (2.0**-0.5 / np.linalg.norm(x0)))
+    assert np.max(np.abs(run.residual)) == result.residual_inf
+    taps = interleave_taps(run.x, flatness_solve_odd(run.x))
+    phi = embed_taps(taps / np.linalg.norm(taps), result.block)
+    defect = np.max(autocorrelation_defect(zak_row_sums(phi, 2, 2) / 2))
+    assert defect == pytest.approx(2.0 * result.residual_inf, rel=1e-2)
 
 
 def test_design_failure_is_reported_not_raised():
