@@ -1,15 +1,16 @@
-"""Arithmetic in the ring of cyclic polynomials C[z] / <z^P - 1>.
+"""P-periodic signals as the ring of cyclic polynomials C[z] / <z^P - 1>.
 
-Coefficients are stored against *negative* powers: ``coeffs[p]`` multiplies
-z^{-p}.  Positive powers fold through the ring relation z^P = 1, so z itself
-is the monomial at index P - 1.  Exponent arithmetic is everywhere modulo
+One period of samples is a coefficient vector stored against *negative*
+powers: ``samples[p]`` multiplies z^{-p}.  Positive powers fold through the
+ring relation z^P = 1, so z itself is the delta at index P - 1, and circular
+convolution is the ring product.  Exponent arithmetic is everywhere modulo
 the period P.
 
 Evaluating a cyclic polynomial at the P-th roots of unity
 z = exp(2 pi j p / P) is a length-P DFT of the coefficient vector; that
 evaluation map is the workhorse of every numeric check downstream.  The
 module-level functions act along the last axis of coefficient arrays of any
-shape, so polynomial matrices share the ring operations of :class:`CyclicPoly`.
+shape, so polynomial matrices share the ring operations of :class:`Signal`.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["CyclicPoly", "ring_product", "twist", "conj_reverse"]
+__all__ = ["Signal", "CyclicPoly", "ring_product", "twist", "conj_reverse"]
 
 _SCALARS = (int, float, complex, np.integer, np.floating, np.complexfloating)
 
@@ -35,18 +36,18 @@ def ring_product(a, b, combine=np.multiply) -> np.ndarray:
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
-    if a.shape[-1] != b.shape[-1]:
-        raise ValueError(f"period mismatch: {a.shape[-1]} vs {b.shape[-1]}")
+    p = a.shape[-1]
+    if b.shape[-1] != p:
+        raise ValueError(f"period mismatch: {p} vs {b.shape[-1]}")
     shifts_a, shifts_b = (
-        np.flatnonzero(np.any(x != 0, axis=tuple(range(x.ndim - 1)))) for x in (a, b)
+        np.flatnonzero((x != 0).reshape(-1, p).any(axis=0)) for x in (a, b)
     )
+    if shifts_a.size > shifts_b.size:  # loop over the sparser operand
+        return ring_product(b, a, lambda x, y: combine(y, x))
     out = combine(np.zeros_like(a), np.zeros_like(b))
-    if shifts_a.size <= shifts_b.size:
-        for s in shifts_a:
-            out += combine(a[..., s : s + 1], np.roll(b, s, axis=-1))
-    else:
-        for s in shifts_b:
-            out += combine(np.roll(a, s, axis=-1), b[..., s : s + 1])
+    twice = np.concatenate([b, b], axis=-1)  # z^{-s} b is twice[..., p - s : 2p - s]
+    for s in shifts_a:
+        out += combine(a[..., s : s + 1], twice[..., p - s : 2 * p - s])
     return out
 
 
@@ -68,99 +69,89 @@ def conj_reverse(coeffs) -> np.ndarray:
     return np.conj(np.roll(np.asarray(coeffs)[..., ::-1], 1, axis=-1))
 
 
+def _require_equal_periods(x: Signal, y: Signal) -> None:
+    if x.period != y.period:
+        raise ValueError(f"period mismatch: {x.period} vs {y.period}")
+
+
 @dataclass(frozen=True, eq=False)
-class CyclicPoly:
-    """A complex polynomial with exponents modulo its period.
+class Signal:
+    """One period of a P-periodic complex sequence, which is also the cyclic
+    polynomial sum_p samples[p] z^{-p}.
 
     Values are immutable; operations return new instances.  Mixing operands
     of different periods raises instead of resizing silently.
     """
 
-    coeffs: np.ndarray
+    samples: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.array(self.coeffs, dtype=complex)
+        arr = np.array(self.samples, dtype=complex)
         if arr.ndim != 1 or arr.size == 0:
-            raise ValueError("coefficient vector must be 1-d and nonempty")
+            raise ValueError("samples must be 1-d and nonempty")
         arr.setflags(write=False)
-        object.__setattr__(self, "coeffs", arr)
-
-    # -- constructors ------------------------------------------------------
+        object.__setattr__(self, "samples", arr)
 
     @classmethod
-    def zero(cls, period: int) -> "CyclicPoly":
+    def zero(cls, period: int) -> "Signal":
         return cls(np.zeros(period, dtype=complex))
 
     @classmethod
-    def constant(cls, value: complex, period: int) -> "CyclicPoly":
-        c = np.zeros(period, dtype=complex)
-        c[0] = value
-        return cls(c)
-
-    @classmethod
-    def monomial(cls, p: int, period: int, scale: complex = 1.0) -> "CyclicPoly":
-        """The monomial ``scale * z^{-p}``, with p taken modulo the period."""
-        c = np.zeros(period, dtype=complex)
-        c[p % period] = scale
-        return cls(c)
+    def delta(cls, k: int, period: int, scale: complex = 1.0) -> "Signal":
+        """``scale`` at sample k mod P: the monomial ``scale * z^{-k}``."""
+        s = np.zeros(period, dtype=complex)
+        s[k % period] = scale
+        return cls(s)
 
     @property
     def period(self) -> int:
-        return self.coeffs.size
+        return self.samples.size
 
-    # -- ring operations ----------------------------------------------------
+    def norm(self) -> float:
+        return float(np.sqrt(np.sum(np.abs(self.samples) ** 2)))
 
-    def _require_same_period(self, other: "CyclicPoly") -> None:
-        if self.period != other.period:
-            raise ValueError(f"period mismatch: {self.period} vs {other.period}")
-
-    def __add__(self, other: "CyclicPoly") -> "CyclicPoly":
-        if not isinstance(other, CyclicPoly):
+    def __add__(self, other: "Signal") -> "Signal":
+        if not isinstance(other, Signal):
             return NotImplemented
-        self._require_same_period(other)
-        return CyclicPoly(self.coeffs + other.coeffs)
+        _require_equal_periods(self, other)
+        return Signal(self.samples + other.samples)
 
-    def __sub__(self, other: "CyclicPoly") -> "CyclicPoly":
-        if not isinstance(other, CyclicPoly):
+    def __sub__(self, other: "Signal") -> "Signal":
+        if not isinstance(other, Signal):
             return NotImplemented
-        self._require_same_period(other)
-        return CyclicPoly(self.coeffs - other.coeffs)
+        _require_equal_periods(self, other)
+        return Signal(self.samples - other.samples)
 
-    def __neg__(self) -> "CyclicPoly":
-        return CyclicPoly(-self.coeffs)
+    def __neg__(self) -> "Signal":
+        return Signal(-self.samples)
 
     def __mul__(self, other):
-        if isinstance(other, CyclicPoly):
-            return CyclicPoly(ring_product(self.coeffs, other.coeffs))
+        """Ring product (circular convolution) with a signal, or scaling."""
+        if isinstance(other, Signal):
+            return Signal(ring_product(self.samples, other.samples))
         if isinstance(other, _SCALARS):
-            return CyclicPoly(self.coeffs * other)
+            return Signal(self.samples * other)
         return NotImplemented
 
-    def __rmul__(self, other):
-        return self * other if isinstance(other, _SCALARS) else NotImplemented
+    __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
         return (
-            isinstance(other, CyclicPoly)
+            isinstance(other, Signal)
             and self.period == other.period
-            and bool(np.array_equal(self.coeffs, other.coeffs))
+            and bool(np.array_equal(self.samples, other.samples))
         )
-
-    # -- evaluation and symmetries -------------------------------------------
 
     def eval_at_root(self, p: int) -> complex:
         """Value at z = exp(2 pi j p / P), the p-th root of unity."""
         q = np.arange(self.period)
-        return complex(np.sum(self.coeffs * np.exp(-2j * np.pi * p * q / self.period)))
+        return complex(np.sum(self.samples * np.exp(-2j * np.pi * p * q / self.period)))
 
     def eval_all(self) -> np.ndarray:
         """Values at every root of unity; index p holds ``eval_at_root(p)``."""
-        return np.fft.fft(self.coeffs)
+        return np.fft.fft(self.samples)
 
-    def twist(self, r: int, R: int) -> "CyclicPoly":
-        """Substitute z -> exp(-2 pi j r / R) z.  Requires R | P."""
-        return CyclicPoly(twist(self.coeffs, r, R))
 
-    def conj_reverse(self) -> "CyclicPoly":
-        """Conjugate coefficients and negate exponents; see :func:`conj_reverse`."""
-        return CyclicPoly(conj_reverse(self.coeffs))
+# perfbench/tracer.py binds eval_at_root, eval_all and __mul__ as
+# "fbff.cyclic:CyclicPoly.<name>"; this alias keeps those bindings alive.
+CyclicPoly = Signal

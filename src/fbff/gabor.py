@@ -27,7 +27,9 @@ solve runs on each restart's start and end point.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,15 +113,23 @@ def gabor_tightness(phi: Signal, m: int, r: int, *, tol: float = 1e-9) -> bool:
 # -- max-flat design ----------------------------------------------------------
 
 
+# The first T (136) whose derivative table's largest entry, (2T-1)!/T!,
+# overflows a float.
+_TABLE_T_LIMIT = next(
+    t
+    for t in itertools.count(1)
+    if math.lgamma(2 * t) - math.lgamma(t + 1) > math.log(sys.float_info.max)
+)
+
+
 @functools.cache
 def _derivative_table(t: int) -> np.ndarray:
     """T x 2T table F[k, m] = m!/(m-k)!: row k of F @ taps is the k-th
     derivative of the tap polynomial at 1.  Cached per T, read-only;
-    ValueError when an entry does not fit in a float (T >= 136)."""
-    try:
-        table = np.array([[float(math.perm(m, k)) for m in range(2 * t)] for k in range(t)])
-    except OverflowError:
-        raise ValueError(f"derivative table for T = {t} does not fit in floats") from None
+    ValueError, before any entry is built, when T >= ``_TABLE_T_LIMIT``."""
+    if t >= _TABLE_T_LIMIT:
+        raise ValueError(f"derivative table for T = {t} does not fit in floats")
+    table = np.array([[float(math.perm(m, k)) for m in range(2 * t)] for k in range(t)])
     table.flags.writeable = False
     return table
 
@@ -370,11 +380,12 @@ def design_maxflat(
     if 2 * t > 4 * q:
         raise ValueError(f"2T = {2 * t} taps do not fit in period {4 * q}")
 
+    _derivative_table(t)  # a T too large for floats raises before any draw
     trace = []  # entry k is restart k: a Gaussian draw is never all zeros
     for restart in range(restarts):
         x0 = _restart_rng(seed, restart).standard_normal(t)
         x0 *= 2.0**-0.5 / np.linalg.norm(x0)
-        flatness_solve_odd(x0)  # before the forms are built: a T too large raises here
+        flatness_solve_odd(x0)  # before the forms are built: taps that overflow raise here
         run = levenberg_marquardt(tightness_residual, x0)
         odd = flatness_solve_odd(run.x)
         res_inf = float(np.max(np.abs(run.residual)))

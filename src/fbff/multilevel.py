@@ -7,10 +7,11 @@ ambient space.  Trees describe which channels are re-expanded: an identity
 child leaves a channel as a leaf, a bank child splits it again.
 
 A chain of channels is one channel at the product rate (the noble
-identities), so each flattened leaf is a one-channel bank, applied through
-the same translate-matrix operators as any other bank.  Compose judges each
-level's channels, and verify each leaf, by the one projection rule: the
-largest entry of T^H T - I, from polyphase norms or from the leaf's T.
+identities): its filter is the ring product of the outer filter with the
+upsampled inner one, and each flattened leaf is a one-channel bank of that
+filter.  Compose judges each level's channels, and verify each leaf, by the
+one projection rule: the largest entry of T^H T - I, from polyphase norms
+or from the leaf's T.
 
 Filters at inner levels are never reused verbatim; they are folded to the
 level's period with :func:`fbff.signals.periodize`, which preserves the
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .analysis import channel_is_projection, verify_weighted_parseval
-from .signals import FilterBank, Signal, periodize, synthesis_apply, translate_matrix
+from .signals import FilterBank, Signal, periodize, translate_matrix, upsample
 
 __all__ = [
     "equivalent_filter",
@@ -42,9 +43,10 @@ def equivalent_filter(phi_outer: Signal, phi_inner: Signal, m: int) -> Signal:
 
     By the noble identities, applying the outer channel (rate m) after the
     inner one equals one channel at the product rate whose filter is the
-    outer channel's synthesis of the inner filter, sum_k inner[k] T^{mk} outer.
+    ring product of the outer filter with the inner one upsampled by m,
+    sum_k inner[k] T^{mk} outer.
     """
-    return synthesis_apply(FilterBank((phi_outer,), m), [phi_inner])
+    return phi_outer * upsample(phi_inner, m)
 
 
 @dataclass(frozen=True)

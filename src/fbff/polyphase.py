@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cyclic import CyclicPoly
 from .signals import FilterBank, Signal
 
 __all__ = [
@@ -62,8 +61,8 @@ class PolyphaseMatrix:
     def period(self) -> int:
         return self.coeffs.shape[2]
 
-    def entry(self, m: int, n: int) -> CyclicPoly:
-        return CyclicPoly(self.coeffs[m, n])
+    def entry(self, m: int, n: int) -> Signal:
+        return Signal(self.coeffs[m, n])
 
     def __eq__(self, other) -> bool:
         return (

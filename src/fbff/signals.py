@@ -1,14 +1,14 @@
-"""Periodic complex signals, multirate operators, and filter banks.
+"""Multirate operators and filter banks on periodic complex signals.
 
-A :class:`Signal` is a P-periodic sequence held as one period of samples;
-indexing is modulo P by construction.  All sampling-rate relations are
-enforced through divisibility checks: silent period coercion is the
-dominant bug class in multirate code, so nothing here ever resizes an
+A :class:`~fbff.cyclic.Signal` is a P-periodic sequence held as one period
+of samples; indexing is modulo P by construction.  All sampling-rate
+relations are enforced through divisibility checks: silent period coercion
+is the dominant bug class in multirate code, so nothing here ever resizes an
 operand for you.
 
-Every filtering operator is a product with a translate matrix: column k of
-``translate_matrix(phi, m)`` is T^{mk} phi, so synthesis is sum_n T_n y_n,
-analysis is T_n^H x, and circular convolution is the case m = 1.
+Circular convolution is the product of the ring C[z] / <z^P - 1>.  A filter
+bank acts through translate matrices: column k of ``translate_matrix(phi, m)``
+is T^{mk} phi, so synthesis is sum_n T_n y_n and analysis is T_n^H x.
 """
 
 from __future__ import annotations
@@ -17,10 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cyclic import _SCALARS, conj_reverse, twist
+from .cyclic import Signal, _require_equal_periods, conj_reverse, twist
 
 __all__ = [
-    "Signal",
     "FilterBank",
     "inner",
     "circ_convolve",
@@ -40,71 +39,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class Signal:
-    """One period of a P-periodic complex sequence."""
-
-    samples: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.array(self.samples, dtype=complex)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValueError("samples must be 1-d and nonempty")
-        arr.setflags(write=False)
-        object.__setattr__(self, "samples", arr)
-
-    @classmethod
-    def zero(cls, period: int) -> "Signal":
-        return cls(np.zeros(period, dtype=complex))
-
-    @classmethod
-    def delta(cls, k: int, period: int, scale: complex = 1.0) -> "Signal":
-        s = np.zeros(period, dtype=complex)
-        s[k % period] = scale
-        return cls(s)
-
-    @property
-    def period(self) -> int:
-        return self.samples.size
-
-    def norm(self) -> float:
-        return float(np.sqrt(np.sum(np.abs(self.samples) ** 2)))
-
-    def __add__(self, other: "Signal") -> "Signal":
-        if not isinstance(other, Signal):
-            return NotImplemented
-        _require_equal_periods(self, other)
-        return Signal(self.samples + other.samples)
-
-    def __sub__(self, other: "Signal") -> "Signal":
-        if not isinstance(other, Signal):
-            return NotImplemented
-        _require_equal_periods(self, other)
-        return Signal(self.samples - other.samples)
-
-    def __neg__(self) -> "Signal":
-        return Signal(-self.samples)
-
-    def __mul__(self, other):
-        if isinstance(other, _SCALARS):
-            return Signal(self.samples * other)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Signal)
-            and self.period == other.period
-            and bool(np.array_equal(self.samples, other.samples))
-        )
-
-
-def _require_equal_periods(x: Signal, y: Signal) -> None:
-    if x.period != y.period:
-        raise ValueError(f"period mismatch: {x.period} vs {y.period}")
-
-
 def inner(x: Signal, y: Signal) -> complex:
     """Inner product <x, y> = sum_k x[k] conj(y[k])."""
     _require_equal_periods(x, y)
@@ -112,9 +46,9 @@ def inner(x: Signal, y: Signal) -> complex:
 
 
 def circ_convolve(x: Signal, h: Signal) -> Signal:
-    """Circular convolution (x * h)[k] = sum_{k'} x[k'] h[k - k'] mod P."""
-    _require_equal_periods(x, h)
-    return Signal(translate_matrix(h, 1) @ x.samples)
+    """Circular convolution (x * h)[k] = sum_{k'} x[k'] h[k - k'] mod P,
+    the ring product ``x * h``; ValueError when the periods differ."""
+    return x * h
 
 
 def upsample(y: Signal, m: int) -> Signal:

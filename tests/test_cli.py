@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -523,13 +524,16 @@ def test_compose_overflowing_samples_is_usage_error(capsys, tmp_path, verify):
     assert out == ""
 
 
-@pytest.mark.parametrize("half_taps", ["133", "136"])
+@pytest.mark.parametrize("half_taps", ["133", "136", "20000"])
 def test_design_maxflat_overflow_is_usage_error(capsys, half_taps):
+    start = time.perf_counter()
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no overflow RuntimeWarning either
         code, out, err = _run(
             capsys, "design-maxflat", "--half-taps", half_taps, "--restarts", "1"
         )
+    if int(half_taps) >= 136:  # rejected before any draw or table is built
+        assert time.perf_counter() - start < 1.0
     assert code == 2
     assert err.startswith("error:") and "floats" in err and "Traceback" not in err
     assert out == ""

@@ -18,7 +18,6 @@ from fbff.constructions import (
     tensor,
     union,
 )
-from fbff.cyclic import CyclicPoly
 from fbff.polyphase import PolyphaseMatrix, bank_of, eval_matrix, gram
 from fbff.signals import Signal, modulate
 
@@ -26,7 +25,7 @@ from fbff.signals import Signal, modulate
 def _linear(c0, c1, period):
     coeffs = np.zeros(period, dtype=complex)
     coeffs[0], coeffs[1] = c0, c1
-    return CyclicPoly(coeffs)
+    return Signal(coeffs)
 
 
 def _unitary_at_all_roots(mat, tol=1e-12):
@@ -70,8 +69,8 @@ def test_daubechies_unitary_at_all_roots():
 def test_daubechies_period_one_folds_to_orthonormal_pair():
     mat = daubechies4(1)
     a, b, c, d = DAUB_A, DAUB_B, DAUB_C, DAUB_D
-    assert mat.entry(0, 0) == CyclicPoly.constant(a + b, 1)
-    assert mat.entry(1, 1) == CyclicPoly.constant(-b - a, 1)
+    assert mat.entry(0, 0) == Signal.delta(0, 1, a + b)
+    assert mat.entry(1, 1) == Signal.delta(0, 1, -b - a)
     rep = fusion_report(bank_of(mat))
     assert rep.is_puntf
     assert rep.bounds.A == pytest.approx(1.0, abs=1e-12)
@@ -111,7 +110,7 @@ def test_stacked_bank_matches_displayed_matrix():
         (1, 3): _linear(-1j * b, 1j * a, 4),
     }
     for (m, n), want in expected.items():
-        np.testing.assert_allclose(mat.entry(m, n).coeffs, want.coeffs, atol=1e-15)
+        np.testing.assert_allclose(mat.entry(m, n).samples, want.samples, atol=1e-15)
 
 
 def test_stacked_bank_filters_are_modulates():
@@ -147,7 +146,7 @@ def test_stacked_bank_quarter_band_shift():
 
 
 def test_tensor_with_identity():
-    ident = PolyphaseMatrix(np.array([[CyclicPoly.constant(1.0, 4).coeffs]]))
+    ident = PolyphaseMatrix(np.array([[Signal.delta(0, 4).samples]]))
     mat = mercedes_benz(4)
     assert tensor(mat, ident) == mat
     assert tensor(ident, mat) == mat
@@ -165,7 +164,7 @@ def test_tensor_evaluates_to_kronecker():
     rng = np.random.default_rng(1)
     def rand_mat(m, n):
         rows = tuple(
-            tuple(CyclicPoly(rng.standard_normal(6) + 1j * rng.standard_normal(6)).coeffs for _ in range(n))
+            tuple(rng.standard_normal(6) + 1j * rng.standard_normal(6) for _ in range(n))
             for _ in range(m)
         )
         return PolyphaseMatrix(np.array(rows))
@@ -184,7 +183,7 @@ def test_product_identity():
     ident = PolyphaseMatrix(
         np.array(
             tuple(
-                tuple(CyclicPoly.constant(1.0 if i == j else 0.0, 4).coeffs for j in range(2))
+                tuple(Signal.delta(0, 4, 1.0 if i == j else 0.0).samples for j in range(2))
                 for i in range(2)
             )
         )
@@ -233,9 +232,9 @@ def test_product_rejects_non_square_left():
 
 def test_elementary_factor_basis_vector():
     mat = elementary_paraunitary(np.array([1.0, 0.0]), 4)
-    assert mat.entry(0, 0) == CyclicPoly.monomial(3, 4)  # z = z^{-(P-1)}
-    assert mat.entry(1, 1) == CyclicPoly.constant(1.0, 4)
-    assert mat.entry(0, 1) == CyclicPoly.zero(4)
+    assert mat.entry(0, 0) == Signal.delta(3, 4)  # z = z^{-(P-1)}
+    assert mat.entry(1, 1) == Signal.delta(0, 4)
+    assert mat.entry(0, 1) == Signal.zero(4)
 
 
 def test_elementary_factor_unitary():

@@ -357,13 +357,13 @@ def test_tightness_residual_matches_spectral_form():
     t = 4
     res = tightness_residual(s)[0][: (t + 1) // 2]  # the even half
     period = 2 * t
-    from fbff.cyclic import CyclicPoly
+    from fbff.cyclic import twist
 
-    poly = CyclicPoly(np.concatenate([s, np.zeros(period - t)]))
+    poly = Signal(np.concatenate([s, np.zeros(period - t)]))
     for p in range(period):
         defect = (
             abs(poly.eval_at_root(p)) ** 2
-            + abs(poly.twist(1, 2).eval_at_root(p)) ** 2
+            + abs(Signal(twist(poly.samples, 1, 2)).eval_at_root(p)) ** 2
             - 1.0
         )
         predicted = 2.0 * (

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from fbff.cyclic import CyclicPoly
+from fbff.cyclic import twist
 from fbff.constructions import daubechies4, mercedes_benz, DAUB_A, DAUB_B, DAUB_C, DAUB_D
 from fbff.polyphase import (
     PolyphaseMatrix,
@@ -25,7 +25,7 @@ def _random_signal(rng, period):
 def _random_matrix(rng, m, n, period):
     rows = tuple(
         tuple(
-            CyclicPoly(rng.standard_normal(period) + 1j * rng.standard_normal(period)).coeffs
+            rng.standard_normal(period) + 1j * rng.standard_normal(period)
             for _ in range(n)
         )
         for _ in range(m)
@@ -35,14 +35,14 @@ def _random_matrix(rng, m, n, period):
 
 def test_decompose_delta():
     v = decompose(Signal.delta(0, 8), 2)
-    assert v.entry(0, 0) == CyclicPoly.constant(1.0, 4)
-    assert v.entry(1, 0) == CyclicPoly.zero(4)
+    assert v.entry(0, 0) == Signal.delta(0, 4)
+    assert v.entry(1, 0) == Signal.zero(4)
 
 
 def test_decompose_offset_delta():
     v = decompose(Signal.delta(1, 4), 2)
-    assert v.entry(0, 0) == CyclicPoly.zero(2)
-    assert v.entry(1, 0) == CyclicPoly.constant(1.0, 2)
+    assert v.entry(0, 0) == Signal.zero(2)
+    assert v.entry(1, 0) == Signal.delta(0, 2)
 
 
 def test_round_trip_exact():
@@ -52,9 +52,9 @@ def test_round_trip_exact():
 
 
 def test_reconstruct_zero_and_single_component():
-    z = PolyphaseMatrix(np.array([[CyclicPoly.zero(3).coeffs], [CyclicPoly.zero(3).coeffs]]))
+    z = PolyphaseMatrix(np.zeros((2, 1, 3)))
     assert reconstruct(z) == Signal.zero(6)
-    v = PolyphaseMatrix(np.array([[CyclicPoly.zero(3).coeffs], [CyclicPoly([1, 2, 3]).coeffs]]))
+    v = PolyphaseMatrix(np.array([[[0, 0, 0]], [[1, 2, 3]]]))
     out = reconstruct(v)
     assert np.all(out.samples[0::2] == 0)
     np.testing.assert_array_equal(out.samples[1::2], [1, 2, 3])
@@ -71,7 +71,7 @@ def test_matrix_of_mercedes_constants():
     expect = np.array([[1.0, -0.5, -0.5], [0.0, np.sqrt(3) / 2, -np.sqrt(3) / 2]])
     for m in range(2):
         for n in range(3):
-            assert mat.entry(m, n) == CyclicPoly.constant(expect[m, n], 4)
+            assert mat.entry(m, n) == Signal.delta(0, 4, expect[m, n])
 
 
 def test_matrix_of_daubechies_taps():
@@ -84,15 +84,15 @@ def test_matrix_of_daubechies_taps():
         high.samples[:4], [DAUB_D, -DAUB_B, DAUB_C, -DAUB_A], atol=0
     )
     mat = matrix_of(fb)
-    assert mat.entry(0, 0) == CyclicPoly([DAUB_A, DAUB_B, 0, 0])
-    assert mat.entry(1, 1) == CyclicPoly([-DAUB_B, -DAUB_A, 0, 0])
+    assert mat.entry(0, 0) == Signal([DAUB_A, DAUB_B, 0, 0])
+    assert mat.entry(1, 1) == Signal([-DAUB_B, -DAUB_A, 0, 0])
 
 
 def test_matrix_of_single_delta_filter():
     fb = FilterBank((Signal.delta(0, 8),), 2)
     mat = matrix_of(fb)
-    assert mat.entry(0, 0) == CyclicPoly.constant(1.0, 4)
-    assert mat.entry(1, 0) == CyclicPoly.zero(4)
+    assert mat.entry(0, 0) == Signal.delta(0, 4)
+    assert mat.entry(1, 0) == Signal.zero(4)
 
 
 def test_eval_constant_matrix():
@@ -152,7 +152,7 @@ def test_zak_power_rows_fold_the_twisted_columns(m, q, r):
     expect = np.array(
         [
             [
-                sum(abs(vec.entry(k, 0).twist(s, r).eval_at_root(p)) ** 2 for s in range(r))
+                sum(abs(Signal(twist(vec.entry(k, 0).samples, s, r)).eval_at_root(p)) ** 2 for s in range(r))
                 for p in range(q * r)
             ]
             for k in range(m)

@@ -219,8 +219,10 @@ def test_upsample_convolution_commutation():
 
 @pytest.mark.parametrize("m", [1, 2, 3, 5])
 def test_translate_matrix_operators_match_convolution_formulas(m):
-    # the operators against the convolve-upsample and correlate-downsample
-    # formulas they replace; inner period P = 5, so m = 5 is the case M = P
+    # the translate-matrix operators against the ring-product convolve-upsample
+    # and correlate-downsample formulas, the ring-product equivalent filter
+    # against one-channel synthesis, and the ring product against the O(P^2)
+    # convolution sum; inner period P = 5, so m = 5 is the case M = P
     rng = np.random.default_rng(30 + m)
     p = 5
     fb = FilterBank(tuple(_random_signal(rng, m * p) for _ in range(3)), m)
@@ -242,7 +244,7 @@ def test_translate_matrix_operators_match_convolution_formulas(m):
     for phi, got in zip(fb.filters, analysis_apply(fb, x)):
         close(got, downsample(circ_convolve(involution(phi), x), m))
     phi, psi = fb.filters[0], ys[0]
-    close(equivalent_filter(phi, psi, m), circ_convolve(phi, upsample(psi, m)))
+    close(equivalent_filter(phi, psi, m), synthesis_apply(FilterBank((phi,), m), [psi]))
     close(circ_convolve(x, fb.filters[1]), direct_convolve(x, fb.filters[1]))
 
 

@@ -28,7 +28,7 @@ TEST_ONLY = {
     "reconstruct",  # test_acceptance.py, criterion 10
     "pp_inner",  # test_acceptance.py, criterion 10
     "inner",  # test_acceptance.py, criteria 4 and 8-10: the time-domain inner product
-    "upsample",  # synthesis_apply's reference in test_multilevel.py and test_signals.py
+    "synthesis_apply",  # equivalent_filter's reference and analysis_apply's adjoint in test_signals.py
     "involution",  # analysis_apply's reference in test_multilevel.py and test_signals.py
     "downsample",  # analysis_apply's reference in test_signals.py
 }
@@ -290,6 +290,14 @@ def _traced() -> set[str]:
 def test_public_definitions_have_callers_outside_the_tests(path):
     source = path.read_text(encoding="utf-8")
     assert uncalled_definitions(source, path.stem, _library_reads(), _traced() | TEST_ONLY) == []
+
+
+def test_one_class_for_periodic_sequences():
+    # the tracer's alias names the signal class itself, not a second class
+    import fbff.cyclic
+    import fbff.signals
+
+    assert fbff.cyclic.CyclicPoly is fbff.signals.Signal
 
 
 def test_test_only_list_holds_exactly_the_uncalled_definitions():
