@@ -9,7 +9,7 @@ row checks both read from that stack, and the bounds keep the spectra so
 that the dense oracle checks the very numbers they were read from.
 
 The Hermitian eigenvalue solver kept here (Householder tridiagonalization
-and Sturm multisection in pure numpy, tested against an independent
+in numpy, then implicit QL on Python floats, tested against an independent
 characteristic-polynomial root finder) computes eigenvalues only and
 serves only the dense oracle, so the polyphase route and the oracle share
 no eigensolver.  Every channel verdict, the Gabor one included, reads
@@ -20,6 +20,7 @@ polyphase norms that are not finite are rejected with ValueError.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -45,7 +46,7 @@ __all__ = [
 
 _HERMITIAN_TOL = 1e-10
 _OFF_TOL = 1e-13
-_MAX_PASSES = 64
+_MAX_SWEEPS = 30
 
 
 def _tridiagonalize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -70,54 +71,52 @@ def _tridiagonalize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.diag(a).real, np.abs(np.diag(a, -1))
 
 
-def _sturm_eigs(d: np.ndarray, sub: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of the real symmetric tridiagonal matrix with
-    diagonal ``d`` and subdiagonal ``sub``, by Sturm-count multisection.
-
-    Eigenvalue k keeps an interval [lo, hi) with at most k eigenvalues
-    below lo and at least k + 1 below hi.  A pass counts the negative
-    pivots q_i = (d_i - x) - b_i^2 / q_{i-1} of T - x at the S shifts x
-    that cut every interval into S + 1 equal parts, all n * S shifts in one
-    recurrence on the (n, n * S) array of d_i - x, and keeps the part
-    holding eigenvalue k.  S + 1 is the largest power of two up to 1024 / n,
-    but at least 16: about 1024 shifts per pass, on a dyadic grid.  With b^2
-    floored at the smallest normal float, a zero pivot makes the next one
-    -inf (+inf after -0): by sign bit the pair counts one negative.
+def _tridiagonal_eigs(d: np.ndarray, sub: np.ndarray) -> list[float]:
+    """Unsorted eigenvalues of the real symmetric tridiagonal matrix with
+    diagonal ``d`` and subdiagonal ``sub``, by implicit QL with Wilkinson
+    shifts (Golub & Van Loan §8.3.5; EISPACK ``tql1``) on Python floats.
+    A subdiagonal entry at most eps times the largest |d_i| + |sub_i| splits
+    the matrix: a test against its diagonal neighbours alone never passes
+    inside a cluster of eigenvalues at rounding level, like a singular Gram's zeros.
     """
-    n, eps = len(d), np.finfo(float).eps
-    shifts = (1 << max(4, (1024 // n).bit_length() - 1)) - 1
-    b2 = np.maximum(sub**2, np.finfo(float).tiny).tolist()
-    rad = np.concatenate([sub, [0.0]]) + np.concatenate([[0.0], sub])
-    scale = float(np.max(np.abs(d) + rad))
-    lo = np.full(n, float(np.min(d - rad)) - 2.0 * n * eps * scale)
-    hi = np.full(n, float(np.max(d + rad)) + 2.0 * n * eps * scale)
-    k, steps = np.arange(n), np.arange(shifts + 2) / (shifts + 1.0)
-    ratio = np.empty(n * shifts)
-    with np.errstate(divide="ignore", over="ignore"):
-        for _ in range(_MAX_PASSES):
-            grid = lo[:, None] + np.outer(hi - lo, steps)
-            grid[:, -1] = hi
-            q = d[:, None] - grid[:, 1:-1].ravel()
-            for i in range(1, n):
-                np.divide(b2[i - 1], q[i - 1], out=ratio)
-                np.subtract(q[i], ratio, out=q[i])
-            neg = np.count_nonzero(np.signbit(q), axis=0)
-            below = np.count_nonzero(neg.reshape(n, shifts) <= k[:, None], axis=1)
-            lo, hi = grid[k, below], grid[k, below + 1]
-            if np.max(hi - lo) <= 2.0 * eps * scale:
-                return (lo + hi) / 2.0
-    raise RuntimeError("Sturm multisection did not converge")
+    tol = float(np.finfo(float).eps * np.max(np.abs(d) + np.append(sub, 0.0)))
+    d, e, n = d.tolist(), sub.tolist() + [0.0], len(d)
+    for l in range(n):
+        for _ in range(_MAX_SWEEPS):
+            m = l
+            while m < n - 1 and abs(e[m]) > tol:
+                m += 1
+            if m == l:
+                break
+            # shift by the eigenvalue of the leading 2 x 2 nearer d_l, then
+            # chase the bulge from row m up to row l
+            g = (d[l + 1] - d[l]) / (2.0 * e[l])
+            g = d[m] - d[l] + e[l] / (g + math.copysign(math.hypot(g, 1.0), g))
+            s, c, p = 1.0, 1.0, 0.0
+            for i in range(m - 1, l - 1, -1):
+                f, b = s * e[i], c * e[i]
+                r = e[i + 1] = math.hypot(f, g)
+                s, c = (f / r, g / r) if r else (0.0, 1.0)  # as LAPACK's dlartg
+                g = d[i + 1] - p
+                r = (d[i] - g) * s + 2.0 * c * b
+                p = s * r
+                d[i + 1] = g + p
+                g = c * r - b
+            d[l] -= p
+            e[l], e[m] = g, 0.0
+        else:
+            raise RuntimeError("implicit QL did not converge")
+    return d
 
 
 def hermitian_eigs(h: np.ndarray) -> np.ndarray:
     """Real eigenvalues of a Hermitian matrix, ascending; no eigenvectors.
 
-    Householder reduction to real symmetric tridiagonal form, then
-    Sturm-count multisection from the Gershgorin interval down to 2 eps
-    times its scale (Barth, Martin & Wilkinson, 1967).  When the
-    off-diagonal Frobenius norm is at most 1e-13 times the matrix norm, the
-    sorted diagonal is the spectrum.  Raises ValueError for non-square,
-    non-finite or non-Hermitian input (relative to the largest entry).
+    Householder reduction to real symmetric tridiagonal form, then implicit
+    QL.  When the off-diagonal Frobenius norm is at most 1e-13 times the
+    matrix norm, the sorted diagonal is the spectrum.  Raises ValueError for
+    non-square, non-finite or non-Hermitian input (relative to the largest
+    entry), and RuntimeError past 30 QL sweeps for one eigenvalue.
     """
     a = np.array(h, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -125,7 +124,7 @@ def hermitian_eigs(h: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix has non-finite entries")
     # work on a / 2**e, an exact rescaling with entries below 1, so neither
-    # the norms nor the squared subdiagonal overflow or underflow
+    # the norms nor the Householder vectors' squared lengths overflow or underflow
     e = int(np.frexp(float(np.max(np.abs(a), initial=0.0)))[1])
     a = np.ldexp(a.real, -e) + 1j * np.ldexp(a.imag, -e)
     top = float(np.max(np.abs(a), initial=0.0))
@@ -134,7 +133,7 @@ def hermitian_eigs(h: np.ndarray) -> np.ndarray:
     a = (a + a.conj().T) / 2.0
     w = np.diag(a).real
     if np.linalg.norm(a - np.diag(w)) > _OFF_TOL * np.linalg.norm(a):
-        w = _sturm_eigs(*_tridiagonalize(a))
+        w = _tridiagonal_eigs(*_tridiagonalize(a))
     return np.sort(np.ldexp(w, e), kind="stable")
 
 
