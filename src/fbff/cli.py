@@ -284,7 +284,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_compose)
 
     p = sub.add_parser("design-maxflat", help="search for a max-flat tight prototype")
-    p.add_argument("--half-taps", type=int, required=True, dest="half_taps")
+    p.add_argument(
+        "--half-taps", type=int, required=True, dest="half_taps",
+        help="T, half the tap count; T >= 136 exits 2 before any work, and from T = 43 "
+        "a draw can exceed the exact odd-tap map's float limits (exit 2)",
+    )
     p.add_argument("--seed", type=int, default=0, help="overridden by FBFF_SEED")
     p.add_argument("--restarts", type=int, default=100)
     p.add_argument("--q", type=int, default=None, help="embedding block size")

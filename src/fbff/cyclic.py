@@ -8,13 +8,16 @@ the period P.
 
 Evaluating a cyclic polynomial at the P-th roots of unity
 z = exp(2 pi j p / P) is a length-P DFT of the coefficient vector; that
-evaluation map is the workhorse of every numeric check downstream.  The
+evaluation map is the workhorse of every numeric check downstream.  All roots
+are one FFT; one root reads a cached table of the P roots at the integer
+exponents q p mod P, never a phase from the float product p q.  The
 module-level functions act along the last axis of coefficient arrays of any
 shape, so polynomial matrices share the ring operations of :class:`Signal`.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,6 +70,14 @@ def conj_reverse(coeffs) -> np.ndarray:
     which makes this the entrywise building block of matrix adjoints.
     """
     return np.conj(np.roll(np.asarray(coeffs)[..., ::-1], 1, axis=-1))
+
+
+@functools.cache
+def _roots_of_unity(period: int) -> np.ndarray:
+    """exp(-2 pi j k / P) for k < P, each within a few ulps.  Cached per P, read-only."""
+    roots = np.exp(-2j * np.pi * np.arange(period) / period)
+    roots.flags.writeable = False
+    return roots
 
 
 def _require_equal_periods(x: Signal, y: Signal) -> None:
@@ -143,9 +154,9 @@ class Signal:
         )
 
     def eval_at_root(self, p: int) -> complex:
-        """Value at z = exp(2 pi j p / P), the p-th root of unity."""
-        q = np.arange(self.period)
-        return complex(np.sum(self.samples * np.exp(-2j * np.pi * p * q / self.period)))
+        """Value at z = exp(2 pi j p / P), the p-th root of unity, for any integer p."""
+        exponents = np.arange(self.period) * (p % self.period) % self.period
+        return complex(self.samples @ _roots_of_unity(self.period)[exponents])
 
     def eval_all(self) -> np.ndarray:
         """Values at every root of unity; index p holds ``eval_at_root(p)``."""

@@ -189,7 +189,10 @@ def flatness_solve_odd(even) -> np.ndarray:
         raise ValueError("flatness derivatives overflow floats")
     scale = max(1.0, float(np.max(np.abs(table[:, 0::2] @ even))))
     if float(np.max(deriv)) > 1e-10 * scale:
-        raise ValueError("flatness solve residual too large")
+        raise ValueError(
+            f"flatness solve residual too large at T = {even.size}: a float limit "
+            "of the exact odd-tap map on this draw, not malformed input"
+        )
     if np.any(deriv > 1e-12 * bound):
         raise ValueError("flatness forward error too large")
     return odd

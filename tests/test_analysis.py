@@ -19,7 +19,7 @@ from fbff.constructions import (
     modulated_daubechies_stack,
     named_bank,
 )
-from fbff.polyphase import bank_of, matrix_of
+from fbff.polyphase import PolyphaseMatrix, bank_of, eval_all_roots, matrix_of
 from fbff.signals import FilterBank, Signal, translate_matrix
 
 
@@ -284,6 +284,28 @@ def test_frame_bounds_daubechies():
 def test_frame_bounds_zero_bank():
     fb = frame_bounds(matrix_of(FilterBank((Signal.zero(8),), 2)))
     assert fb.A == 0.0 and fb.B == 0.0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_per_root_and_fft_grams_match_a_long_double_reference(seed):
+    # both routes against Grams summed in np.clongdouble (64-bit mantissa,
+    # pi to 1e-19) at each root.  A root formed from the float product
+    # 2 pi p q / P would cost about 1e-14 of max|G| here; a root read at an
+    # exact integer exponent, or one FFT, stays within a few ulps.
+    coeffs = np.random.default_rng(seed).standard_normal((4, 6, 128, 2)) @ [1, 1j]
+    period = coeffs.shape[-1]
+    pi = 4 * np.arctan(np.longdouble(1))
+    angle = (np.outer(np.arange(period), np.arange(period)) % period) * (-2 * pi / period)
+    roots = np.exp(1j * angle)
+    values = np.einsum("mnq,pq->pmn", coeffs.astype(np.clongdouble), roots)
+    reference = values @ values.conj().transpose(0, 2, 1)
+    fft_values = np.moveaxis(eval_all_roots(PolyphaseMatrix(coeffs)), -1, 0)
+    bound = 2e-15 * float(np.max(np.abs(reference)))
+    for grams in (
+        analysis.gram_stack(PolyphaseMatrix(coeffs)),
+        fft_values @ fft_values.conj().transpose(0, 2, 1),
+    ):
+        assert float(np.max(np.abs(grams - reference))) <= bound
 
 
 def test_channel_projection_delta():

@@ -539,6 +539,19 @@ def test_design_maxflat_overflow_is_usage_error(capsys, half_taps):
     assert out == ""
 
 
+def test_design_maxflat_names_the_float_limit_of_the_odd_tap_map(capsys):
+    # seed 1's first draw at T = 79 is below the T >= 136 table limit but
+    # beyond what the exact odd-tap map resolves in floats
+    code, out, err = _run(
+        capsys, "design-maxflat", "--half-taps", "79", "--seed", "1", "--restarts", "1"
+    )
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert err.startswith("error: flatness solve residual too large at T = 79")
+    assert "float limit" in err
+    code, out, _ = _run(capsys, "design-maxflat", "--help")
+    assert code == 0 and "T >= 136 exits 2 before any work" in " ".join(out.split())
+
+
 @pytest.mark.parametrize(
     "env_seed,argv,message",
     [

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from fbff import cyclic
 from fbff.cyclic import Signal, conj_reverse, ring_product, twist
 
 
@@ -122,6 +123,24 @@ def test_eval_all_matches_direct_dft():
     np.testing.assert_allclose(a.eval_all(), expected, atol=1e-12)
     for p in range(8):
         assert a.eval_at_root(p) == pytest.approx(expected[p], abs=1e-12)
+
+
+def test_eval_at_root_reads_exact_exponents_of_the_cached_roots():
+    # eval_at_root(p) is the FFT's entry p mod P for any integer p, and
+    # exactly periodic in p: the roots are read at q p mod P, computed in
+    # integers, so a huge p costs no phase accuracy.
+    rng = np.random.default_rng(11)
+    for period in range(1, 65):
+        a = _random_poly(rng, period)
+        values = a.eval_all()
+        bound = 4 * period * np.finfo(float).eps * float(np.sum(np.abs(a.samples)))
+        for p in (0, 1, period - 1, period, period + 2, -1, -period - 3, 10**18 + 3):
+            assert abs(a.eval_at_root(p) - values[p % period]) <= bound
+            assert a.eval_at_root(p) == a.eval_at_root(p + period)
+    roots = cyclic._roots_of_unity(64)
+    assert cyclic._roots_of_unity(64) is roots
+    with pytest.raises(ValueError, match="read-only"):
+        roots[1] = 1.0
 
 
 def test_twist_identity():
