@@ -14,7 +14,8 @@ characteristic-polynomial root finder) computes eigenvalues only and
 serves only the dense oracle, so the polyphase route and the oracle share
 no eigensolver.  Every channel verdict, the Gabor one included, reads
 T^H T - I from squared polyphase norms (:func:`autocorrelation_defect`), and
-a report takes all channels' norms from one FFT.  Evaluated Grams and
+a report, like each level of a composition tree, takes all of a bank's
+channel norms from one FFT (:func:`channel_defects`).  Evaluated Grams and
 polyphase norms that are not finite are rejected with ValueError.
 """
 
@@ -35,6 +36,7 @@ __all__ = [
     "gram_stack",
     "frame_bounds",
     "autocorrelation_defect",
+    "channel_defects",
     "channel_defect",
     "channel_is_projection",
     "FusionReport",
@@ -209,8 +211,10 @@ def autocorrelation_defect(norms2: np.ndarray) -> np.ndarray:
     return defect
 
 
-def _column_defects(mat: PolyphaseMatrix) -> np.ndarray:
-    """:func:`autocorrelation_defect` of every column of ``mat``, from one FFT."""
+def channel_defects(mat: PolyphaseMatrix) -> np.ndarray:
+    """:func:`autocorrelation_defect` of every column of ``mat``, i.e. the
+    defect of every channel of the bank whose polyphase matrix it is, from
+    one FFT."""
     with np.errstate(over="ignore", invalid="ignore"):  # reported there
         return autocorrelation_defect(np.sum(np.abs(eval_all_roots(mat)) ** 2, axis=0))
 
@@ -219,7 +223,7 @@ def channel_defect(phi: Signal, m: int) -> float:
     """Largest entry of T^H T - I for T the m-translates of ``phi``, i.e.
     max_j |<phi, T^{mj} phi> - delta_j|, by one inverse FFT of the squared
     polyphase norms; (1 + d) times an orthonormal channel reads 2d + d^2."""
-    return float(_column_defects(decompose(phi, m))[0])
+    return float(channel_defects(decompose(phi, m))[0])
 
 
 def channel_is_projection(phi: Signal, m: int, tol: float = 1e-9) -> bool:
@@ -252,7 +256,7 @@ def fusion_report(fb: FilterBank, tol: float = 1e-9) -> FusionReport:
     mat = matrix_of(fb)
     grams = gram_stack(mat)
     bounds = _gram_bounds(grams)
-    channels = tuple(bool(d <= tol) for d in _column_defects(mat))
+    channels = tuple(bool(d <= tol) for d in channel_defects(mat))
     target = fb.n_channels / fb.downsample
     defect = np.max(np.abs(grams - target * np.eye(fb.downsample)))
     rows_ok = defect <= tol * max(1.0, target)

@@ -56,12 +56,18 @@ def frequency_table(fb: FilterBank, n_samples: int):
 
 def write_frequency_table(fb: FilterBank, n_samples: int, path=None) -> None:
     """Write :func:`frequency_table` as an ``n,omega,mag2`` CSV to ``path``
-    (standard output when None), with 17 significant digits."""
-    lines = ["n,omega,mag2"]
-    lines += [
-        f"{n},{omega:.17g},{mag2:.17g}" for n, omega, mag2 in frequency_table(fb, n_samples)
-    ]
-    _write_text("\n".join(lines) + "\n", path)
+    (standard output when None), with 17 significant digits.
+
+    Every channel's rows share one omega column, so each of the
+    ``n_samples`` omegas is formatted once into a template of the table,
+    and one ``%`` format over the rows fills in every mag2.
+    """
+    rows = frequency_table(fb, n_samples)
+    omegas = ["%.17g" % omega for _, omega, _ in rows[:n_samples]]
+    template = "n,omega,mag2\n" + "".join(
+        f"{n},{omega},%.17g\n" for n in range(fb.n_channels) for omega in omegas
+    )
+    _write_text(template % tuple(mag2 for _, _, mag2 in rows), path)
 
 
 def _named_bank(args) -> FilterBank:
@@ -287,7 +293,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--half-taps", type=int, required=True, dest="half_taps",
         help="T, half the tap count; T >= 136 exits 2 before any work, and from T = 43 "
-        "a draw can exceed the exact odd-tap map's float limits (exit 2)",
+        "a draw can exceed the exact odd-tap map's float limits: that restart is skipped "
+        "(null residual), and only a search whose every draw fails exits 2",
     )
     p.add_argument("--seed", type=int, default=0, help="overridden by FBFF_SEED")
     p.add_argument("--restarts", type=int, default=100)

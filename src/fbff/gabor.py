@@ -316,16 +316,17 @@ class MaxFlatResult:
     """Outcome of a design run; ``converged`` False is an outcome, not an error.
 
     ``trace`` holds one (residual_inf, iterations) pair per restart
-    attempted, in order; ``restart`` indexes the winning one, or else the
-    first with the smallest residual, and ``residual_inf`` and
-    ``iterations`` are read from its entry.
+    attempted, in order, and (None, 0) for a restart whose draw failed the
+    flatness checks; ``restart`` indexes the winning one, or else the first
+    with the smallest residual among those that ran, and ``residual_inf``
+    and ``iterations`` are read from its entry.
     """
 
     taps: np.ndarray | None
     signal: Signal | None
     restart: int
     block: int  # Q used for the embedding
-    trace: tuple[tuple[float, int], ...]
+    trace: tuple[tuple[float | None, int], ...]
 
     @property
     def converged(self) -> bool:
@@ -355,18 +356,20 @@ def design_maxflat(
     """Search for a unit-norm 2T-tap maximally flat tight prototype.
 
     Each restart draws Gaussian even taps (normalized to squared norm 1/2),
-    checks that the flatness map completes them (:func:`flatness_solve_odd`,
-    which raises ValueError when T is too large for floats), runs damped
-    least squares on the tightness residual with its exact Jacobian, and
-    derives the odd taps of the end point through the same check.  The first
-    restart whose residual infinity norm and returned design's
+    checks that the flatness map completes them (:func:`flatness_solve_odd`),
+    runs damped least squares on the tightness residual with its exact
+    Jacobian, and derives the odd taps of the end point through the same
+    check.  A restart whose start or end point fails that check, a float
+    limit of the exact map on its draw, is traced as (None, 0) and skipped;
+    when every restart fails, the last failure's ValueError is raised.  The
+    first restart whose residual infinity norm and returned design's
     :func:`gabor_tightness` both pass ``tol`` wins; running out of restarts
-    reports the smallest residual with ``converged=False``.  The residual's
-    targets are 1/2 and the Zak defect's are 1, so the verdict reads about
-    twice the residual: a restart whose residual lies in (tol/2, tol] can
-    pass the first gate and fail the second, and a run that did not
-    converge can show a residual <= tol in its trace (T=14 seed 4, T=15
-    seed 2).
+    reports the smallest residual among those that ran, with
+    ``converged=False``.  The residual's targets are 1/2 and the Zak
+    defect's are 1, so the verdict reads about twice the residual: a
+    restart whose residual lies in (tol/2, tol] can pass the first gate and
+    fail the second, and a run that did not converge can show a residual
+    <= tol in its trace (T=14 seed 4, T=15 seed 2).
     Odd T gives T + 1 residual equations in T unknowns, yet solutions exist
     as for even T: with seed 1, every odd T up to 11 converges at restart 0.
     """
@@ -385,12 +388,18 @@ def design_maxflat(
 
     _derivative_table(t)  # a T too large for floats raises before any draw
     trace = []  # entry k is restart k: a Gaussian draw is never all zeros
+    failure = None
     for restart in range(restarts):
         x0 = _restart_rng(seed, restart).standard_normal(t)
         x0 *= 2.0**-0.5 / np.linalg.norm(x0)
-        flatness_solve_odd(x0)  # before the forms are built: taps that overflow raise here
-        run = levenberg_marquardt(tightness_residual, x0)
-        odd = flatness_solve_odd(run.x)
+        try:
+            flatness_solve_odd(x0)  # before the forms are built: taps that overflow raise here
+            run = levenberg_marquardt(tightness_residual, x0)  # catches its own LinAlgError
+            odd = flatness_solve_odd(run.x)
+        except ValueError as exc:  # the flatness checks: a float limit of this draw
+            failure = exc
+            trace.append((None, 0))
+            continue
         res_inf = float(np.max(np.abs(run.residual)))
         trace.append((res_inf, run.iterations))
         if res_inf <= tol:
@@ -401,6 +410,9 @@ def design_maxflat(
             if gabor_tightness(signal, 2, 2, tol=tol):
                 break
     else:
+        ran = [k for k, (res, _) in enumerate(trace) if res is not None]
+        if not ran:
+            raise failure
         taps = signal = None
-        restart = min(range(restarts), key=lambda k: trace[k][0])
+        restart = min(ran, key=lambda k: trace[k][0])
     return MaxFlatResult(taps=taps, signal=signal, restart=restart, block=q, trace=tuple(trace))

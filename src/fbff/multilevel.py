@@ -11,7 +11,9 @@ identities): its filter is the ring product of the outer filter with the
 upsampled inner one, and each flattened leaf is a one-channel bank of that
 filter.  Compose judges each level's channels, and verify each leaf, by the
 one projection rule: the largest entry of T^H T - I, from polyphase norms
-or from the leaf's T.
+or from the leaf's T.  Compose judges each distinct (bank, level period)
+once per call: a packet tree that repeats one bank at one period reads all
+its channels' defects from one FFT of that bank's polyphase matrix.
 
 Filters at inner levels are never reused verbatim; they are folded to the
 level's period with :func:`fbff.signals.periodize`, which preserves the
@@ -23,7 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .analysis import channel_is_projection, verify_weighted_parseval
+from .analysis import channel_defects, verify_weighted_parseval
+from .polyphase import matrix_of
 from .signals import FilterBank, Signal, periodize, translate_matrix, upsample
 
 __all__ = [
@@ -109,13 +112,28 @@ def compose_tree(tree: TreeNode, dim: int, tol: float = 1e-9):
     each leaf path, whose inner period is the leaf's rank, and the product of
     the per-level channel weights M/N as an exact fraction.  Banks are folded
     to each level's period; every channel at every level must have
-    orthonormal translates, otherwise ValueError is raised.
+    orthonormal translates, otherwise ValueError names the first that does
+    not.  Each (bank object, period) pair is folded and judged once per call.
     """
     if tree.bank is None:
         raise ValueError("tree root must carry a bank")
     leaves: list[tuple[FilterBank, Fraction]] = []
-    _walk(tree, dim, None, Fraction(1), leaves, tol)
+    _walk(tree, dim, None, Fraction(1), leaves, {}, tol)
     return leaves
+
+
+def _judged_bank(fb: FilterBank, dim: int, judged: dict, tol: float) -> FilterBank:
+    """``fb`` folded to ``dim`` once every channel's defect is at most
+    ``tol``; ``judged`` caches it by (bank object, period), and the tree
+    keeps each bank alive for the whole walk."""
+    key = (id(fb), dim)
+    if key not in judged:
+        bank = periodize_bank(fb, dim)  # ValueError unless it folds
+        for idx, defect in enumerate(channel_defects(matrix_of(bank))):
+            if not defect <= tol:
+                raise ValueError(f"channel {idx} translates are not orthonormal")
+        judged[key] = bank
+    return judged[key]
 
 
 def _walk(
@@ -124,13 +142,11 @@ def _walk(
     prefix: FilterBank | None,
     weight: Fraction,
     leaves: list,
+    judged: dict,
     tol: float,
 ) -> None:
-    bank = periodize_bank(node.bank, dim_here)  # ValueError unless it folds
+    bank = _judged_bank(node.bank, dim_here, judged, tol)
     m, n = bank.downsample, bank.n_channels
-    for idx, phi in enumerate(bank.filters):
-        if not channel_is_projection(phi, m, tol):
-            raise ValueError(f"channel {idx} translates are not orthonormal")
     channel_weight = Fraction(m, n)
     children = node.children or (TreeNode(None),) * n
     for phi, child in zip(bank.filters, children):
@@ -143,7 +159,7 @@ def _walk(
         if child.bank is None:
             leaves.append((eff, w))
         else:
-            _walk(child, dim_here // m, eff, w, leaves, tol)
+            _walk(child, dim_here // m, eff, w, leaves, judged, tol)
 
 
 def verify_tree(leaves, *, tol: float = 1e-9):

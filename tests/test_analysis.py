@@ -365,7 +365,7 @@ def _one_fft_channels(fb, tol):
     """The report's channel verdicts, after checking that its one-FFT
     defects agree with each filter decomposed on its own."""
     per_filter = [channel_defect(phi, fb.downsample) for phi in fb.filters]
-    one_fft = analysis._column_defects(matrix_of(fb))
+    one_fft = analysis.channel_defects(matrix_of(fb))
     for got, want in zip(one_fft, per_filter, strict=True):
         assert abs(got - want) <= 1e-12 * max(1.0, want)
     channels = fusion_report(fb, tol=tol).channel_projection

@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -9,10 +11,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fbff import cli, constructions, signals
 from fbff.analysis import fusion_report, report_to_json
-from fbff.cli import frequency_table, main
+from fbff.cli import frequency_table, main, write_frequency_table
 from fbff.constructions import named_bank
 from fbff.gabor import gabor_bank
 from fbff.signals import FilterBank, Signal, bank_from_json, bank_to_json, signal_from_json
@@ -228,6 +231,34 @@ def test_frequency_table_matches_direct_sum():
     for n, omega, mag2 in rows:
         direct = abs(np.sum(fb.filters[n].samples * np.exp(-1j * k * omega))) ** 2
         assert mag2 == pytest.approx(direct, abs=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.data(),
+)
+def test_freq_csv_is_the_table_row_by_row(m, inner_period, channels, seed, data):
+    # sample counts from 2 to 3 periods, dividing the period or not
+    period = m * inner_period
+    n_samples = data.draw(st.integers(min_value=2, max_value=max(2, 3 * period)))
+    rng = np.random.default_rng(seed)
+    fb = FilterBank(
+        tuple(
+            Signal(rng.standard_normal(period) + 1j * rng.standard_normal(period))
+            for _ in range(channels)
+        ),
+        m,
+    )
+    want = "n,omega,mag2\n" + "".join(
+        f"{n},{omega:.17g},{mag2:.17g}\n" for n, omega, mag2 in frequency_table(fb, n_samples)
+    )
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        write_frequency_table(fb, n_samples)
+    assert out.getvalue() == want
 
 
 def test_compose_tree_cli(capsys, tmp_path):
@@ -550,6 +581,21 @@ def test_design_maxflat_names_the_float_limit_of_the_odd_tap_map(capsys):
     assert "float limit" in err
     code, out, _ = _run(capsys, "design-maxflat", "--help")
     assert code == 0 and "T >= 136 exits 2 before any work" in " ".join(out.split())
+
+
+def test_design_maxflat_skips_a_failing_draw(capsys):
+    # restart 0 of T = 43, seed 108 fails the flatness checks; restart 1
+    # runs and does not converge, which is a verdict (exit 1), not an error
+    code, out, err = _run(
+        capsys, "design-maxflat", "--half-taps", "43", "--seed", "108", "--restarts", "2"
+    )
+    assert code == 1 and err == ""
+    report = json.loads(out)
+    assert report["converged"] is False and report["restart"] == 1
+    assert report["restarts"][0] == {"residual_inf": None, "iterations": 0}
+    assert report["restarts"][1]["residual_inf"] == report["residual_inf"]
+    code, out, _ = _run(capsys, "design-maxflat", "--help")
+    assert "only a search whose every draw fails exits 2" in " ".join(out.split())
 
 
 @pytest.mark.parametrize(

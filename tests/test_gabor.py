@@ -565,6 +565,19 @@ def test_design_failure_is_reported_not_raised():
     assert 0 <= result.restart < 3
 
 
+def test_design_skips_a_draw_that_fails_the_flatness_checks():
+    # restart 0's draw at T = 43, seed 108 is past the exact odd-tap map's
+    # float limits; the search skips it and runs restart 1
+    result = design_maxflat(43, seed=108, restarts=2)
+    assert not result.converged
+    assert len(result.trace) == 2 and result.trace[0] == (None, 0)
+    assert result.restart == 1 and result.trace[1][0] is not None
+    assert result.trace[1] == (result.residual_inf, result.iterations)
+    # every draw failed: the last failure is raised
+    with pytest.raises(ValueError, match="float limit"):
+        design_maxflat(43, seed=108, restarts=1)
+
+
 def test_design_t12_converges():
     result = design_maxflat(12, seed=1, restarts=3)
     assert result.converged

@@ -3,8 +3,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from fbff import multilevel
 from fbff.analysis import (
     channel_defect,
+    channel_defects,
     channel_is_projection,
     fusion_report,
     verify_weighted_parseval,
@@ -270,6 +272,75 @@ def test_non_projection_bank_rejected():
     bad = FilterBank(tuple(_random_signal(rng, 8) for _ in range(3)), 2)
     with pytest.raises(ValueError):
         compose_tree(TreeNode(bad), 8)
+
+
+def _reference_walk(node, dim, prefix=None, weight=Fraction(1)):
+    # the flattening that folds and judges every node's bank on its own, one
+    # channel_is_projection call per channel
+    bank = periodize_bank(node.bank, dim)
+    m, n = bank.downsample, bank.n_channels
+    for idx, phi in enumerate(bank.filters):
+        if not channel_is_projection(phi, m):
+            raise ValueError(f"channel {idx} translates are not orthonormal")
+    leaves = []
+    for phi, child in zip(bank.filters, node.children or (TreeNode(None),) * n):
+        if prefix is None:
+            eff = FilterBank((phi,), m)
+        else:
+            outer, rate = prefix.filters[0], prefix.downsample
+            eff = FilterBank((equivalent_filter(outer, phi, rate),), rate * m)
+        w = weight * Fraction(m, n)
+        if child.bank is None:
+            leaves.append((eff, w))
+        else:
+            leaves += _reference_walk(child, dim // m, eff, w)
+    return leaves
+
+
+def test_compose_judges_each_bank_once_per_period(monkeypatch):
+    # a 3-level packet tree visits 7 nodes and 14 channels, but holds one
+    # bank at 3 periods: one channel_defects call (one FFT) for each
+    calls = []
+
+    def counting(mat):
+        calls.append(mat.period)
+        return channel_defects(mat)
+
+    monkeypatch.setattr(multilevel, "channel_defects", counting)
+    leaves = compose_tree(packet_tree(bank_of(daubechies4(64)), 3), 128)
+    assert len(leaves) == 8 and calls == [64, 32, 16]
+    assert verify_tree(leaves)[0]
+
+
+@pytest.mark.parametrize("tree", [dwt_tree, packet_tree], ids=["dwt", "packet"])
+def test_compose_matches_the_per_channel_reference_walk(tree):
+    node = tree(_stacked_bank(), 2)
+    got = compose_tree(node, AMBIENT)
+    want = _reference_walk(node, AMBIENT)
+    assert len(got) == len(want)
+    for (leaf, w), (ref, ref_w) in zip(got, want):
+        assert w == ref_w and leaf.downsample == ref.downsample
+        assert leaf.filters == ref.filters
+
+
+def test_non_projection_channel_is_named_as_before():
+    # channel 2 of a tight stack scaled by 2: rejected at the root, and one
+    # level down under a good root, with the reference walk's message
+    fb = _stacked_bank()
+    filters = list(fb.filters)
+    filters[2] = 2 * filters[2]
+    bad = FilterBank(tuple(filters), fb.downsample)
+    below = [TreeNode(bad)] + [TreeNode(None)] * (fb.n_channels - 1)
+    trees = [
+        (TreeNode(bad), AMBIENT),
+        (TreeNode(_stacked_bank(2 * AMBIENT), below), 2 * AMBIENT),
+    ]
+    for node, dim in trees:
+        with pytest.raises(ValueError) as ref:
+            _reference_walk(node, dim)
+        with pytest.raises(ValueError, match="channel 2 translates") as got:
+            compose_tree(node, dim)
+        assert str(got.value) == str(ref.value)
 
 
 def test_incompatible_period_rejected():
