@@ -27,7 +27,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .polyphase import PolyphaseMatrix, decompose, eval_all_roots, gram, matrix_of
+from .polyphase import decompose, eval_all_roots, gram, matrix_of
 from .signals import FilterBank, Signal
 
 __all__ = [
@@ -171,14 +171,14 @@ class FrameBounds:
         return bool(self.B > 0 and self.B - self.A <= tol * self.B)
 
 
-def gram_stack(mat: PolyphaseMatrix) -> np.ndarray:
+def gram_stack(mat: np.ndarray) -> np.ndarray:
     """The (P, M, M) stack of evaluated Grams; slice p is ``gram(mat, p)``.
 
     Raises ValueError when a Gram is not finite: finite samples whose
     squares overflow have no meaningful bounds.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
-        grams = np.stack([gram(mat, p) for p in range(mat.period)])
+        grams = np.stack([gram(mat, p) for p in range(mat.shape[-1])])
     if not np.all(np.isfinite(grams)):
         raise ValueError("evaluated Grams are not finite (samples too large)")
     return grams
@@ -189,7 +189,7 @@ def _gram_bounds(grams: np.ndarray) -> FrameBounds:
     return FrameBounds(np.maximum(np.linalg.eigvalsh(grams), 0.0))
 
 
-def frame_bounds(mat: PolyphaseMatrix) -> FrameBounds:
+def frame_bounds(mat: np.ndarray) -> FrameBounds:
     """Optimal bounds of the bank with polyphase matrix ``mat``.
 
     At each root the extreme Gram eigenvalues bound that root's frame; the
@@ -211,7 +211,7 @@ def autocorrelation_defect(norms2: np.ndarray) -> np.ndarray:
     return defect
 
 
-def channel_defects(mat: PolyphaseMatrix) -> np.ndarray:
+def channel_defects(mat: np.ndarray) -> np.ndarray:
     """:func:`autocorrelation_defect` of every column of ``mat``, i.e. the
     defect of every channel of the bank whose polyphase matrix it is, from
     one FFT."""

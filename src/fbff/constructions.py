@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .cyclic import ring_product, twist
-from .polyphase import PolyphaseMatrix, bank_of
+from .polyphase import bank_of
 from .signals import FilterBank
 
 __all__ = [
@@ -40,7 +40,7 @@ DAUB_C = 2.0 ** -2.5 * (3.0 + _S3)
 DAUB_D = 2.0 ** -2.5 * (1.0 - _S3)
 
 
-def _laurent(terms: dict, period: int) -> PolyphaseMatrix:
+def _laurent(terms: dict, period: int) -> np.ndarray:
     """The matrix sum_k C_k z^{-k} of ``terms`` {k: C_k}.
 
     Exponents fold modulo the period, so at period 1 every term lands on
@@ -52,10 +52,10 @@ def _laurent(terms: dict, period: int) -> PolyphaseMatrix:
     coeffs = np.zeros(shape + (period,), dtype=complex)
     for k, c in terms.items():
         coeffs[..., k % period] += c
-    return PolyphaseMatrix(coeffs)
+    return coeffs
 
 
-def mercedes_benz(period: int) -> PolyphaseMatrix:
+def mercedes_benz(period: int) -> np.ndarray:
     """The 2x3 constant tight frame (1/2) [[2, -1, -1], [0, r3, -r3]].
 
     Columns have unit norm and rows squared norm 3/2, so the corresponding
@@ -71,7 +71,7 @@ def mercedes_benz(period: int) -> PolyphaseMatrix:
     return _laurent({0: values}, period)
 
 
-def daubechies4(period: int) -> PolyphaseMatrix:
+def daubechies4(period: int) -> np.ndarray:
     """Paraunitary 2x2 matrix of the 4-tap, 2-downsampled orthonormal pair.
 
     The low-pass filter is (a, c, b, d) in time order and the high-pass
@@ -88,38 +88,35 @@ def daubechies4(period: int) -> PolyphaseMatrix:
     )
 
 
-def union(m0: PolyphaseMatrix, m1: PolyphaseMatrix) -> PolyphaseMatrix:
+def union(m0: np.ndarray, m1: np.ndarray) -> np.ndarray:
     """Column concatenation; stacks the channels of two equal-rate banks
     (mismatched row counts or periods raise ValueError)."""
-    return PolyphaseMatrix(np.concatenate([m0.coeffs, m1.coeffs], axis=1))
+    return np.concatenate([m0, m1], axis=1)
 
 
-def tensor(m0: PolyphaseMatrix, m1: PolyphaseMatrix) -> PolyphaseMatrix:
+def tensor(m0: np.ndarray, m1: np.ndarray) -> np.ndarray:
     """Kronecker product with ring multiplication of entries.
 
     Row (i0, i1) and column (j0, j1) are flattened row-major, so evaluating
     the result at any root equals the Kronecker product of the factors'
     evaluations.
     """
-    out = ring_product(
-        m0.coeffs, m1.coeffs, lambda a, b: a[:, None, :, None] * b[None, :, None, :]
-    )
-    return PolyphaseMatrix(
-        out.reshape(m0.n_rows * m1.n_rows, m0.n_cols * m1.n_cols, m0.period)
-    )
+    (r0, c0, p), (r1, c1, _) = m0.shape, m1.shape
+    out = ring_product(m0, m1, lambda a, b: a[:, None, :, None] * b[None, :, None, :])
+    return out.reshape(r0 * r1, c0 * c1, p)
 
 
-def paraunitary_product(psi: PolyphaseMatrix, phi: PolyphaseMatrix) -> PolyphaseMatrix:
+def paraunitary_product(psi: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """Matrix product over the cyclic ring; ``psi`` must be square."""
-    if psi.n_rows != psi.n_cols:
+    if psi.shape[0] != psi.shape[1]:
         raise ValueError("left factor must be square")
-    if psi.n_cols != phi.n_rows:
-        raise ValueError(f"shape mismatch: {psi.n_cols} vs {phi.n_rows} rows")
+    if psi.shape[1] != phi.shape[0]:
+        raise ValueError(f"shape mismatch: {psi.shape[1]} vs {phi.shape[0]} rows")
     matmul = functools.partial(np.einsum, "mk...,kn...->mn...")
-    return PolyphaseMatrix(ring_product(psi.coeffs, phi.coeffs, matmul))
+    return ring_product(psi, phi, matmul)
 
 
-def elementary_paraunitary(u: np.ndarray, period: int) -> PolyphaseMatrix:
+def elementary_paraunitary(u: np.ndarray, period: int) -> np.ndarray:
     """The degree-one paraunitary factor (I - u u*) + z u u*.
 
     ``u`` must be a unit vector; the positive power z is stored as
@@ -135,13 +132,13 @@ def elementary_paraunitary(u: np.ndarray, period: int) -> PolyphaseMatrix:
     return _laurent({0: np.eye(u.size) - proj, -1: proj}, period)
 
 
-def daubechies_mercedes(period: int) -> PolyphaseMatrix:
+def daubechies_mercedes(period: int) -> np.ndarray:
     """3-channel product bank: the paraunitary 4-tap pair times the
     Mercedes-Benz frame.  Column 0 equals the low-pass column of the pair."""
     return paraunitary_product(daubechies4(period), mercedes_benz(period))
 
 
-def modulated_daubechies_stack(period: int) -> PolyphaseMatrix:
+def modulated_daubechies_stack(period: int) -> np.ndarray:
     """4-channel stack of the 4-tap pair and its quarter-band modulates.
 
     The extra filters are j^k psi_n[k], a frequency shift by pi/2; in the
@@ -152,13 +149,12 @@ def modulated_daubechies_stack(period: int) -> PolyphaseMatrix:
     if period % 2 != 0:
         raise ValueError("quarter-band modulation needs an even period")
     base = daubechies4(period)
-    modulated = np.array([1.0, 1j])[:, None, None] * twist(base.coeffs, 1, 2)
-    return union(base, PolyphaseMatrix(modulated))
+    return union(base, np.array([1.0, 1j])[:, None, None] * twist(base, 1, 2))
 
 
 def paraunitary_chain(
     dim: int, count: int, period: int, seed: int = 0
-) -> PolyphaseMatrix:
+) -> np.ndarray:
     """Product of ``count`` elementary factors from seeded random unit vectors."""
     if dim < 1 or count < 0:
         raise ValueError("dim must be positive and count nonnegative")
@@ -180,7 +176,7 @@ NAMED_MATRICES = {
 }
 
 
-def named_matrix(name: str, period: int) -> PolyphaseMatrix:
+def named_matrix(name: str, period: int) -> np.ndarray:
     try:
         builder = NAMED_MATRICES[name]
     except KeyError:

@@ -16,8 +16,8 @@ once per call: a packet tree that repeats one bank at one period reads all
 its channels' defects from one FFT of that bank's polyphase matrix.
 
 Filters at inner levels are never reused verbatim; they are folded to the
-level's period with :func:`fbff.signals.periodize`, which preserves the
-tight fusion-frame structure.
+level's period (:func:`periodize_bank`), which preserves the tight
+fusion-frame structure.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from .analysis import channel_defects, verify_weighted_parseval
 from .polyphase import matrix_of
-from .signals import FilterBank, Signal, periodize, translate_matrix, upsample
+from .signals import FilterBank, Signal, translate_matrix, upsample
 
 __all__ = [
     "equivalent_filter",
@@ -97,12 +97,16 @@ def packet_tree(bank: FilterBank, levels: int) -> TreeNode:
 
 
 def periodize_bank(fb: FilterBank, filter_period: int) -> FilterBank:
-    """Fold every filter of a bank onto a shorter period."""
-    if filter_period == fb.filter_period:
+    """Fold every filter of a bank onto a shorter period, as :func:`fbff.signals.periodize`
+    folds one, by summing the blocks of length filter_period / M along P."""
+    m, n, p = fb.coeffs.shape
+    if filter_period == m * p:
         return fb
-    return FilterBank(
-        tuple(periodize(f, filter_period) for f in fb.filters), fb.downsample
-    )
+    if filter_period < 1 or m * p % filter_period:
+        raise ValueError(f"target period {filter_period} must divide period {m * p}")
+    if filter_period % m:
+        raise ValueError(f"downsampling rate {m} must divide filter period {filter_period}")
+    return FilterBank.from_coeffs(fb.coeffs.reshape(m, n, -1, filter_period // m).sum(axis=2))
 
 
 def compose_tree(tree: TreeNode, dim: int, tol: float = 1e-9):
@@ -139,7 +143,7 @@ def _judged_bank(fb: FilterBank, dim: int, judged: dict, tol: float) -> FilterBa
 def _walk(
     node: TreeNode,
     dim_here: int,
-    prefix: FilterBank | None,
+    prefix: tuple[Signal, int] | None,
     weight: Fraction,
     leaves: list,
     judged: dict,
@@ -150,16 +154,15 @@ def _walk(
     channel_weight = Fraction(m, n)
     children = node.children or (TreeNode(None),) * n
     for phi, child in zip(bank.filters, children):
-        if prefix is None:
-            eff = FilterBank((phi,), m)
-        else:
-            outer, rate = prefix.filters[0], prefix.downsample
-            eff = FilterBank((equivalent_filter(outer, phi, rate),), rate * m)
+        rate = m
+        if prefix is not None:
+            outer, outer_rate = prefix
+            phi, rate = equivalent_filter(outer, phi, outer_rate), outer_rate * m
         w = weight * channel_weight
         if child.bank is None:
-            leaves.append((eff, w))
+            leaves.append((FilterBank((phi,), rate), w))
         else:
-            _walk(child, dim_here // m, eff, w, leaves, judged, tol)
+            _walk(child, dim_here // m, (phi, rate), w, leaves, judged, tol)
 
 
 def verify_tree(leaves, *, tol: float = 1e-9):

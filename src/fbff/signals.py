@@ -1,18 +1,19 @@
 """Multirate operators and filter banks on periodic complex signals.
 
 A :class:`~fbff.cyclic.Signal` is a P-periodic sequence held as one period
-of samples; indexing is modulo P by construction.  All sampling-rate
-relations are enforced through divisibility checks: silent period coercion
-is the dominant bug class in multirate code, so nothing here ever resizes an
-operand for you.
+of samples; indexing is modulo P by construction.  Sampling-rate relations
+are divisibility checks: silent period coercion is the dominant bug class in
+multirate code, so nothing here ever resizes an operand for you.
 
-Circular convolution is the product of the ring C[z] / <z^P - 1>.  A filter
-bank acts through translate matrices: column k of ``translate_matrix(phi, m)``
-is T^{mk} phi, so synthesis is sum_n T_n y_n and analysis is T_n^H x.
+A :class:`FilterBank` holds only its polyphase matrix, one read-only complex
+(M, N, P) array, and reads its N filters from it.  It acts through translate
+matrices: column k of ``translate_matrix(phi, m)`` is T^{mk} phi, so
+synthesis is sum_n T_n y_n and analysis is T_n^H x.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,43 +100,69 @@ def periodize(x: Signal, target_period: int) -> Signal:
     return Signal(x.samples.reshape(-1, target_period).sum(axis=0))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class FilterBank:
-    """N filters of common period M * P with downsampling rate M.
+    """N filters of period M * P at downsampling rate M, held as the read-only
+    complex (M, N, P) polyphase array ``coeffs``: sample M q + m of filter n is [m, n, q]."""
 
-    Synthesis maps N inputs of period P to one signal of period M * P;
-    analysis is its adjoint.
-    """
+    coeffs: np.ndarray
 
-    filters: tuple[Signal, ...]
-    downsample: int
-
-    def __post_init__(self) -> None:
-        filters = tuple(self.filters)
-        object.__setattr__(self, "filters", filters)
+    def __init__(self, filters, downsample: int) -> None:
+        filters = tuple(filters)
         if len(filters) < 1:
             raise ValueError("a filter bank needs at least one channel")
-        if self.downsample < 1:
+        if downsample < 1:
             raise ValueError("downsampling rate must be positive")
         period = filters[0].period
         if any(f.period != period for f in filters):
             raise ValueError("all filters must share one period")
-        if period % self.downsample != 0:
+        if period % downsample != 0:
             raise ValueError(
-                f"downsampling rate {self.downsample} must divide filter period {period}"
+                f"downsampling rate {downsample} must divide filter period {period}"
             )
+        self._hold(np.array([f.samples for f in filters]), downsample)
+
+    @classmethod
+    def from_coeffs(cls, coeffs) -> "FilterBank":
+        """The bank whose polyphase matrix is a copy of the array ``coeffs``."""
+        arr = np.asarray(coeffs, dtype=complex)
+        if arr.ndim != 3 or 0 in arr.shape:
+            raise ValueError(f"need an (M, N, P) array with M, N, P >= 1, got {arr.shape}")
+        bank = cls.__new__(cls)
+        bank._hold(np.empty((arr.shape[1], arr[:, 0].size), dtype=complex), len(arr), arr)
+        return bank
+
+    def _hold(self, samples: np.ndarray, m: int, values=None) -> None:
+        """Keep the (N, M * P) samples, ``values`` written in, read-only as ``coeffs``:
+        the layout's one forward map, in which a fold along P adds as periodize does."""
+        coeffs = samples.reshape(len(samples), -1, m).transpose(2, 0, 1)
+        if values is not None:
+            coeffs[...] = values
+        samples.setflags(write=False)
+        coeffs.setflags(write=False)
+        object.__setattr__(self, "coeffs", coeffs)
+
+    @functools.cached_property
+    def filters(self) -> tuple[Signal, ...]:
+        """The filters, rebuilt once by the layout's one inverse map."""
+        samples = self.coeffs.transpose(1, 2, 0).reshape(self.n_channels, -1)
+        return tuple(Signal(s) for s in samples)
+
+    @property
+    def downsample(self) -> int:
+        return self.coeffs.shape[0]
 
     @property
     def n_channels(self) -> int:
-        return len(self.filters)
-
-    @property
-    def filter_period(self) -> int:
-        return self.filters[0].period
+        return self.coeffs.shape[1]
 
     @property
     def inner_period(self) -> int:
-        return self.filter_period // self.downsample
+        return self.coeffs.shape[2]
+
+    @property
+    def filter_period(self) -> int:
+        return self.downsample * self.inner_period
 
 
 def synthesis_apply(fb: FilterBank, inputs) -> Signal:

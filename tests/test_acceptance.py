@@ -266,8 +266,8 @@ def test_criterion_10_property_suites():
         x = _random_signal(rng, m * ip)
         phi = _random_signal(rng, m * ip)
         corr = np.array([inner(x, translate(phi, m * p)) for p in range(ip)])
-        ex = np.stack([decompose(x, m).entry(k, 0).eval_all() for k in range(m)])
-        ep = np.stack([decompose(phi, m).entry(k, 0).eval_all() for k in range(m)])
+        ex = np.stack([Signal(c).eval_all() for c in decompose(x, m)[:, 0]])
+        ep = np.stack([Signal(c).eval_all() for c in decompose(phi, m)[:, 0]])
         assert np.max(np.abs(np.fft.fft(corr) - np.sum(ex * np.conj(ep), axis=0))) <= 1e-10
 
     # tetrahedron fusion frame: four rank-2 projections, weight 3/8 each

@@ -19,7 +19,7 @@ from fbff.constructions import (
     modulated_daubechies_stack,
     named_bank,
 )
-from fbff.polyphase import PolyphaseMatrix, bank_of, eval_all_roots, matrix_of
+from fbff.polyphase import bank_of, eval_all_roots, matrix_of
 from fbff.signals import FilterBank, Signal, translate_matrix
 
 
@@ -299,10 +299,10 @@ def test_per_root_and_fft_grams_match_a_long_double_reference(seed):
     roots = np.exp(1j * angle)
     values = np.einsum("mnq,pq->pmn", coeffs.astype(np.clongdouble), roots)
     reference = values @ values.conj().transpose(0, 2, 1)
-    fft_values = np.moveaxis(eval_all_roots(PolyphaseMatrix(coeffs)), -1, 0)
+    fft_values = np.moveaxis(eval_all_roots(coeffs), -1, 0)
     bound = 2e-15 * float(np.max(np.abs(reference)))
     for grams in (
-        analysis.gram_stack(PolyphaseMatrix(coeffs)),
+        analysis.gram_stack(coeffs),
         fft_values @ fft_values.conj().transpose(0, 2, 1),
     ):
         assert float(np.max(np.abs(grams - reference))) <= bound

@@ -35,6 +35,7 @@ from fbff.signals import (
     analysis_apply,
     circ_convolve,
     inner,
+    periodize,
     synthesis_apply,
     upsample,
 )
@@ -256,6 +257,28 @@ def test_periodized_orthonormal_pair_stays_tight():
     assert fusion_report(periodize_bank(fb, 8)).is_puntf
 
 
+@pytest.mark.parametrize("m, n", [(1, 1), (1, 3), (2, 2), (3, 2), (4, 1)])
+def test_periodize_bank_folds_each_filter_exactly(m, n):
+    # the fold of the polyphase array is signals.periodize of every filter,
+    # bit for bit, at every period t with M | t | MP; any other t is refused
+    rng = np.random.default_rng(10 * m + n)
+    period = 24 * m  # folds of up to 24 blocks
+    filters = tuple(_random_signal(rng, period) for _ in range(n))
+    coeffs = rng.standard_normal((m, n, 24)) + 1j * rng.standard_normal((m, n, 24))
+    for fb in (FilterBank(filters, m), bank_of(coeffs)):
+        for t in range(period + 2):
+            if t < 1 or period % t:
+                with pytest.raises(ValueError, match=f"target period {t} must divide period {period}"):
+                    periodize_bank(fb, t)
+            elif t % m:
+                with pytest.raises(ValueError, match=f"rate {m} must divide filter period {t}"):
+                    periodize_bank(fb, t)
+            else:
+                folded = periodize_bank(fb, t)
+                assert folded.downsample == m and folded.filter_period == t
+                assert folded.filters == tuple(periodize(f, t) for f in fb.filters)
+
+
 def test_random_paraunitary_tree():
     # a tree over a product-of-elementary-factors bank keeps the identity
     chain = paraunitary_product(paraunitary_chain(2, 2, 8, seed=7), mercedes_benz(8))
@@ -303,7 +326,7 @@ def test_compose_judges_each_bank_once_per_period(monkeypatch):
     calls = []
 
     def counting(mat):
-        calls.append(mat.period)
+        calls.append(mat.shape[2])
         return channel_defects(mat)
 
     monkeypatch.setattr(multilevel, "channel_defects", counting)

@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 from fbff.cyclic import twist
 from fbff.constructions import daubechies4, mercedes_benz, DAUB_A, DAUB_B, DAUB_C, DAUB_D
 from fbff.polyphase import (
-    PolyphaseMatrix,
     bank_of,
     decompose,
     eval_matrix,
@@ -23,26 +22,24 @@ def _random_signal(rng, period):
 
 
 def _random_matrix(rng, m, n, period):
-    rows = tuple(
-        tuple(
-            rng.standard_normal(period) + 1j * rng.standard_normal(period)
-            for _ in range(n)
-        )
-        for _ in range(m)
+    return np.array(
+        [
+            [rng.standard_normal(period) + 1j * rng.standard_normal(period) for _ in range(n)]
+            for _ in range(m)
+        ]
     )
-    return PolyphaseMatrix(np.array(rows))
 
 
 def test_decompose_delta():
     v = decompose(Signal.delta(0, 8), 2)
-    assert v.entry(0, 0) == Signal.delta(0, 4)
-    assert v.entry(1, 0) == Signal.zero(4)
+    assert np.array_equal(v[0, 0], Signal.delta(0, 4).samples)
+    assert np.array_equal(v[1, 0], Signal.zero(4).samples)
 
 
 def test_decompose_offset_delta():
     v = decompose(Signal.delta(1, 4), 2)
-    assert v.entry(0, 0) == Signal.zero(2)
-    assert v.entry(1, 0) == Signal.delta(0, 2)
+    assert np.array_equal(v[0, 0], Signal.zero(2).samples)
+    assert np.array_equal(v[1, 0], Signal.delta(0, 2).samples)
 
 
 def test_round_trip_exact():
@@ -52,9 +49,9 @@ def test_round_trip_exact():
 
 
 def test_reconstruct_zero_and_single_component():
-    z = PolyphaseMatrix(np.zeros((2, 1, 3)))
+    z = np.zeros((2, 1, 3))
     assert reconstruct(z) == Signal.zero(6)
-    v = PolyphaseMatrix(np.array([[[0, 0, 0]], [[1, 2, 3]]]))
+    v = np.array([[[0, 0, 0]], [[1, 2, 3]]])
     out = reconstruct(v)
     assert np.all(out.samples[0::2] == 0)
     np.testing.assert_array_equal(out.samples[1::2], [1, 2, 3])
@@ -71,7 +68,7 @@ def test_matrix_of_mercedes_constants():
     expect = np.array([[1.0, -0.5, -0.5], [0.0, np.sqrt(3) / 2, -np.sqrt(3) / 2]])
     for m in range(2):
         for n in range(3):
-            assert mat.entry(m, n) == Signal.delta(0, 4, expect[m, n])
+            assert np.array_equal(mat[m, n], Signal.delta(0, 4, expect[m, n]).samples)
 
 
 def test_matrix_of_daubechies_taps():
@@ -84,15 +81,15 @@ def test_matrix_of_daubechies_taps():
         high.samples[:4], [DAUB_D, -DAUB_B, DAUB_C, -DAUB_A], atol=0
     )
     mat = matrix_of(fb)
-    assert mat.entry(0, 0) == Signal([DAUB_A, DAUB_B, 0, 0])
-    assert mat.entry(1, 1) == Signal([-DAUB_B, -DAUB_A, 0, 0])
+    assert np.array_equal(mat[0, 0], Signal([DAUB_A, DAUB_B, 0, 0]).samples)
+    assert np.array_equal(mat[1, 1], Signal([-DAUB_B, -DAUB_A, 0, 0]).samples)
 
 
 def test_matrix_of_single_delta_filter():
     fb = FilterBank((Signal.delta(0, 8),), 2)
     mat = matrix_of(fb)
-    assert mat.entry(0, 0) == Signal.delta(0, 4)
-    assert mat.entry(1, 0) == Signal.zero(4)
+    assert np.array_equal(mat[0, 0], Signal.delta(0, 4).samples)
+    assert np.array_equal(mat[1, 0], Signal.zero(4).samples)
 
 
 def test_eval_constant_matrix():
@@ -115,7 +112,7 @@ def test_eval_matches_entry_evaluations():
         e = eval_matrix(mat, p)
         for m in range(2):
             for n in range(2):
-                assert e[m, n] == mat.entry(m, n).eval_at_root(p)
+                assert e[m, n] == Signal(mat[m, n]).eval_at_root(p)
 
 
 def test_gram_mercedes_is_three_halves_identity():
@@ -152,7 +149,7 @@ def test_zak_power_rows_fold_the_twisted_columns(m, q, r):
     expect = np.array(
         [
             [
-                sum(abs(Signal(twist(vec.entry(k, 0).samples, s, r)).eval_at_root(p)) ** 2 for s in range(r))
+                sum(abs(Signal(twist(vec[k, 0], s, r)).eval_at_root(p)) ** 2 for s in range(r))
                 for p in range(q * r)
             ]
             for k in range(m)
@@ -192,7 +189,7 @@ def test_translation_law_at_all_roots():
     base = decompose(phi, m)
     shifted = decompose(translate(phi, m * p0), m)
     for comp_base, comp_shift in zip(
-        [base.entry(k, 0) for k in range(m)], [shifted.entry(k, 0) for k in range(m)]
+        [Signal(c) for c in base[:, 0]], [Signal(c) for c in shifted[:, 0]]
     ):
         for p in range(inner_p):
             factor = np.exp(-2j * np.pi * p * p0 / inner_p)
@@ -209,18 +206,32 @@ def test_fundamental_dft_identity():
     phi = _random_signal(rng, m * inner_p)
     corr = np.array([inner(x, translate(phi, m * p)) for p in range(inner_p)])
     lhs = np.fft.fft(corr)
-    ex = np.stack([decompose(x, m).entry(k, 0).eval_all() for k in range(m)])
-    ep = np.stack([decompose(phi, m).entry(k, 0).eval_all() for k in range(m)])
+    ex = np.stack([Signal(c).eval_all() for c in decompose(x, m)[:, 0]])
+    ep = np.stack([Signal(c).eval_all() for c in decompose(phi, m)[:, 0]])
     rhs = np.sum(ex * np.conj(ep), axis=0)
     np.testing.assert_allclose(lhs, rhs, atol=1e-10)
 
 
-def test_bank_of_inverts_matrix_of():
-    rng = np.random.default_rng(11)
-    fb = FilterBank(tuple(_random_signal(rng, 12) for _ in range(3)), 2)
-    again = bank_of(matrix_of(fb))
-    assert again.downsample == fb.downsample
-    assert all(a == b for a, b in zip(again.filters, fb.filters))
+@given(
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_bank_of_inverts_matrix_of(m, n, period, seed):
+    coeffs = _random_matrix(np.random.default_rng(seed), m, n, period)
+    fb = bank_of(coeffs)
+    mat = matrix_of(fb)
+    assert np.array_equal(mat, coeffs) and not mat.flags.writeable
+    again = FilterBank(fb.filters, m)
+    assert np.array_equal(again.coeffs, coeffs)
+    assert all(a == b for a, b in zip(bank_of(matrix_of(again)).filters, fb.filters))
+    kept = coeffs.copy()
+    coeffs[...] = 0  # the bank holds a copy
+    assert np.array_equal(matrix_of(fb), kept)
+    for bad in (kept[0], kept[..., None], *(np.delete(kept, np.s_[:], axis=a) for a in range(3))):
+        with pytest.raises(ValueError, match=r"need an \(M, N, P\) array"):
+            bank_of(bad)
 
 
 def test_pp_inner_preconditions():

@@ -31,6 +31,7 @@ TEST_ONLY = {
     "synthesis_apply",  # equivalent_filter's reference and analysis_apply's adjoint in test_signals.py
     "involution",  # analysis_apply's reference in test_multilevel.py and test_signals.py
     "downsample",  # analysis_apply's reference in test_signals.py
+    "periodize",  # periodize_bank's reference in test_multilevel.py
 }
 
 
@@ -177,12 +178,53 @@ def _fbff_module(node: ast.expr, modules: dict[str, str]) -> str | None:
     return None
 
 
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+_COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def _local_names(scope: ast.AST) -> set[str]:
+    """Names a function or comprehension binds for itself: its parameters or
+    targets and the names stored in it, outside any scope nested in it."""
+    if isinstance(scope, _COMPREHENSIONS):
+        names, todo = set(), [g.target for g in scope.generators]
+    else:
+        a = scope.args
+        names = {x.arg for x in [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg] if x}
+        todo = scope.body if isinstance(scope.body, list) else [scope.body]
+    todo = list(todo)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        if not isinstance(node, _FUNCTIONS + _COMPREHENSIONS + (ast.ClassDef,)):
+            todo.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def _global_reads(node: ast.AST, local: frozenset[str] = frozenset()):
+    """The name loads and attribute reads in ``node``, less the loads of
+    names that an enclosing function or comprehension binds itself."""
+    if isinstance(node, ast.Name):
+        if isinstance(node.ctx, ast.Load) and node.id not in local:
+            yield node
+        return
+    if isinstance(node, ast.Attribute):
+        yield node
+    if isinstance(node, _FUNCTIONS + _COMPREHENSIONS):
+        local = local | _local_names(node)
+    for child in ast.iter_child_nodes(node):
+        yield from _global_reads(child, local)
+
+
 def fbff_reads(source: str, module: str | None = None) -> set[tuple[str, str]]:
     """(module, name) pairs of fbff definitions that ``source`` reads.
 
     A read is a name imported from an fbff module, an attribute of an
     imported fbff module, or, when ``source`` is fbff module ``module``, one
-    of its own public definitions read outside that definition.
+    of its own public definitions read outside that definition.  A name that
+    a parameter or local of the enclosing function rebinds is not a read.
     """
     tree = ast.parse(source)
     names: dict[str, tuple[str, str]] = {}
@@ -209,8 +251,8 @@ def fbff_reads(source: str, module: str | None = None) -> set[tuple[str, str]]:
     reads = set()
     for stmt in tree.body:
         found = set()
-        for node in ast.walk(stmt):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        for node in _global_reads(stmt):
+            if isinstance(node, ast.Name):
                 if node.id in names:
                     found.add(names[node.id])
             elif isinstance(node, ast.Attribute):
@@ -254,20 +296,40 @@ def test_caller_scanner_flags_only_uncalled_definitions():
         "class Imported: pass\n"
         "class Orphan: pass\n"
         "def _private(): pass\n"
+        "def shadowed(): pass\n"
+        "def hidden(): pass\n"
+        "def _takes(shadowed): return shadowed\n"
+        "def _stores():\n"
+        "    shadowed = 1\n"
+        "    return shadowed\n"
+        "class _Holder:\n"
+        "    def __init__(self, shadowed): self.x = shadowed\n"
+        "_LAMBDA = lambda shadowed: shadowed\n"
+        "_SQUARES = [shadowed * shadowed for shadowed in range(3)]\n"
     )
-    other = "from . import mod\nfrom .mod import Imported\nx = [Imported, mod.calls]\n"
+    other = (
+        "from . import mod\n"
+        "from .mod import Imported, hidden\n"
+        "x = [Imported, mod.calls]\n"
+        "def g(hidden): return hidden\n"
+    )
     script = "import fbff.mod as mod\nmod.scripted()\n"
     tracer = 'T = ("fbff.other:traced", "fbff.mod:Orphan.method")\n'
     reads = fbff_reads(module, "mod") | fbff_reads(other, "other") | fbff_reads(script)
     assert traced_names(tracer) == {"traced", "Orphan"}
+    # a parameter or local that rebinds a public or imported name is not a call
     assert uncalled_definitions(module, "mod", reads, {"traced", "exempt"}) == [
         "Orphan",
+        "hidden",
         "recursive",
+        "shadowed",
     ]
     assert uncalled_definitions(module, "mod", reads, set()) == [
         "Orphan",
         "exempt",
+        "hidden",
         "recursive",
+        "shadowed",
         "traced",
     ]
 
