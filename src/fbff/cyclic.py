@@ -9,10 +9,11 @@ the period P.
 Evaluating a cyclic polynomial at the P-th roots of unity
 z = exp(2 pi j p / P) is a length-P DFT of the coefficient vector; that
 evaluation map is the workhorse of every numeric check downstream.  All roots
-are one FFT; one root reads a cached table of the P roots at the integer
-exponents q p mod P, never a phase from the float product p q.  The
-module-level functions act along the last axis of coefficient arrays of any
-shape, so polynomial matrices share the ring operations of :class:`Signal`.
+are one FFT; one root reads a cached, read-only row of its P powers, gathered
+from a table of the P roots at the integer exponents q p mod P, never a phase
+from the float product p q.  The module-level functions act along the last
+axis of coefficient arrays of any shape, so polynomial matrices share the ring
+operations of :class:`Signal`.
 """
 
 from __future__ import annotations
@@ -78,6 +79,15 @@ def _roots_of_unity(period: int) -> np.ndarray:
     roots = np.exp(-2j * np.pi * np.arange(period) / period)
     roots.flags.writeable = False
     return roots
+
+
+@functools.lru_cache(maxsize=4)
+def _root_powers(period: int, r: int) -> np.ndarray:
+    """z^{-q} for q < P at the r-th root z: the root table read at the integer
+    exponents q r mod P.  Cached one row per (P, r), never a P x P table; read-only."""
+    row = _roots_of_unity(period)[np.arange(period) * r % period]
+    row.flags.writeable = False
+    return row
 
 
 def _require_equal_periods(x: Signal, y: Signal) -> None:
@@ -154,9 +164,9 @@ class Signal:
         )
 
     def eval_at_root(self, p: int) -> complex:
-        """Value at z = exp(2 pi j p / P), the p-th root of unity, for any integer p."""
-        exponents = np.arange(self.period) * (p % self.period) % self.period
-        return complex(self.samples @ _roots_of_unity(self.period)[exponents])
+        """Value at z = exp(2 pi j p / P), the p-th root of unity, for any integer p:
+        the samples against a cached, read-only row of that root's powers."""
+        return complex(self.samples @ _root_powers(self.period, p % self.period))
 
     def eval_all(self) -> np.ndarray:
         """Values at every root of unity; index p holds ``eval_at_root(p)``."""

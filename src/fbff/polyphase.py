@@ -7,9 +7,10 @@ filters column by column gives the M x N polyphase matrix, one complex
 as its only data; a single filter is an M x 1 matrix (a one-channel bank's).
 Evaluating it at the P-th roots of unity reduces every frame-theoretic
 question about the bank to finite-dimensional linear algebra, one root at a
-time (:func:`eval_matrix`, entry by entry from a cached table of roots) or at
-every root by one FFT along P (:func:`eval_all_roots`); a filter's Zak row
-sums are its squared polyphase norms folded over R.
+time (:func:`eval_matrix`, entry by entry, each a dot product with the root's
+cached, read-only row of powers) or at every root by one FFT along P
+(:func:`eval_all_roots`); a filter's Zak row sums are its squared polyphase
+norms folded over R.
 """
 
 from __future__ import annotations

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fbff import analysis
+from fbff import analysis, cyclic
 from fbff.analysis import (
     channel_defect,
     channel_is_projection,
@@ -306,6 +306,22 @@ def test_per_root_and_fft_grams_match_a_long_double_reference(seed):
         fft_values @ fft_values.conj().transpose(0, 2, 1),
     ):
         assert float(np.max(np.abs(grams - reference))) <= bound
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_gram_stack_is_the_integer_exponent_gather_bit_for_bit(seed):
+    # every Gram entry from values that read the root table at the integer
+    # exponents q p mod P, written out here: the cached rows of root powers
+    # change no bit of the stack
+    coeffs = np.random.default_rng(seed).standard_normal((4, 6, 128, 2)) @ [1, 1j]
+    period = coeffs.shape[-1]
+    roots = cyclic._roots_of_unity(period)
+    expected = []
+    for p in range(period):
+        row = roots[np.arange(period) * p % period]
+        e = np.array([[complex(entry @ row) for entry in line] for line in coeffs])
+        expected.append(e @ e.conj().T)
+    assert np.array_equal(analysis.gram_stack(coeffs), np.stack(expected))
 
 
 def test_channel_projection_delta():

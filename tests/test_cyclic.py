@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from fbff import cyclic
+from fbff import analysis, cyclic
 from fbff.cyclic import Signal, conj_reverse, ring_product, twist
 
 
@@ -141,6 +141,33 @@ def test_eval_at_root_reads_exact_exponents_of_the_cached_roots():
     assert cyclic._roots_of_unity(64) is roots
     with pytest.raises(ValueError, match="read-only"):
         roots[1] = 1.0
+
+
+def test_eval_at_root_is_the_integer_exponent_gather_bit_for_bit():
+    # the cached row of root powers is the root table gathered at q p mod P,
+    # so each value equals that gather written out here, exactly; a row
+    # built from float phases 2 pi q p / P differs in the last bits
+    rng = np.random.default_rng(12)
+    for period in range(1, 65):
+        a = _random_poly(rng, period)
+        roots = cyclic._roots_of_unity(period)
+        for p in (0, 1, period - 1, period, period + 2, -1, -period - 3, 10**18 + 3, np.int64(7)):
+            expected = complex(a.samples @ roots[np.arange(period) * (p % period) % period])
+            assert a.eval_at_root(p) == expected
+
+
+def test_root_power_rows_are_bounded_and_read_only():
+    rng = np.random.default_rng(13)
+    analysis.gram_stack(rng.standard_normal((8, 12, 256, 2)) @ [1, 1j])
+    for period in (64, 128):
+        a = _random_poly(rng, period)
+        for p in range(period):
+            a.eval_at_root(p)
+    info = cyclic._root_powers.cache_info()
+    assert info.currsize <= info.maxsize <= 8
+    row = cyclic._root_powers(64, 3)
+    with pytest.raises(ValueError, match="read-only"):
+        row[0] = 0.0
 
 
 def test_twist_identity():
