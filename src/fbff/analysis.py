@@ -1,8 +1,8 @@
 """Frame and fusion-frame verification.
 
 Everything here turns a structural claim ("this bank is a tight fusion
-frame", "these weighted projections resolve the identity") into a numeric
-verdict with an explicit tolerance.  Each bank's evaluated Grams are
+frame", "this channel is an orthogonal projection") into a numeric verdict
+with an explicit tolerance.  Each bank's evaluated Grams are
 built once, as a (P, M, M) stack from the per-root polyphase Gram, and one
 batched LAPACK ``eigvalsh`` call gives every root's spectrum; bounds and
 row checks both read from that stack, and the bounds keep the spectra so
@@ -43,7 +43,6 @@ __all__ = [
     "fusion_report",
     "report_to_json",
     "isometry_defect",
-    "verify_weighted_parseval",
 ]
 
 _HERMITIAN_TOL = 1e-10
@@ -292,23 +291,3 @@ def isometry_defect(t: np.ndarray) -> float:
     """Largest entry of T^H T - I for a dense T: 0 exactly when T T^H is
     the orthogonal projection of rank ``T.shape[1]`` onto T's span."""
     return float(np.max(np.abs(t.conj().T @ t - np.eye(t.shape[1])), initial=0.0))
-
-
-def verify_weighted_parseval(isometries, dim: int, tol: float = 1e-9):
-    """Check that weighted projections form a Parseval fusion frame.
-
-    ``isometries`` yields (T, weight) pairs, T a dim x r matrix, one at a
-    time, so a generator forms each T only when it is reached.  Returns
-    (ok, max_residual): the largest of every :func:`isometry_defect` and of
-    |sum w T T^H - I|, and whether it is at most ``tol``.
-    """
-    total = np.zeros((dim, dim), dtype=complex)
-    worst = 0.0
-    for t, weight in isometries:
-        t = np.asarray(t, dtype=complex)
-        if t.ndim != 2 or t.shape[0] != dim:
-            raise ValueError(f"isometry has shape {t.shape}, expected ({dim}, r)")
-        worst = max(worst, isometry_defect(t))
-        total += (float(weight) * t) @ t.conj().T
-    worst = max(worst, float(np.max(np.abs(total - np.eye(dim)))))
-    return bool(worst <= tol), worst

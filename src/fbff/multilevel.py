@@ -15,6 +15,16 @@ or from the leaf's T.  Compose judges each distinct (bank, level period)
 once per call: a packet tree that repeats one bank at one period reads all
 its channels' defects from one FFT of that bank's polyphase matrix.
 
+Verify stays in the time domain and forms no dim x dim array.  A leaf of
+rate m has translate columns spaced by m, so its T T^H commutes with
+translation by m, and the frame operator S = sum w T T^H commutes with
+translation by L = lcm of the leaf rates: max|S - I| is reached in S's
+first L columns, each leaf adds its dim x m block w T T[:m]^H rolled by
+multiples of m into them, and each leaf's T^H T is circulant, so its
+first row holds every entry of T^H T - I.  That is O(dim^2) work per
+leaf.  :func:`verify_weighted_parseval`, the dense dim x dim sum over
+explicit (T, weight) pairs, is the reference it is tested against.
+
 Filters at inner levels are never reused verbatim; they are folded to the
 level's period (:func:`periodize_bank`), which preserves the tight
 fusion-frame structure.
@@ -22,10 +32,13 @@ fusion-frame structure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .analysis import channel_defects, verify_weighted_parseval
+import numpy as np
+
+from .analysis import channel_defects, isometry_defect
 from .polyphase import matrix_of
 from .signals import FilterBank, Signal, translate_matrix, upsample
 
@@ -37,6 +50,7 @@ __all__ = [
     "periodize_bank",
     "compose_tree",
     "verify_tree",
+    "verify_weighted_parseval",
     "tree_from_json",
 ]
 
@@ -167,15 +181,57 @@ def _walk(
 
 def verify_tree(leaves, *, tol: float = 1e-9):
     """Check the flattened leaves against the weighted Parseval identity on
-    their common filter period: each leaf's translate matrix T, formed when
-    the check reaches it, by the one rule max|T^H T - I| <= tol, and
-    sum w T T^H against I.  ValueError when there are no leaves or their
-    periods differ."""
+    their common filter period.  Returns (ok, max_residual): the largest of
+    every leaf's max|T^H T - I|, read from the first row of that circulant,
+    and of max|sum w T T^H - I|, read from the sum's first L columns, L the
+    lcm of the leaf rates; ok is whether it is at most ``tol`` (never for a
+    non-finite sample, whose residual is NaN).  Each leaf's translate
+    matrix T is formed when the check reaches it.  ValueError when there
+    are no leaves or their periods differ."""
     if not leaves:
         raise ValueError("verify_tree needs at least one leaf")
     dim = leaves[0][0].filter_period
-    ts = ((translate_matrix(leaf.filters[0], leaf.downsample), w) for leaf, w in leaves)
-    return verify_weighted_parseval(ts, dim, tol)
+    for leaf, _ in leaves:
+        if leaf.filter_period != dim:
+            shape = (leaf.filter_period, leaf.inner_period)
+            raise ValueError(f"isometry has shape {shape}, expected ({dim}, r)")
+    span = math.lcm(*(leaf.downsample for leaf, _ in leaves))
+    head = np.zeros((dim, span), dtype=complex)  # sum w T T^H, columns :span
+    defects = []
+    for leaf, w in leaves:
+        m = leaf.downsample
+        t = translate_matrix(leaf.filters[0], m)
+        row = t[:, 0].conj() @ t  # first row of T^H T
+        row[0] -= 1.0
+        defects.append(np.max(np.abs(row)))
+        block = float(w) * (t @ t[:m].conj().T)  # columns :m of w T T^H
+        # column q m + j of w T T^H is its column j rolled by q m
+        rolls = (np.arange(dim)[:, None] - np.arange(0, span, m)) % dim
+        head += block[rolls].reshape(dim, span)
+    head[np.arange(span), np.arange(span)] -= 1.0
+    defects.append(np.max(np.abs(head)))
+    worst = float(np.max(defects))  # NaN from a non-finite sample stays NaN
+    return bool(worst <= tol), worst
+
+
+def verify_weighted_parseval(isometries, dim: int, tol: float = 1e-9):
+    """Check that weighted projections form a Parseval fusion frame.
+
+    ``isometries`` yields (T, weight) pairs, T a dim x r matrix, one at a
+    time, so a generator forms each T only when it is reached.  Returns
+    (ok, max_residual): the largest of every :func:`isometry_defect` and of
+    |sum w T T^H - I|, and whether it is at most ``tol``.
+    """
+    total = np.zeros((dim, dim), dtype=complex)
+    worst = 0.0
+    for t, weight in isometries:
+        t = np.asarray(t, dtype=complex)
+        if t.ndim != 2 or t.shape[0] != dim:
+            raise ValueError(f"isometry has shape {t.shape}, expected ({dim}, r)")
+        worst = max(worst, isometry_defect(t))
+        total += (float(weight) * t) @ t.conj().T
+    worst = max(worst, float(np.max(np.abs(total - np.eye(dim)))))
+    return bool(worst <= tol), worst
 
 
 def tree_from_json(obj, resolve_bank) -> TreeNode:

@@ -14,7 +14,6 @@ from fbff.analysis import (
     channel_is_projection,
     frame_bounds,
     fusion_report,
-    verify_weighted_parseval,
 )
 from fbff.constructions import (
     daubechies4,
@@ -35,6 +34,7 @@ from fbff.multilevel import (
     packet_tree,
     periodize_bank,
     verify_tree,
+    verify_weighted_parseval,
 )
 from fbff.oracle import (
     dense_channel_gram,

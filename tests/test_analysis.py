@@ -10,7 +10,6 @@ from fbff.analysis import (
     fusion_report,
     hermitian_eigs,
     report_to_json,
-    verify_weighted_parseval,
 )
 from fbff.constructions import (
     daubechies4,
@@ -19,6 +18,7 @@ from fbff.constructions import (
     modulated_daubechies_stack,
     named_bank,
 )
+from fbff.multilevel import verify_weighted_parseval
 from fbff.polyphase import bank_of, eval_all_roots, matrix_of
 from fbff.signals import FilterBank, Signal, translate_matrix
 

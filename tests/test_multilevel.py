@@ -1,7 +1,9 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fbff import multilevel
 from fbff.analysis import (
@@ -9,12 +11,14 @@ from fbff.analysis import (
     channel_defects,
     channel_is_projection,
     fusion_report,
-    verify_weighted_parseval,
+    isometry_defect,
 )
 from fbff.constructions import (
     daubechies4,
+    elementary_paraunitary,
     mercedes_benz,
     modulated_daubechies_stack,
+    named_bank,
     paraunitary_chain,
     paraunitary_product,
 )
@@ -27,6 +31,7 @@ from fbff.multilevel import (
     periodize_bank,
     tree_from_json,
     verify_tree,
+    verify_weighted_parseval,
 )
 from fbff.polyphase import bank_of
 from fbff.signals import (
@@ -37,6 +42,7 @@ from fbff.signals import (
     inner,
     periodize,
     synthesis_apply,
+    translate_matrix,
     upsample,
 )
 
@@ -205,6 +211,52 @@ def test_verify_tree_reads_the_leaf_channel_defect():
     assert verdicts == {True, False}
 
 
+def test_verify_tree_reads_the_off_diagonal_leaf_defects():
+    # two rows of a degree-one paraunitary factor are a tight frame whose
+    # channels are not projections.  Each filter scaled to unit energy and
+    # weighted by its energy keeps sum w T T^H = I and T^H T's diagonal at 1:
+    # only T^H T's off-diagonal entries reject the leaves
+    u = np.array([1.0, 2.0, 2.0j]) / 3
+    leaves = []
+    for f in bank_of(elementary_paraunitary(u, 8)[:2]).filters:
+        energy = float(np.vdot(f.samples, f.samples).real)
+        leaves.append((FilterBank(((1 / np.sqrt(energy)) * f,), 2), energy))
+    ts = [(translate_matrix(ch.filters[0], 2), w) for ch, w in leaves]
+    frame_operator = sum(w * t @ t.conj().T for t, w in ts)
+    assert np.max(np.abs(frame_operator - np.eye(16))) <= 1e-12
+    ok, residual = verify_tree(leaves)
+    assert not ok
+    assert abs(residual - max(isometry_defect(t) for t, _ in ts)) <= 1e-12
+    assert residual == pytest.approx(0.5)
+
+
+def test_verify_tree_reads_lcm_of_the_leaf_rates_columns():
+    # leaf rates 4 and 6: the frame operator commutes with translation by
+    # lcm = 12, not by the largest rate.  With two weights raised, columns
+    # 6-11 of S - I hold entries larger than any of columns 0-5
+    dirac3 = bank_of(np.eye(3)[:, :, None] * np.eye(4)[0])  # rate 3, period 12
+    root = TreeNode(bank_of(daubechies4(12)), [TreeNode(bank_of(daubechies4(6))), TreeNode(dirac3)])
+    leaves = compose_tree(root, 24)
+    assert [ch.downsample for ch, _ in leaves] == [4, 4, 6, 6, 6]
+    assert verify_tree(leaves)[0]
+    raised = [(ch, w * k) for (ch, w), k in zip(leaves, [1, Fraction(3, 2), Fraction(3, 2), 1, 1])]
+    ts = [(translate_matrix(ch.filters[0], ch.downsample), w) for ch, w in raised]
+    defect = np.abs(sum(float(w) * t @ t.conj().T for t, w in ts) - np.eye(24))
+    ok, residual = verify_tree(raised)
+    assert not ok
+    assert abs(residual - defect.max()) <= 1e-12
+    assert defect[:, :6].max() < residual - 0.05
+
+
+def test_verify_tree_rejects_a_non_finite_leaf():
+    # one NaN sample in one leaf: the residual is NaN and the tree fails
+    (ch, w), *rest = compose_tree(dwt_tree(_stacked_bank(), 2), AMBIENT)
+    samples = ch.filters[0].samples.copy()
+    samples[3] = np.nan
+    ok, residual = verify_tree([(FilterBank((Signal(samples),), ch.downsample), w), *rest])
+    assert not ok and np.isnan(residual)
+
+
 def test_large_packet_tree_verifies():
     # 5 levels of Daubechies-4 at ambient 1024: 32 leaves of rank 32
     leaves = compose_tree(packet_tree(bank_of(daubechies4(512)), 5), 1024)
@@ -213,6 +265,81 @@ def test_large_packet_tree_verifies():
     assert ok and residual <= 1e-12
     for edit in (_double_first_weight, _scale_first_filter):
         assert not verify_tree(edit(leaves))[0]
+
+
+def test_deep_packet_tree_verifies_without_a_dim_squared_array():
+    # 6 levels of Daubechies-4 at ambient 4096: 64 leaves of rank 64.  One
+    # dim x dim complex array is dim**2 * 16 bytes; the check holds the first
+    # lcm-of-rates columns of the sum and one leaf's dim x rank T at a time
+    dim = 4096
+    leaves = compose_tree(packet_tree(bank_of(daubechies4(dim // 2)), 6), dim)
+    assert len(leaves) == 64
+    tracemalloc.start()
+    try:
+        ok, residual = verify_tree(leaves)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ok and residual <= 1e-12
+    assert peak < dim**2 * 16 / 8
+    for edit in (_double_first_weight, _scale_first_filter):
+        assert not verify_tree(edit(leaves))[0]
+
+
+_TREE_BANKS = ("daubechies4", "example7", "mercedes-benz")
+_DELTAS = np.geomspace(1e-11, 1e-6, 11)
+
+
+def _shaped_tree(bank, shape, depth, rng):
+    """A ``depth``-level tree of one bank: DWT (channel 0 re-expanded),
+    packet (every channel) or a path through one random channel per level."""
+    n = bank.n_channels
+    node = TreeNode(bank)
+    for _ in range(depth - 1):
+        if shape == "packet":
+            children = [node] * n
+        else:
+            children = [TreeNode(None)] * n
+            children[0 if shape == "dwt" else rng.integers(n)] = node
+        node = TreeNode(bank, children)
+    return node
+
+
+def _edited(leaves, edit, index, delta):
+    index %= len(leaves)
+    ch, w = leaves[index]
+    if edit == "weight-doubled":
+        leaves[index] = (ch, 2 * w)
+    elif edit == "filter-scaled":
+        leaves[index] = (FilterBank(((1 + delta) * ch.filters[0],), ch.downsample), w)
+    elif edit == "leaf-dropped":
+        del leaves[index]
+    return leaves
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(_TREE_BANKS),
+    shape=st.sampled_from(["dwt", "packet", "path"]),
+    depth=st.integers(min_value=1, max_value=3),
+    log_rank=st.integers(min_value=0, max_value=5),
+    seed=st.integers(min_value=0, max_value=2**16),
+    edit=st.sampled_from(["as-composed", "weight-doubled", "filter-scaled", "leaf-dropped"]),
+    index=st.integers(min_value=0, max_value=63),
+    delta=st.sampled_from(list(_DELTAS)),
+)
+def test_verify_tree_agrees_with_the_dense_sum(name, shape, depth, log_rank, seed, edit, index, delta):
+    # the first columns of the frame operator against the dense dim x dim sum
+    # over the leaves' translate matrices: same verdict, same residual.  Every
+    # named bank has rate 2, so the deepest leaves have rank 2**log_rank
+    dim = 2 ** (depth + log_rank)  # at most 256
+    tree = _shaped_tree(named_bank(name, dim), shape, depth, np.random.default_rng(seed))
+    leaves = _edited(compose_tree(tree, dim), edit, index, delta)
+    ok, residual = verify_tree(leaves)
+    dense = [(translate_matrix(ch.filters[0], ch.downsample), w) for ch, w in leaves]
+    ref_ok, ref_residual = verify_weighted_parseval(dense, dim)
+    assert ok == ref_ok
+    assert abs(residual - ref_residual) <= 1e-12 * max(1.0, ref_residual)
 
 
 def test_verify_tree_reads_the_dimension_from_its_leaves():
