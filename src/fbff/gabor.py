@@ -101,8 +101,8 @@ def gabor_tightness(phi: Signal, m: int, r: int, *, tol: float = 1e-9) -> bool:
     """
     rows = zak_row_sums(phi, m, r)
     zak_defect = float(np.max(autocorrelation_defect(rows / r)))
-    comps = (Signal(np.sqrt(m) * phi.samples[k::m]) for k in range(m))
-    time_defect = max(isometry_defect(translate_matrix(c, r)) for c in comps)
+    comps = translate_matrix(np.sqrt(m) * phi.samples.reshape(-1, m), r)  # [:, k] is T of s_k
+    time_defect = max(isometry_defect(comps[:, k]) for k in range(m))
     if abs(zak_defect - time_defect) > 1e-12 * max(1.0, zak_defect):
         raise RuntimeError(
             f"tightness defects disagree: Zak {zak_defect:.3e}, Gram {time_defect:.3e}"

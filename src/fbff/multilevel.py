@@ -19,11 +19,11 @@ Verify stays in the time domain and forms no dim x dim array.  A leaf of
 rate m has translate columns spaced by m, so its T T^H commutes with
 translation by m, and the frame operator S = sum w T T^H commutes with
 translation by L = lcm of the leaf rates: max|S - I| is reached in S's
-first L columns, each leaf adds its dim x m block w T T[:m]^H rolled by
-multiples of m into them, and each leaf's T^H T is circulant, so its
-first row holds every entry of T^H T - I.  That is O(dim^2) work per
-leaf.  :func:`verify_weighted_parseval`, the dense dim x dim sum over
-explicit (T, weight) pairs, is the reference it is tested against.
+first L columns, each leaf adds the ``translate_matrix`` rolls by m of its
+dim x m block w T T[:m]^H into them, and each leaf's T^H T is circulant,
+so its first row holds every entry of T^H T - I: O(dim^2) work per leaf.
+:func:`verify_weighted_parseval`, the dense dim x dim sum over explicit
+(T, weight) pairs, is the reference it is tested against.
 
 Filters at inner levels are never reused verbatim; they are folded to the
 level's period (:func:`periodize_bank`), which preserves the tight
@@ -185,8 +185,8 @@ def verify_tree(leaves, *, tol: float = 1e-9):
     every leaf's max|T^H T - I|, read from the first row of that circulant,
     and of max|sum w T T^H - I|, read from the sum's first L columns, L the
     lcm of the leaf rates; ok is whether it is at most ``tol`` (never for a
-    non-finite sample, whose residual is NaN).  Each leaf's translate
-    matrix T is formed when the check reaches it.  ValueError when there
+    non-finite sample, whose residual is NaN).  One contiguous copy of one
+    leaf's translate matrix T is held at a time.  ValueError when there
     are no leaves or their periods differ."""
     if not leaves:
         raise ValueError("verify_tree needs at least one leaf")
@@ -200,14 +200,15 @@ def verify_tree(leaves, *, tol: float = 1e-9):
     defects = []
     for leaf, w in leaves:
         m = leaf.downsample
-        t = translate_matrix(leaf.filters[0], m)
+        t = np.ascontiguousarray(translate_matrix(leaf.filters[0], m))
         row = t[:, 0].conj() @ t  # first row of T^H T
         row[0] -= 1.0
         defects.append(np.max(np.abs(row)))
         block = float(w) * (t @ t[:m].conj().T)  # columns :m of w T T^H
+        del t  # one leaf's T at a time
         # column q m + j of w T T^H is its column j rolled by q m
-        rolls = (np.arange(dim)[:, None] - np.arange(0, span, m)) % dim
-        head += block[rolls].reshape(dim, span)
+        cols = head.reshape(dim, span // m, m)
+        cols += translate_matrix(block, m)[:, :, : span // m].transpose(0, 2, 1)
     head[np.arange(span), np.arange(span)] -= 1.0
     defects.append(np.max(np.abs(head)))
     worst = float(np.max(defects))  # NaN from a non-finite sample stays NaN
@@ -223,14 +224,14 @@ def verify_weighted_parseval(isometries, dim: int, tol: float = 1e-9):
     |sum w T T^H - I|, and whether it is at most ``tol``.
     """
     total = np.zeros((dim, dim), dtype=complex)
-    worst = 0.0
+    defects = []
     for t, weight in isometries:
         t = np.asarray(t, dtype=complex)
         if t.ndim != 2 or t.shape[0] != dim:
             raise ValueError(f"isometry has shape {t.shape}, expected ({dim}, r)")
-        worst = max(worst, isometry_defect(t))
+        defects.append(isometry_defect(t))
         total += (float(weight) * t) @ t.conj().T
-    worst = max(worst, float(np.max(np.abs(total - np.eye(dim)))))
+    worst = float(np.max([*defects, np.max(np.abs(total - np.eye(dim)))]))  # NaN stays NaN
     return bool(worst <= tol), worst
 
 

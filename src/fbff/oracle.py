@@ -37,10 +37,9 @@ def densify(fb: FilterBank) -> np.ndarray:
     """Materialize a bank's synthesis operator as one read-only (MP, N, P)
     array: slice ``[:, n, k]`` is T^{Mk} filter_n."""
     if fb.filter_period > _MAX_DIM:
-        raise ValueError(
-            f"dense oracle gated to dimension {_MAX_DIM}, got {fb.filter_period}"
-        )
-    d = np.stack([translate_matrix(phi, fb.downsample) for phi in fb.filters], axis=1)
+        raise ValueError(f"dense oracle gated to dimension {_MAX_DIM}, got {fb.filter_period}")
+    stack = fb.coeffs.transpose(2, 0, 1).reshape(-1, fb.n_channels)  # (MP, N) samples
+    d = np.ascontiguousarray(translate_matrix(stack, fb.downsample))
     d.setflags(write=False)
     return d
 

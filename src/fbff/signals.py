@@ -6,9 +6,10 @@ are divisibility checks: silent period coercion is the dominant bug class in
 multirate code, so nothing here ever resizes an operand for you.
 
 A :class:`FilterBank` holds only its polyphase matrix, one read-only complex
-(M, N, P) array, and reads its N filters from it.  It acts through translate
-matrices: column k of ``translate_matrix(phi, m)`` is T^{mk} phi, so
-synthesis is sum_n T_n y_n and analysis is T_n^H x.
+(M, N, P) array, and reads its N filters from it.  :func:`translate_matrix`
+alone lays out translates, as a read-only strided view of the doubled
+samples whose column k is T^{mk} phi; every time-domain operator takes one
+per bank, leaf or prototype (here synthesis and analysis, one einsum each).
 """
 
 from __future__ import annotations
@@ -73,12 +74,18 @@ def translate(x: Signal, k: int) -> Signal:
     return Signal(np.roll(x.samples, k))
 
 
-def translate_matrix(x: Signal, m: int) -> np.ndarray:
-    """The P x (P/m) matrix whose column k is ``translate(x, m * k)``; m | P."""
-    p = x.period
+def translate_matrix(x: Signal | np.ndarray, m: int) -> np.ndarray:
+    """A read-only view of ``x`` (a Signal or an array of P rows) doubled, whose
+    slice ``[..., k]`` is ``x`` rolled by m k along axis 0, m | P: for a Signal,
+    the P x (P/m) matrix whose column k is ``translate(x, m * k)``."""
+    a = x.samples if isinstance(x, Signal) else np.asarray(x)
+    p = len(a)
     if m < 1 or p % m != 0:
         raise ValueError(f"translation step {m} must divide period {p}")
-    return x.samples[(np.arange(p)[:, None] - m * np.arange(p // m)) % p]
+    doubled = np.concatenate([a, a])  # [i, ..., k] below reads its row P + i - m k
+    doubled.setflags(write=False)  # so the view is read-only too
+    s = doubled.strides  # numpy checks the view against doubled's bounds
+    return np.ndarray((*a.shape, p // m), a.dtype, doubled, p * s[0], (*s, -m * s[0]))
 
 
 def modulate(x: Signal, p: int) -> Signal:
@@ -94,9 +101,7 @@ def involution(x: Signal) -> Signal:
 def periodize(x: Signal, target_period: int) -> Signal:
     """Fold a signal onto a divisor period by summing translated copies."""
     if target_period < 1 or x.period % target_period != 0:
-        raise ValueError(
-            f"target period {target_period} must divide period {x.period}"
-        )
+        raise ValueError(f"target period {target_period} must divide period {x.period}")
     return Signal(x.samples.reshape(-1, target_period).sum(axis=0))
 
 
@@ -117,9 +122,7 @@ class FilterBank:
         if any(f.period != period for f in filters):
             raise ValueError("all filters must share one period")
         if period % downsample != 0:
-            raise ValueError(
-                f"downsampling rate {downsample} must divide filter period {period}"
-            )
+            raise ValueError(f"downsampling rate {downsample} must divide filter period {period}")
         self._hold(np.array([f.samples for f in filters]), downsample)
 
     @classmethod
@@ -173,12 +176,7 @@ def synthesis_apply(fb: FilterBank, inputs) -> Signal:
     p = fb.inner_period
     if any(y.period != p for y in inputs):
         raise ValueError(f"inputs must have period {p}")
-    return Signal(
-        sum(
-            translate_matrix(phi, fb.downsample) @ y.samples
-            for phi, y in zip(fb.filters, inputs)
-        )
-    )
+    return Signal(np.einsum("ink,nk->i", _translates(fb), [y.samples for y in inputs]))
 
 
 def analysis_apply(fb: FilterBank, x: Signal) -> list[Signal]:
@@ -189,10 +187,12 @@ def analysis_apply(fb: FilterBank, x: Signal) -> list[Signal]:
     """
     if x.period != fb.filter_period:
         raise ValueError(f"input period {x.period} != filter period {fb.filter_period}")
-    return [
-        Signal(translate_matrix(phi, fb.downsample).conj().T @ x.samples)
-        for phi in fb.filters
-    ]
+    return [Signal(c) for c in np.einsum("ink,i->nk", _translates(fb).conj(), x.samples)]
+
+
+def _translates(fb: FilterBank) -> np.ndarray:
+    """Every T_n in one (M P, N, P) view: ``translate_matrix`` of the sample stack."""
+    return translate_matrix(fb.coeffs.transpose(2, 0, 1).reshape(-1, fb.n_channels), fb.downsample)
 
 
 # -- JSON wire format ---------------------------------------------------------

@@ -482,6 +482,11 @@ def test_weighted_parseval_detects_non_projection():
         [(mat, 1.0)], dim=3, tol=1e-9
     )
     assert not ok
+    # a non-finite entry makes the residual NaN, which no tolerance passes
+    nan_column = np.column_stack([np.eye(4), np.full(4, np.nan)])
+    for basis in (np.full((4, 4), np.nan), nan_column):
+        ok, residual = verify_weighted_parseval([(basis, 1.0)], 4)
+        assert not ok and np.isnan(residual)
 
 
 def test_weighted_parseval_dimension_mismatch():

@@ -286,6 +286,25 @@ def test_deep_packet_tree_verifies_without_a_dim_squared_array():
         assert not verify_tree(edit(leaves))[0]
 
 
+def test_deep_dwt_verifies_holding_one_translate_matrix():
+    # 8 levels of Daubechies-4 at ambient 4096: the rate-2 leaf's dim x dim/2
+    # complex T alone is dim**2 * 16 / 2 bytes.  The bound, 5/8 of one dim x dim
+    # array, leaves room for that T's one contiguous copy and the first
+    # lcm-of-rates columns of the sum, but not for an int64 index array
+    # beside it or for the rate-4 leaf's T kept alive
+    dim = 4096
+    leaves = compose_tree(dwt_tree(bank_of(daubechies4(dim // 2)), 8), dim)
+    assert [ch.downsample for ch, _ in leaves] == [256, 256, 128, 64, 32, 16, 8, 4, 2]
+    tracemalloc.start()
+    try:
+        ok, residual = verify_tree(leaves)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ok and residual <= 1e-12
+    assert peak < dim**2 * 16 * 5 / 8
+
+
 _TREE_BANKS = ("daubechies4", "example7", "mercedes-benz")
 _DELTAS = np.geomspace(1e-11, 1e-6, 11)
 

@@ -255,6 +255,34 @@ def test_translate_matrix_requires_positive_divisor(m):
         translate_matrix(Signal.delta(0, 6), m)
 
 
+@given(
+    p=st.integers(min_value=1, max_value=48),
+    cols=st.sampled_from([None, 1, 3]),
+    seed=st.integers(min_value=0, max_value=2**16),
+    data=st.data(),
+)
+def test_translate_matrix_is_a_read_only_view_of_rolls(p, cols, seed, data):
+    # a Signal, a 1-D array or a (P, c) array: slice [..., k] is the input
+    # rolled by m k along axis 0 for every m | P, and nothing writes through
+    # it; a step below 1 or not dividing P keeps its message
+    m = data.draw(st.sampled_from([d for d in range(1, p + 1) if p % d == 0]), label="m")
+    rng = np.random.default_rng(seed)
+    shape = (p,) if cols is None else (p, cols)
+    a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    bad = [data.draw(st.integers(min_value=-4, max_value=0), label="m < 1")]
+    bad += [d for d in range(2, p + 2) if p % d]
+    for x in [a, Signal(a)] if cols is None else [a]:
+        t = translate_matrix(x, m)
+        assert t.shape == shape + (p // m,)
+        assert all(np.array_equal(t[..., k], np.roll(a, m * k, axis=0)) for k in range(p // m))
+        assert not t.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            t[0] = 0
+        for step in bad:
+            with pytest.raises(ValueError, match=f"^translation step {step} must divide period {p}$"):
+                translate_matrix(x, step)
+
+
 def test_periodize_identity():
     rng = np.random.default_rng(16)
     x = _random_signal(rng, 8)
