@@ -41,8 +41,7 @@ def frequency_table(fb: FilterBank, n_samples: int):
     """
     if n_samples < 2:
         raise ValueError("need at least two frequency samples")
-    pad = (0, -fb.filter_period % n_samples)
-    samples = np.stack([np.pad(phi.samples, pad) for phi in fb.filters])
+    samples = np.pad(fb.samples, ((0, 0), (0, -fb.filter_period % n_samples)))
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
         folded = samples.reshape(fb.n_channels, -1, n_samples).sum(axis=1)
         mag2 = np.abs(np.fft.fft(folded, axis=-1)) ** 2
@@ -153,26 +152,11 @@ def _named_banks(period: int):
     return functools.cache(lambda name: constructions.named_bank(name, period))
 
 
-def _max_tree_rate(obj) -> int:
-    """Largest product of per-level rates along any root-to-leaf path."""
-    probe = multilevel.tree_from_json(obj, _named_banks(4))
-
-    def walk(node) -> int:
-        m = node.bank.downsample
-        children = node.children or ()
-        rates = [
-            m * walk(c) if c.bank is not None else m for c in children
-        ]
-        return max(rates, default=m)
-
-    return walk(probe)
-
-
 def _cmd_compose(args) -> int:
     if args.inner_dim < 1:
         raise ValueError(f"--inner-dim must be positive, got {args.inner_dim}")
     spec = _load_json(args.tree)
-    ambient = args.inner_dim * _max_tree_rate(spec)
+    ambient = args.inner_dim * multilevel.tree_from_json(spec, _named_banks(4)).max_leaf_rate
     tree = multilevel.tree_from_json(spec, _named_banks(ambient))
     leaves = multilevel.compose_tree(tree, ambient, tol=args.tol)
     out = {
@@ -203,9 +187,7 @@ def _cmd_design_maxflat(args) -> int:
         seed = int(os.environ.get("FBFF_SEED", args.seed))
     except ValueError as exc:  # args.seed is an int already
         raise ValueError(f"FBFF_SEED must be an integer ({exc})") from None
-    result = gabor.design_maxflat(
-        args.half_taps, seed=seed, restarts=args.restarts, q=args.q, tol=args.tol
-    )
+    result = gabor.design_maxflat(args.half_taps, seed=seed, restarts=args.restarts, tol=args.tol)
     report = {
         "converged": result.converged,
         "half_taps": args.half_taps,
@@ -298,7 +280,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--seed", type=int, default=0, help="overridden by FBFF_SEED")
     p.add_argument("--restarts", type=int, default=100)
-    p.add_argument("--q", type=int, default=None, help="embedding block size")
     p.add_argument("--tol", type=_tolerance, default=1e-8)
     p.add_argument("--out", help="write the designed filter JSON here")
     p.set_defaults(func=_cmd_design_maxflat)

@@ -34,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import polyphase
 from .analysis import FrameBounds, autocorrelation_defect, isometry_defect
 from .signals import FilterBank, Signal, modulate, translate_matrix
 
@@ -70,11 +71,8 @@ def zak_row_sums(phi: Signal, m: int, r: int) -> np.ndarray:
     when M or R does not fit the prototype's period, or when the sums are
     not finite.
     """
-    # imported per call, so a patched fbff.polyphase.zak_power_rows is seen
-    from .polyphase import decompose, zak_power_rows
-
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
-        rows = m * zak_power_rows(decompose(phi, m), r)
+        rows = m * polyphase.zak_power_rows(polyphase.decompose(phi, m), r)
     if not np.all(np.isfinite(rows)):
         raise ValueError("Zak row sums are not finite (samples too large)")
     return rows
@@ -265,20 +263,23 @@ class LMResult:
     converged: bool
 
 
-def levenberg_marquardt(fn, x0, tol: float = 1e-10, max_iter: int = 500) -> LMResult:
+_LM_MAX_ITER = 500
+
+
+def levenberg_marquardt(fn, x0, tol: float = 1e-10) -> LMResult:
     """Damped least squares on a residual function.
 
     ``fn(x)`` returns the residual vector at x and its Jacobian there, as
     a pair of float arrays, so each point is evaluated once: the Jacobian
     of an accepted step is kept for the next iteration.  Iteration stops
     when the residual infinity norm drops below ``tol`` or after
-    ``max_iter`` iterations.
+    ``_LM_MAX_ITER`` iterations.
     """
     x = np.array(x0, dtype=float)
     r, jx = fn(x)
     lam = 1e-3
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, _LM_MAX_ITER + 1):
         if float(np.max(np.abs(r))) <= tol:
             break
         jtj = jx.T @ jx
@@ -346,14 +347,9 @@ def _restart_rng(seed: int, restart: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed, counter=restart))
 
 
-def design_maxflat(
-    t: int,
-    seed: int = 0,
-    restarts: int = 100,
-    q: int | None = None,
-    tol: float = 1e-8,
-) -> MaxFlatResult:
-    """Search for a unit-norm 2T-tap maximally flat tight prototype.
+def design_maxflat(t: int, seed: int = 0, restarts: int = 100, tol: float = 1e-8) -> MaxFlatResult:
+    """Search for a unit-norm 2T-tap maximally flat tight prototype, embedded
+    in period 4Q with Q = max(5, ceil(T/2)), so the 2T taps always fit.
 
     Each restart draws Gaussian even taps (normalized to squared norm 1/2),
     checks that the flatness map completes them (:func:`flatness_solve_odd`),
@@ -379,12 +375,7 @@ def design_maxflat(
         raise ValueError("need at least one restart")
     if not 0 <= seed < 2**128:
         raise ValueError(f"seed must be in [0, 2**128), got {seed}")
-    if q is None:
-        q = max(5, (t + 1) // 2)
-    if q < 1:
-        raise ValueError(f"block size q must be >= 1, got {q}")
-    if 2 * t > 4 * q:
-        raise ValueError(f"2T = {2 * t} taps do not fit in period {4 * q}")
+    q = max(5, (t + 1) // 2)
 
     _derivative_table(t)  # a T too large for floats raises before any draw
     trace = []  # entry k is restart k: a Gaussian draw is never all zeros

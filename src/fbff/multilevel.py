@@ -38,8 +38,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import signals
 from .analysis import channel_defects, isometry_defect
-from .polyphase import matrix_of
 from .signals import FilterBank, Signal, translate_matrix, upsample
 
 __all__ = [
@@ -71,23 +71,32 @@ class TreeNode:
     """A node of a composition tree.
 
     ``bank is None`` marks an identity leaf.  For a bank node, ``children``
-    carries one node per channel; an empty tuple is shorthand for all-identity
-    children (a depth-one expansion).
+    carries one node per channel; an empty one is shorthand for all-identity
+    children (a depth-one expansion), which the node stores expanded.
     """
 
     bank: FilterBank | None
     children: tuple["TreeNode", ...] = field(default=())
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "children", tuple(self.children))
-        if self.bank is None and self.children:
+        children = tuple(self.children)
+        if self.bank is None and children:
             raise ValueError("identity leaves cannot have children")
-        if self.bank is not None and self.children:
-            if len(self.children) != self.bank.n_channels:
+        if self.bank is not None:
+            children = children or (TreeNode(None),) * self.bank.n_channels
+            if len(children) != self.bank.n_channels:
                 raise ValueError(
-                    f"need one child per channel: {len(self.children)} for "
+                    f"need one child per channel: {len(children)} for "
                     f"{self.bank.n_channels} channels"
                 )
+        object.__setattr__(self, "children", children)
+
+    @property
+    def max_leaf_rate(self) -> int:
+        """Largest product of the rates along a root-to-leaf path (1 at a leaf)."""
+        if self.bank is None:
+            return 1
+        return self.bank.downsample * max(child.max_leaf_rate for child in self.children)
 
 
 def dwt_tree(bank: FilterBank, levels: int) -> TreeNode:
@@ -136,47 +145,31 @@ def compose_tree(tree: TreeNode, dim: int, tol: float = 1e-9):
     if tree.bank is None:
         raise ValueError("tree root must carry a bank")
     leaves: list[tuple[FilterBank, Fraction]] = []
-    _walk(tree, dim, None, Fraction(1), leaves, {}, tol)
+    judged = {}  # (bank object, period) -> folded bank; the tree keeps each bank alive
+
+    def walk(node: TreeNode, dim_here: int, prefix: tuple[Signal, int] | None, weight: Fraction):
+        key = (id(node.bank), dim_here)
+        if key not in judged:
+            bank = periodize_bank(node.bank, dim_here)  # ValueError unless it folds
+            for idx, defect in enumerate(channel_defects(bank.coeffs)):
+                if not defect <= tol:
+                    raise ValueError(f"channel {idx} translates are not orthonormal")
+            judged[key] = bank
+        bank = judged[key]
+        m = bank.downsample
+        weight *= Fraction(m, bank.n_channels)
+        for phi, child in zip(bank.filters, node.children):
+            rate = m
+            if prefix is not None:
+                outer, outer_rate = prefix
+                phi, rate = equivalent_filter(outer, phi, outer_rate), outer_rate * m
+            if child.bank is None:
+                leaves.append((FilterBank((phi,), rate), weight))
+            else:
+                walk(child, dim_here // m, (phi, rate), weight)
+
+    walk(tree, dim, None, Fraction(1))
     return leaves
-
-
-def _judged_bank(fb: FilterBank, dim: int, judged: dict, tol: float) -> FilterBank:
-    """``fb`` folded to ``dim`` once every channel's defect is at most
-    ``tol``; ``judged`` caches it by (bank object, period), and the tree
-    keeps each bank alive for the whole walk."""
-    key = (id(fb), dim)
-    if key not in judged:
-        bank = periodize_bank(fb, dim)  # ValueError unless it folds
-        for idx, defect in enumerate(channel_defects(matrix_of(bank))):
-            if not defect <= tol:
-                raise ValueError(f"channel {idx} translates are not orthonormal")
-        judged[key] = bank
-    return judged[key]
-
-
-def _walk(
-    node: TreeNode,
-    dim_here: int,
-    prefix: tuple[Signal, int] | None,
-    weight: Fraction,
-    leaves: list,
-    judged: dict,
-    tol: float,
-) -> None:
-    bank = _judged_bank(node.bank, dim_here, judged, tol)
-    m, n = bank.downsample, bank.n_channels
-    channel_weight = Fraction(m, n)
-    children = node.children or (TreeNode(None),) * n
-    for phi, child in zip(bank.filters, children):
-        rate = m
-        if prefix is not None:
-            outer, outer_rate = prefix
-            phi, rate = equivalent_filter(outer, phi, outer_rate), outer_rate * m
-        w = weight * channel_weight
-        if child.bank is None:
-            leaves.append((FilterBank((phi,), rate), w))
-        else:
-            _walk(child, dim_here // m, (phi, rate), w, leaves, judged, tol)
 
 
 def verify_tree(leaves, *, tol: float = 1e-9):
@@ -200,7 +193,7 @@ def verify_tree(leaves, *, tol: float = 1e-9):
     defects = []
     for leaf, w in leaves:
         m = leaf.downsample
-        t = np.ascontiguousarray(translate_matrix(leaf.filters[0], m))
+        t = np.ascontiguousarray(translate_matrix(leaf.samples[0], m))
         row = t[:, 0].conj() @ t  # first row of T^H T
         row[0] -= 1.0
         defects.append(np.max(np.abs(row)))
@@ -244,13 +237,10 @@ def tree_from_json(obj, resolve_bank) -> TreeNode:
     ``resolve_bank`` maps a bank name to a FilterBank; inline banks use the
     shared filter-bank JSON format.
     """
-    # imported per call, so a patched fbff.signals.bank_from_json is seen
-    from .signals import bank_from_json
-
     if not isinstance(obj, dict) or "bank" not in obj:
         raise ValueError("tree node must be an object with a 'bank' key")
     spec = obj["bank"]
-    bank = resolve_bank(spec) if isinstance(spec, str) else bank_from_json(spec)
+    bank = resolve_bank(spec) if isinstance(spec, str) else signals.bank_from_json(spec)
     specs = obj.get("children", [])
     if not isinstance(specs, list):
         raise ValueError("tree children must be a list")

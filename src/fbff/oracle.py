@@ -38,8 +38,7 @@ def densify(fb: FilterBank) -> np.ndarray:
     array: slice ``[:, n, k]`` is T^{Mk} filter_n."""
     if fb.filter_period > _MAX_DIM:
         raise ValueError(f"dense oracle gated to dimension {_MAX_DIM}, got {fb.filter_period}")
-    stack = fb.coeffs.transpose(2, 0, 1).reshape(-1, fb.n_channels)  # (MP, N) samples
-    d = np.ascontiguousarray(translate_matrix(stack, fb.downsample))
+    d = np.ascontiguousarray(translate_matrix(fb.samples.T, fb.downsample))
     d.setflags(write=False)
     return d
 

@@ -5,11 +5,13 @@ of samples; indexing is modulo P by construction.  Sampling-rate relations
 are divisibility checks: silent period coercion is the dominant bug class in
 multirate code, so nothing here ever resizes an operand for you.
 
-A :class:`FilterBank` holds only its polyphase matrix, one read-only complex
-(M, N, P) array, and reads its N filters from it.  :func:`translate_matrix`
+A :class:`FilterBank` holds one read-only complex buffer, viewed as its
+(M, N, P) polyphase matrix ``coeffs`` and as its (N, M P) sample stack
+``samples``, from whose rows it reads its N filters.  :func:`translate_matrix`
 alone lays out translates, as a read-only strided view of the doubled
 samples whose column k is T^{mk} phi; every time-domain operator takes one
-per bank, leaf or prototype (here synthesis and analysis, one einsum each).
+per bank, leaf or prototype (here synthesis and analysis, one einsum each,
+of ``samples.T``).
 """
 
 from __future__ import annotations
@@ -107,10 +109,12 @@ def periodize(x: Signal, target_period: int) -> Signal:
 
 @dataclass(frozen=True, eq=False, init=False)
 class FilterBank:
-    """N filters of period M * P at downsampling rate M, held as the read-only
-    complex (M, N, P) polyphase array ``coeffs``: sample M q + m of filter n is [m, n, q]."""
+    """N filters of period M * P at downsampling rate M in one read-only complex
+    buffer: the (N, M * P) sample stack ``samples``, row n filter n, and its view
+    the (M, N, P) polyphase array ``coeffs``: sample M q + m of filter n is [m, n, q]."""
 
     coeffs: np.ndarray
+    samples: np.ndarray
 
     def __init__(self, filters, downsample: int) -> None:
         filters = tuple(filters)
@@ -136,20 +140,20 @@ class FilterBank:
         return bank
 
     def _hold(self, samples: np.ndarray, m: int, values=None) -> None:
-        """Keep the (N, M * P) samples, ``values`` written in, read-only as ``coeffs``:
-        the layout's one forward map, in which a fold along P adds as periodize does."""
+        """Keep the (N, M * P) ``samples``, ``values`` written in, read-only with their
+        view ``coeffs``: the layout's one map, in which a fold along P adds as periodize does."""
         coeffs = samples.reshape(len(samples), -1, m).transpose(2, 0, 1)
         if values is not None:
             coeffs[...] = values
         samples.setflags(write=False)
         coeffs.setflags(write=False)
         object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "samples", samples)
 
     @functools.cached_property
     def filters(self) -> tuple[Signal, ...]:
-        """The filters, rebuilt once by the layout's one inverse map."""
-        samples = self.coeffs.transpose(1, 2, 0).reshape(self.n_channels, -1)
-        return tuple(Signal(s) for s in samples)
+        """The filters, rebuilt once from the rows of ``samples``."""
+        return tuple(Signal(s) for s in self.samples)
 
     @property
     def downsample(self) -> int:
@@ -176,7 +180,8 @@ def synthesis_apply(fb: FilterBank, inputs) -> Signal:
     p = fb.inner_period
     if any(y.period != p for y in inputs):
         raise ValueError(f"inputs must have period {p}")
-    return Signal(np.einsum("ink,nk->i", _translates(fb), [y.samples for y in inputs]))
+    t = translate_matrix(fb.samples.T, fb.downsample)  # [:, n] is T_n
+    return Signal(np.einsum("ink,nk->i", t, [y.samples for y in inputs]))
 
 
 def analysis_apply(fb: FilterBank, x: Signal) -> list[Signal]:
@@ -187,12 +192,8 @@ def analysis_apply(fb: FilterBank, x: Signal) -> list[Signal]:
     """
     if x.period != fb.filter_period:
         raise ValueError(f"input period {x.period} != filter period {fb.filter_period}")
-    return [Signal(c) for c in np.einsum("ink,i->nk", _translates(fb).conj(), x.samples)]
-
-
-def _translates(fb: FilterBank) -> np.ndarray:
-    """Every T_n in one (M P, N, P) view: ``translate_matrix`` of the sample stack."""
-    return translate_matrix(fb.coeffs.transpose(2, 0, 1).reshape(-1, fb.n_channels), fb.downsample)
+    t = translate_matrix(fb.samples.T, fb.downsample)
+    return [Signal(c) for c in np.einsum("ink,i->nk", t.conj(), x.samples)]
 
 
 # -- JSON wire format ---------------------------------------------------------

@@ -285,6 +285,21 @@ def test_compose_tree_cli(capsys, tmp_path):
     assert ranks == [4, 4, 4, 4, 8, 8, 8]
 
 
+def test_compose_sizes_the_ambient_space_by_the_largest_path_rate(capsys, tmp_path):
+    # a rate-3 bank of unit impulses under channel 0 of a rate-2 root: path
+    # rates 6 and 2, so --inner-dim 4 gives ambient dimension 24
+    impulses = FilterBank(tuple(Signal.delta(k, 12) for k in range(3)), 3)
+    tree = tmp_path / "tree.json"
+    tree.write_text(
+        json.dumps({"bank": "daubechies4", "children": [{"bank": bank_to_json(impulses)}, "identity"]})
+    )
+    code, out, _ = _run(capsys, "compose", "--tree", str(tree), "--inner-dim", "4", "--verify")
+    assert code == 0
+    got = json.loads(out)
+    assert got["ambient_dim"] == 24 and got["verified"] is True
+    assert [(l["rate"], l["rank"]) for l in got["leaves"]] == [(6, 4)] * 3 + [(2, 12)]
+
+
 def test_compose_inline_bank(capsys, tmp_path):
     bank_path = _build(capsys, tmp_path, "daubechies4", 8)
     bank_obj = json.loads(bank_path.read_text())
@@ -604,7 +619,7 @@ def test_design_maxflat_skips_a_failing_draw(capsys):
         (None, ["--seed", "-5"], "seed must be in [0, 2**128), got -5"),
         ("-1", [], "seed must be in [0, 2**128), got -1"),
         ("abc", [], "FBFF_SEED must be an integer"),
-        (None, ["--q", "0"], "block size q must be >= 1, got 0"),
+        (None, ["--q", "0"], "fbff: error: unrecognized arguments: --q 0"),
     ],
     ids=["seed-flag-negative", "seed-env-negative", "seed-env-not-integer", "q-zero"],
 )
@@ -614,7 +629,9 @@ def test_design_maxflat_bad_input_names_it(capsys, monkeypatch, env_seed, argv, 
         monkeypatch.setenv("FBFF_SEED", env_seed)
     code, out, err = _run(capsys, "design-maxflat", "--half-taps", "2", *argv)
     assert code == 2
-    assert err.startswith("error:") and message in err and "Traceback" not in err
+    # a bad value is the CLI's "error:" line; the removed --q is argparse's usage error
+    prefix = "usage:" if "--q" in argv else "error:"
+    assert err.startswith(prefix) and message in err and "Traceback" not in err
     assert out == ""
 
 

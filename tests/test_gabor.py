@@ -599,10 +599,6 @@ def test_design_trace_has_one_entry_per_restart():
 def test_design_rejects_bad_half_length():
     with pytest.raises(ValueError):
         design_maxflat(0)
-    with pytest.raises(ValueError):
-        design_maxflat(4, q=1)
-    with pytest.raises(ValueError, match="block size q"):
-        design_maxflat(2, q=0)
     # the seed keys a Philox stream: 0 .. 2**128 - 1
     for seed in (-1, 2**128):
         with pytest.raises(ValueError, match="seed must be in"):

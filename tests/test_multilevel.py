@@ -528,6 +528,38 @@ def test_tree_node_validation():
         compose_tree(TreeNode(None), 8)
 
 
+@pytest.mark.parametrize("name", _TREE_BANKS)
+def test_identity_shorthand_is_stored_expanded(name):
+    bank = named_bank(name, 8)
+    assert TreeNode(bank) == TreeNode(bank, [TreeNode(None)] * bank.n_channels)
+    assert TreeNode(bank).children == (TreeNode(None),) * bank.n_channels
+    assert TreeNode(None).max_leaf_rate == 1 and TreeNode(bank).max_leaf_rate == 2
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    name=st.sampled_from(_TREE_BANKS),
+    shape=st.sampled_from(["dwt", "packet", "path"]),
+    depth=st.integers(min_value=1, max_value=3),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+def test_max_leaf_rate_is_the_largest_composed_rate(name, shape, depth, seed):
+    dim = 2**depth * 4
+    tree = _shaped_tree(named_bank(name, dim), shape, depth, np.random.default_rng(seed))
+    assert tree.max_leaf_rate == max(leaf.downsample for leaf, _ in compose_tree(tree, dim))
+
+
+def test_max_leaf_rate_of_mixed_rates():
+    # a rate-3 bank of unit impulses under channel 0 of a rate-2 root: leaf
+    # rates 6, 6, 6 and 2, so the ambient dimension is inner rank times 6
+    impulses = FilterBank(tuple(Signal.delta(k, 12) for k in range(3)), 3)
+    tree = TreeNode(bank_of(daubechies4(12)), [TreeNode(impulses), TreeNode(None)])
+    assert tree.max_leaf_rate == 6
+    leaves = compose_tree(tree, 24)
+    assert [(leaf.downsample, leaf.inner_period) for leaf, _ in leaves] == [(6, 4)] * 3 + [(2, 12)]
+    assert verify_tree(leaves)[0]
+
+
 def test_tree_from_json():
     def resolve(name):
         assert name == "stack"

@@ -312,6 +312,21 @@ def test_filterbank_validation():
         analysis_apply(_mercedes_bank(2), Signal.zero(6))
 
 
+@pytest.mark.parametrize("m, n", [(1, 1), (2, 3), (3, 2)])
+def test_filterbank_samples_is_the_read_only_stack_under_coeffs(m, n):
+    # built from filters or from a polyphase array: one buffer, seen twice
+    rng = np.random.default_rng(m * 10 + n)
+    filters = tuple(_random_signal(rng, 6 * m) for _ in range(n))
+    coeffs = rng.standard_normal((m, n, 6)) + 1j * rng.standard_normal((m, n, 6))
+    for fb in (FilterBank(filters, m), FilterBank.from_coeffs(coeffs)):
+        assert fb.samples.shape == (n, 6 * m)
+        assert not fb.samples.flags.writeable
+        assert np.shares_memory(fb.samples, fb.coeffs)
+        assert np.array_equal(fb.samples, np.stack([f.samples for f in fb.filters]))
+        with pytest.raises(ValueError):
+            fb.samples[0, 0] = 1.0
+
+
 def test_signal_json_round_trip():
     rng = np.random.default_rng(17)
     x = _random_signal(rng, 6)
