@@ -159,6 +159,8 @@ def _cmd_compose(args) -> int:
     ambient = args.inner_dim * multilevel.tree_from_json(spec, _named_banks(4)).max_leaf_rate
     tree = multilevel.tree_from_json(spec, _named_banks(ambient))
     leaves = multilevel.compose_tree(tree, ambient, tol=args.tol)
+    stack = np.array([leaf.samples[0] for leaf, _ in leaves])  # every leaf has period ambient
+    rows = np.stack([stack.real, stack.imag], axis=-1).tolist()
     out = {
         "ambient_dim": ambient,
         "leaves": [
@@ -166,9 +168,9 @@ def _cmd_compose(args) -> int:
                 "weight": {"num": w.numerator, "den": w.denominator},
                 "rank": leaf.inner_period,
                 "rate": leaf.downsample,
-                "filter": signal_to_json(leaf.filters[0]),
+                "filter": {"period": ambient, "samples": row},  # signal_to_json's form
             }
-            for leaf, w in leaves
+            for (leaf, w), row in zip(leaves, rows)
         ],
     }
     status = 0

@@ -9,11 +9,15 @@ child leaves a channel as a leaf, a bank child splits it again.
 A chain of channels is one channel at the product rate (the noble
 identities): its filter is the ring product of the outer filter with the
 upsampled inner one, and each flattened leaf is a one-channel bank of that
-filter.  Compose judges each level's channels, and verify each leaf, by the
-one projection rule: the largest entry of T^H T - I, from polyphase norms
-or from the leaf's T.  Compose judges each distinct (bank, level period)
-once per call: a packet tree that repeats one bank at one period reads all
-its channels' defects from one FFT of that bank's polyphase matrix.
+filter.  Every channel of a node shares the node's one prefix filter, so
+compose forms all of a node's equivalent filters from one ring product of
+the prefix with the folded bank's sample stack (and ``fbff compose`` writes
+the leaves from one stack of their samples).  Compose judges each level's
+channels, and verify each leaf, by the one projection rule: the largest
+entry of T^H T - I, from polyphase norms or from the leaf's T.  Compose
+judges each distinct (bank, level period) once per call: a packet tree that
+repeats one bank at one period reads all its channels' defects from one FFT
+of that bank's polyphase matrix.
 
 Verify stays in the time domain and forms no dim x dim array.  A leaf of
 rate m has translate columns spaced by m, so its T T^H commutes with
@@ -40,6 +44,7 @@ import numpy as np
 
 from . import signals
 from .analysis import channel_defects, isometry_defect
+from .cyclic import ring_product
 from .signals import FilterBank, Signal, translate_matrix, upsample
 
 __all__ = [
@@ -55,15 +60,23 @@ __all__ = [
 ]
 
 
-def equivalent_filter(phi_outer: Signal, phi_inner: Signal, m: int) -> Signal:
+def equivalent_filter(
+    phi_outer: Signal | np.ndarray, phi_inner: Signal | np.ndarray, m: int
+) -> Signal | np.ndarray:
     """Single filter realizing two chained channels.
 
     By the noble identities, applying the outer channel (rate m) after the
     inner one equals one channel at the product rate whose filter is the
     ring product of the outer filter with the inner one upsampled by m,
-    sum_k inner[k] T^{mk} outer.
+    sum_k inner[k] T^{mk} outer.  Either filter is a Signal or an array along
+    its last axis; an (N, P) stack of inner filters gives the (N, m P) stack
+    of their equivalent filters from one ring product, and the result is of
+    the inner filter's kind.
     """
-    return phi_outer * upsample(phi_inner, m)
+    outer = phi_outer.samples if isinstance(phi_outer, Signal) else phi_outer
+    if isinstance(phi_inner, Signal):
+        return Signal(ring_product(outer, upsample(phi_inner.samples, m)))
+    return ring_product(outer, upsample(phi_inner, m))
 
 
 @dataclass(frozen=True)
@@ -147,7 +160,7 @@ def compose_tree(tree: TreeNode, dim: int, tol: float = 1e-9):
     leaves: list[tuple[FilterBank, Fraction]] = []
     judged = {}  # (bank object, period) -> folded bank; the tree keeps each bank alive
 
-    def walk(node: TreeNode, dim_here: int, prefix: tuple[Signal, int] | None, weight: Fraction):
+    def walk(node: TreeNode, dim_here: int, prefix: tuple[np.ndarray, int] | None, weight: Fraction):
         key = (id(node.bank), dim_here)
         if key not in judged:
             bank = periodize_bank(node.bank, dim_here)  # ValueError unless it folds
@@ -158,15 +171,15 @@ def compose_tree(tree: TreeNode, dim: int, tol: float = 1e-9):
         bank = judged[key]
         m = bank.downsample
         weight *= Fraction(m, bank.n_channels)
-        for phi, child in zip(bank.filters, node.children):
-            rate = m
-            if prefix is not None:
-                outer, outer_rate = prefix
-                phi, rate = equivalent_filter(outer, phi, outer_rate), outer_rate * m
+        rows, rate = bank.samples, m
+        if prefix is not None:  # every channel of the node under its one prefix
+            outer, outer_rate = prefix
+            rows, rate = equivalent_filter(outer, rows, outer_rate), outer_rate * m
+        for row, child in zip(rows, node.children):
             if child.bank is None:
-                leaves.append((FilterBank((phi,), rate), weight))
+                leaves.append((FilterBank((Signal(row),), rate), weight))
             else:
-                walk(child, dim_here // m, (phi, rate), weight)
+                walk(child, dim_here // m, (row, rate), weight)
 
     walk(tree, dim, None, Fraction(1))
     return leaves

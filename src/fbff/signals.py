@@ -55,13 +55,15 @@ def circ_convolve(x: Signal, h: Signal) -> Signal:
     return x * h
 
 
-def upsample(y: Signal, m: int) -> Signal:
-    """Insert m - 1 zeros between samples; output period is m * P."""
+def upsample(y: Signal | np.ndarray, m: int) -> Signal | np.ndarray:
+    """Insert m - 1 zeros between samples along the last axis, of a Signal or
+    of an array of signals; output period is m * P, and of the input's kind."""
     if m < 1:
         raise ValueError("upsampling factor must be positive")
-    out = np.zeros(m * y.period, dtype=complex)
-    out[::m] = y.samples
-    return Signal(out)
+    a = y.samples if isinstance(y, Signal) else np.asarray(y)
+    out = np.zeros((*a.shape[:-1], m * a.shape[-1]), dtype=complex)
+    out[..., ::m] = a
+    return Signal(out) if isinstance(y, Signal) else out
 
 
 def downsample(x: Signal, m: int) -> Signal:

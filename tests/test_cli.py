@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fbff import cli, constructions, signals
+from fbff import cli, constructions, multilevel, signals
 from fbff.analysis import fusion_report, report_to_json
 from fbff.cli import frequency_table, main, write_frequency_table
 from fbff.constructions import named_bank
@@ -311,6 +311,54 @@ def test_compose_inline_bank(capsys, tmp_path):
     assert code == 0
     got = json.loads(out)
     assert got["ambient_dim"] == 16 and len(got["leaves"]) == 2
+
+
+def _impulse_bank_tree():
+    # CI's t23 tree: a rate-3 bank of unit impulses under channel 0 of daubechies4
+    impulses = FilterBank(tuple(Signal.delta(k, 12) for k in range(3)), 3)
+    return {"bank": "daubechies4", "children": [{"bank": bank_to_json(impulses)}, "identity"]}
+
+
+@pytest.mark.parametrize(
+    "spec,ambient",
+    [
+        (
+            {
+                "bank": "daubechies4",
+                "children": [{"bank": "daubechies4", "children": [{"bank": "daubechies4"}, "identity"]}, "identity"],
+            },
+            32,
+        ),
+        ({"bank": "example7", "children": [{"bank": "example7"}] * 4}, 16),
+        (_impulse_bank_tree(), 24),
+    ],
+    ids=["dwt", "packet", "t23"],
+)
+def test_compose_writes_the_per_leaf_signal_json(capsys, tmp_path, spec, ambient):
+    # the leaves written from one stack are, byte for byte, the file written
+    # with one signal_to_json per leaf (at --inner-dim 4)
+    tree_path, out_path = tmp_path / "tree.json", tmp_path / "out.json"
+    tree_path.write_text(json.dumps(spec))
+    argv = ["compose", "--tree", str(tree_path), "--inner-dim", "4", "--verify", "--out", str(out_path)]
+    assert _run(capsys, *argv)[0] == 0
+    tree = multilevel.tree_from_json(spec, lambda name: named_bank(name, ambient))
+    leaves = multilevel.compose_tree(tree, ambient)
+    ok, residual = multilevel.verify_tree(leaves)
+    want = {
+        "ambient_dim": ambient,
+        "leaves": [
+            {
+                "weight": {"num": w.numerator, "den": w.denominator},
+                "rank": leaf.inner_period,
+                "rate": leaf.downsample,
+                "filter": signals.signal_to_json(leaf.filters[0]),
+            }
+            for leaf, w in leaves
+        ],
+        "verified": ok,
+        "max_residual": residual,
+    }
+    assert out_path.read_text() == json.dumps(want) + "\n"
 
 
 def test_design_maxflat_cli(capsys, tmp_path):

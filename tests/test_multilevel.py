@@ -481,15 +481,92 @@ def test_compose_judges_each_bank_once_per_period(monkeypatch):
     assert verify_tree(leaves)[0]
 
 
-@pytest.mark.parametrize("tree", [dwt_tree, packet_tree], ids=["dwt", "packet"])
-def test_compose_matches_the_per_channel_reference_walk(tree):
-    node = tree(_stacked_bank(), 2)
-    got = compose_tree(node, AMBIENT)
-    want = _reference_walk(node, AMBIENT)
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(_TREE_BANKS + ("example5",)),
+    depth=st.integers(min_value=1, max_value=4),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+@pytest.mark.parametrize("shape", ["dwt", "packet", "path"])
+def test_compose_matches_the_per_channel_reference_walk(shape, name, depth, seed):
+    # one ring product per node for all its channels gives every leaf filter
+    # bit for bit as one ring product per channel does
+    n = named_bank(name, 4).n_channels
+    if shape == "packet":
+        while n**depth > 100:  # at most about 100 leaves
+            depth -= 1
+    rate = 2**depth  # every named bank has rate 2
+    bank = named_bank(name, 4 * rate)
+    node = _shaped_tree(bank, shape, depth, np.random.default_rng(seed))
+    assert node.max_leaf_rate == rate
+    got = compose_tree(node, 4 * rate)
+    want = _reference_walk(node, 4 * rate)
     assert len(got) == len(want)
     for (leaf, w), (ref, ref_w) in zip(got, want):
         assert w == ref_w and leaf.downsample == ref.downsample
         assert leaf.filters == ref.filters
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_compose_matches_the_reference_walk_on_a_dense_bank(seed):
+    # dense filters may make the stacked ring product loop over the other
+    # operand than the per-channel one, which reorders its sums: each leaf
+    # is outer * upsampled inner to within 1e-15 |outer| |inner|
+    bank = bank_of(paraunitary_chain(3, 4, 9, seed=seed))  # rate 3, 3 channels, period 27
+    dim = bank.filter_period
+    node = TreeNode(bank, [TreeNode(bank)] * 3)
+    inner = periodize_bank(bank, dim // 3).filters
+    got = compose_tree(node, dim)
+    want = _reference_walk(node, dim)
+    assert len(got) == len(want) == 9
+    for k, ((leaf, w), (ref, ref_w)) in enumerate(zip(got, want)):
+        outer, inner_f = bank.filters[k // 3], inner[k % 3]
+        assert w == ref_w and leaf.downsample == ref.downsample == 9
+        err = np.max(np.abs(leaf.samples[0] - ref.samples[0]))
+        assert err <= 1e-15 * outer.norm() * inner_f.norm()
+
+
+def _supports_differ(rng, n, p):
+    """An (n, p) stack of random complex rows, row 0 with a zero tap where
+    every other row has none, and a last tap that every row leaves zero."""
+    stack = rng.standard_normal((n, p)) + 1j * rng.standard_normal((n, p))
+    stack[0, 1] = 0
+    stack[:, -1] = 0
+    return stack
+
+
+@pytest.mark.parametrize("outer_kind", ["dense", "monomial", "sparse"])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_equivalent_filter_of_a_stack_is_its_rows_one_at_a_time(outer_kind, m):
+    # the stack's ring product loops over the union of its rows' shifts, so
+    # a row adds exact zeros at another row's taps and equals its own product
+    rng = np.random.default_rng(m)
+    stack = _supports_differ(rng, 4, 6)
+    outer = _random_signal(rng, 6 * m)
+    if outer_kind == "monomial":
+        outer = Signal.delta(5, 6 * m, 2 - 1j)
+    elif outer_kind == "sparse":  # 5 taps: more than row 0 has, as many as the union
+        outer = Signal(np.where(np.arange(6 * m) < 5, outer.samples, 0))
+    got = equivalent_filter(outer, stack, m)
+    assert isinstance(got, np.ndarray) and got.shape == (4, 6 * m)
+    assert np.array_equal(equivalent_filter(outer.samples, stack, m), got)
+    for k, row in enumerate(stack):
+        one = equivalent_filter(outer, Signal(row), m)
+        assert isinstance(one, Signal)
+        if outer_kind == "sparse":  # the loop operand may differ: same sum, reordered
+            np.testing.assert_allclose(got[k], one.samples, rtol=0, atol=1e-14)
+        else:
+            assert np.array_equal(got[k], one.samples)
+
+
+@pytest.mark.parametrize("m", [1, 2, 5])
+def test_upsample_of_a_stack_is_its_rows_one_at_a_time(m):
+    stack = _supports_differ(np.random.default_rng(m), 3, 4)
+    got = upsample(stack, m)
+    assert isinstance(got, np.ndarray) and got.shape == (3, 4 * m)
+    for k, row in enumerate(stack):
+        assert np.array_equal(got[k], upsample(Signal(row), m).samples)
+    assert np.array_equal(upsample(stack[None], m)[0], got)  # any leading axes
 
 
 def test_non_projection_channel_is_named_as_before():
