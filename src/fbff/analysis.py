@@ -173,11 +173,14 @@ class FrameBounds:
 def gram_stack(mat: np.ndarray) -> np.ndarray:
     """The (P, M, M) stack of evaluated Grams; slice p is ``gram(mat, p)``.
 
+    Each entry's Signal is built once per bank, then every entry is evaluated
+    root by root, so all of root p's entries read its one cached row of powers.
     Raises ValueError when a Gram is not finite: finite samples whose
     squares overflow have no meaningful bounds.
     """
+    entries = [[Signal(e) for e in row] for row in mat]
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
-        grams = np.stack([gram(mat, p) for p in range(mat.shape[-1])])
+        grams = np.stack([gram(entries, p) for p in range(mat.shape[-1])])
     if not np.all(np.isfinite(grams)):
         raise ValueError("evaluated Grams are not finite (samples too large)")
     return grams

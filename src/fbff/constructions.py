@@ -158,6 +158,8 @@ def paraunitary_chain(
     """Product of ``count`` elementary factors from seeded random unit vectors."""
     if dim < 1 or count < 0:
         raise ValueError("dim must be positive and count nonnegative")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
     out = _laurent({0: np.eye(dim)}, period)
     for _ in range(count):

@@ -8,7 +8,9 @@ as its only data; a single filter is an M x 1 matrix (a one-channel bank's).
 Evaluating it at the P-th roots of unity reduces every frame-theoretic
 question about the bank to finite-dimensional linear algebra, one root at a
 time (:func:`eval_matrix`, entry by entry, each a dot product with the root's
-cached, read-only row of powers) or at every root by one FFT along P
+cached, read-only row of powers; the per-root Grams build each entry's Signal
+once per bank and evaluate the entries root by root, all of them at root p
+before any at p + 1) or at every root by one FFT along P
 (:func:`eval_all_roots`); a filter's Zak row sums are its squared polyphase
 norms folded over R.
 """
@@ -55,9 +57,16 @@ def bank_of(coeffs) -> FilterBank:
     return FilterBank.from_coeffs(coeffs)
 
 
-def eval_matrix(mat: np.ndarray, p: int) -> np.ndarray:
-    """Entrywise evaluation at the p-th root of unity; returns M x N complex."""
-    return np.array([[Signal(e).eval_at_root(p) for e in row] for row in mat], dtype=complex)
+def eval_matrix(mat: np.ndarray | list[list[Signal]], p: int) -> np.ndarray:
+    """Entrywise evaluation at the p-th root of unity; returns M x N complex.
+
+    ``mat`` is an (M, N, P) array or its M rows of N entry Signals, built once
+    and evaluated at many roots: each entry goes through ``Signal.eval_at_root``,
+    so both forms give the same bits."""
+    return np.array(
+        [[(e if isinstance(e, Signal) else Signal(e)).eval_at_root(p) for e in row] for row in mat],
+        dtype=complex,
+    )
 
 
 def eval_all_roots(mat: np.ndarray) -> np.ndarray:
@@ -66,8 +75,9 @@ def eval_all_roots(mat: np.ndarray) -> np.ndarray:
     return np.fft.fft(np.ascontiguousarray(mat), axis=-1)
 
 
-def gram(mat: np.ndarray, p: int) -> np.ndarray:
-    """The M x M matrix E E^H with E the evaluation at root p; Hermitian by
+def gram(mat: np.ndarray | list[list[Signal]], p: int) -> np.ndarray:
+    """The M x M matrix E E^H with E the evaluation at root p, ``mat`` an array
+    or its rows of entry Signals as in :func:`eval_matrix`; Hermitian by
     construction, and its extreme eigenvalues are the per-root frame bounds."""
     e = eval_matrix(mat, p)
     return e @ e.conj().T

@@ -324,6 +324,29 @@ def test_gram_stack_is_the_integer_exponent_gather_bit_for_bit(seed):
     assert np.array_equal(analysis.gram_stack(coeffs), np.stack(expected))
 
 
+def test_gram_stack_builds_each_entry_once_and_evaluates_it_at_every_root(monkeypatch):
+    # counts, which repeat exactly: one Signal per entry per bank (not per
+    # entry per root), and one eval_at_root per entry per root
+    m, n, period = 3, 4, 16
+    coeffs = np.random.default_rng(17).standard_normal((m, n, period, 2)) @ [1, 1j]
+    counts = {"built": 0, "evaluated": 0}
+    post_init, eval_at_root = cyclic.Signal.__post_init__, cyclic.Signal.eval_at_root
+
+    def counted_post_init(self):
+        counts["built"] += 1
+        post_init(self)
+
+    def counted_eval_at_root(self, p):
+        counts["evaluated"] += 1
+        return eval_at_root(self, p)
+
+    monkeypatch.setattr(cyclic.Signal, "__post_init__", counted_post_init)
+    monkeypatch.setattr(cyclic.Signal, "eval_at_root", counted_eval_at_root)
+    analysis.gram_stack(coeffs)
+    assert counts["built"] <= m * n
+    assert counts["evaluated"] == m * n * period
+
+
 def test_channel_projection_delta():
     assert channel_is_projection(Signal.delta(0, 8), 2)
 

@@ -539,10 +539,11 @@ def _malformed_bank(edit):
         (("build", "mercedes-benz", "--period", "0"), None, "period must be positive"),
         (("compose", "--inner-dim", "0", "--tree"), {"bank": "example7"}, "--inner-dim must be positive, got 0"),
         (("compose", "--inner-dim", "-2", "--tree"), {"bank": bank_to_json(named_bank("daubechies4", 2))}, "--inner-dim must be positive, got -2"),
+        (("build", "paraunitary-chain", "--period", "4", "--seed", "-1"), None, "seed must be nonnegative, got -1"),
     ],
     ids=[
         "nan-sample", "inf-sample", "no-downsample", "top-level-list", "string-sample", "tree-bank-5",
-        "period-0", "inner-dim-0", "inner-dim-negative",
+        "period-0", "inner-dim-0", "inner-dim-negative", "chain-seed-negative",
     ],
 )
 def test_malformed_input_is_usage_error(capsys, tmp_path, argv_head, payload, message):

@@ -115,6 +115,22 @@ def test_eval_matches_entry_evaluations():
                 assert e[m, n] == Signal(mat[m, n]).eval_at_root(p)
 
 
+@given(
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=1, max_value=8),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_prebuilt_entry_signals_evaluate_bit_for_bit_as_the_array(m, n, period, seed):
+    # gram_stack builds each entry's Signal once and passes the rows to gram
+    # at every root: that form must give the array form's bits
+    mat = _random_matrix(np.random.default_rng(seed), m, n, period)
+    entries = [[Signal(e) for e in row] for row in mat]
+    for p in range(period):
+        assert np.array_equal(eval_matrix(entries, p), eval_matrix(mat, p))
+        assert np.array_equal(gram(entries, p), gram(mat, p))
+
+
 def test_gram_mercedes_is_three_halves_identity():
     mat = mercedes_benz(4)
     for p in range(4):
