@@ -8,20 +8,22 @@ batched LAPACK ``eigvalsh`` call gives every root's spectrum; bounds and
 row checks both read from that stack, and the bounds keep the spectra so
 that the dense oracle checks the very numbers they were read from.
 
-The Hermitian eigenvalue solver kept here (Householder tridiagonalization
-in numpy, then implicit QL on Python floats, tested against an independent
-characteristic-polynomial root finder) computes eigenvalues only and
-serves only the dense oracle, so the polyphase route and the oracle share
-no eigensolver.  Every channel verdict, the Gabor one included, reads
-T^H T - I from squared polyphase norms (:func:`autocorrelation_defect`), and
-a report, like each level of a composition tree, takes all of a bank's
-channel norms from one FFT (:func:`channel_defects`).  Evaluated Grams and
-polyphase norms that are not finite are rejected with ValueError.
+The Hermitian eigenvalue solver kept here serves only the dense oracle.  It
+takes eigenvalues only, from LAPACK's general eigensolver ``zgeev``
+(Hessenberg reduction, then shifted QR), which shares no reduction and no
+iteration with the per-root route's ``eigvalsh`` (``zheevd``: tridiagonal
+reduction, then divide and conquer), so the polyphase route and the oracle
+share no eigensolver; the tests hold it to an independent
+characteristic-polynomial root finder and to the trace and Frobenius norm.
+Every channel verdict, the Gabor one included, reads T^H T - I from squared
+polyphase norms (:func:`autocorrelation_defect`), and a report, like each
+level of a composition tree, takes all of a bank's channel norms from one
+FFT (:func:`channel_defects`).  Evaluated Grams and polyphase norms that
+are not finite are rejected with ValueError.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -47,85 +49,26 @@ __all__ = [
 
 _HERMITIAN_TOL = 1e-10
 _OFF_TOL = 1e-13
-_MAX_SWEEPS = 30
-
-
-def _tridiagonalize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal and |subdiagonal| of a Householder tridiagonal form of the
-    Hermitian ``a``, which is overwritten (Golub & Van Loan, Alg. 8.3.1):
-    step k reflects x = a[k+1:, k] by v = x + phase(x_0) |x| e_1 and updates
-    the trailing block by one matvec and one rank-2 update."""
-    for k in range(len(a) - 2):
-        x = a[k + 1 :, k]
-        tail = np.vdot(x[1:], x[1:]).real
-        if tail == 0.0:
-            continue
-        r = abs(x[0])
-        v = x.copy()
-        x[0] = np.sqrt(r * r + tail)
-        v[0] += x[0] * (v[0] / r if r > 0 else 1.0)
-        beta = 2.0 / np.vdot(v, v).real
-        s = a[k + 1 :, k + 1 :]
-        p = beta * (s @ v)
-        w = p - (beta * np.vdot(v, p).real / 2.0) * v
-        s -= np.stack([v, w], axis=1) @ np.stack([w, v]).conj()
-    return np.diag(a).real, np.abs(np.diag(a, -1))
-
-
-def _tridiagonal_eigs(d: np.ndarray, sub: np.ndarray) -> list[float]:
-    """Unsorted eigenvalues of the real symmetric tridiagonal matrix with
-    diagonal ``d`` and subdiagonal ``sub``, by implicit QL with Wilkinson
-    shifts (Golub & Van Loan §8.3.5; EISPACK ``tql1``) on Python floats.
-    A subdiagonal entry at most eps times the largest |d_i| + |sub_i| splits
-    the matrix: a test against its diagonal neighbours alone never passes
-    inside a cluster of eigenvalues at rounding level, like a singular Gram's zeros.
-    """
-    tol = float(np.finfo(float).eps * np.max(np.abs(d) + np.append(sub, 0.0)))
-    d, e, n = d.tolist(), sub.tolist() + [0.0], len(d)
-    for l in range(n):
-        for _ in range(_MAX_SWEEPS):
-            m = l
-            while m < n - 1 and abs(e[m]) > tol:
-                m += 1
-            if m == l:
-                break
-            # shift by the eigenvalue of the leading 2 x 2 nearer d_l, then
-            # chase the bulge from row m up to row l
-            g = (d[l + 1] - d[l]) / (2.0 * e[l])
-            g = d[m] - d[l] + e[l] / (g + math.copysign(math.hypot(g, 1.0), g))
-            s, c, p = 1.0, 1.0, 0.0
-            for i in range(m - 1, l - 1, -1):
-                f, b = s * e[i], c * e[i]
-                r = e[i + 1] = math.hypot(f, g)
-                s, c = (f / r, g / r) if r else (0.0, 1.0)  # as LAPACK's dlartg
-                g = d[i + 1] - p
-                r = (d[i] - g) * s + 2.0 * c * b
-                p = s * r
-                d[i + 1] = g + p
-                g = c * r - b
-            d[l] -= p
-            e[l], e[m] = g, 0.0
-        else:
-            raise RuntimeError("implicit QL did not converge")
-    return d
 
 
 def hermitian_eigs(h: np.ndarray) -> np.ndarray:
     """Real eigenvalues of a Hermitian matrix, ascending; no eigenvectors.
 
-    Householder reduction to real symmetric tridiagonal form, then implicit
-    QL.  When the off-diagonal Frobenius norm is at most 1e-13 times the
-    matrix norm, the sorted diagonal is the spectrum.  Raises ValueError for
-    non-square, non-finite or non-Hermitian input (relative to the largest
-    entry), and RuntimeError past 30 QL sweeps for one eigenvalue.
+    LAPACK's general eigensolver ``zgeev`` (``np.linalg.eigvals``: Hessenberg
+    reduction, then shifted QR) on the symmetrized matrix; the real parts of
+    its eigenvalues are the spectrum.  When the off-diagonal Frobenius norm
+    is at most 1e-13 times the matrix norm, the sorted diagonal is the
+    spectrum.  Raises ValueError for non-square, non-finite or non-Hermitian
+    input (relative to the largest entry), and ``np.linalg.LinAlgError`` (a
+    ValueError) when LAPACK does not converge.
     """
     a = np.array(h, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix has non-finite entries")
-    # work on a / 2**e, an exact rescaling with entries below 1, so neither
-    # the norms nor the Householder vectors' squared lengths overflow or underflow
+    # work on a / 2**e, an exact rescaling with entries below 1, so the
+    # Frobenius norms of the diagonal test neither overflow nor underflow
     e = int(np.frexp(float(np.max(np.abs(a), initial=0.0)))[1])
     a = np.ldexp(a.real, -e) + 1j * np.ldexp(a.imag, -e)
     top = float(np.max(np.abs(a), initial=0.0))
@@ -134,7 +77,7 @@ def hermitian_eigs(h: np.ndarray) -> np.ndarray:
     a = (a + a.conj().T) / 2.0
     w = np.diag(a).real
     if np.linalg.norm(a - np.diag(w)) > _OFF_TOL * np.linalg.norm(a):
-        w = _tridiagonal_eigs(*_tridiagonalize(a))
+        w = np.linalg.eigvals(a).real
     return np.sort(np.ldexp(w, e), kind="stable")
 
 

@@ -5,10 +5,10 @@ filters, and every frame quantity is read off it directly, with no
 polyphase machinery anywhere on this path.  A channel is judged by the
 polyphase route's defect, the largest entry of T^H T - I, read from its
 P x P translate Gram; spectra match to tol * max(1, B).  Deliberately naive:
-O((MP)^3) eigenvalue solves (no eigenvectors) by Householder
-tridiagonalization and implicit QL (``hermitian_eigs``), which the polyphase
-route never uses, gated to dense dimension 256, where one solve of a random
-bank takes about 70 ms of CPU on one thread.
+O((MP)^3) eigenvalue solves (no eigenvectors) by LAPACK's general
+eigensolver ``zgeev`` (``hermitian_eigs``), which the polyphase route never
+uses, gated to dense dimension 256, where one solve of a random bank takes
+about 60 ms of CPU on one thread.
 """
 
 from __future__ import annotations

@@ -125,7 +125,7 @@ def test_jacobi_equal_diagonals():
 
 
 def test_jacobi_block_diagonal_never_mixes_blocks():
-    # no coupling across the blocks: the tridiagonal form splits there, and
+    # no coupling across the blocks: the reduced form splits there, and
     # the spectrum is the sorted union of the blocks' own spectra
     rng = np.random.default_rng(4)
     for k, n in ((3, 8), (5, 11)):
@@ -192,16 +192,16 @@ def _graded(n=20):
     ids=["wilkinson-21", "glued-wilkinson", "graded-down", "graded-up", "path-30", "path-31"],
 )
 def test_eigs_of_hard_tridiagonal_matrices(h):
-    # close eigenvalue pairs, both directions of grading (QL chases from the
-    # bottom and deflates at the top), and a zero diagonal, whose spectrum
-    # is symmetric about 0 and contains 0 at odd n
+    # close eigenvalue pairs, both directions of grading (a shifted QR or QL
+    # sweep deflates at one end), and a zero diagonal, whose spectrum is
+    # symmetric about 0 and contains 0 at odd n
     _assert_spectrum(h, hermitian_eigs(h), 1e-12)
 
 
 @pytest.mark.parametrize("scale", [1e-300, 1e200])
 def test_jacobi_extreme_scales(scale):
-    # the off-diagonal test's norms and the Householder vectors' squared
-    # lengths must neither underflow nor overflow
+    # the off-diagonal test's Frobenius norms and the solver's own scaling
+    # must neither underflow nor overflow
     h = _random_hermitian(np.random.default_rng(2), 9)
     w = hermitian_eigs(scale * h) / scale
     np.testing.assert_allclose(
@@ -234,10 +234,8 @@ def test_eigs_reject_non_hermitian_below_unit_scale(h):
 def test_tridiagonal_eigs_of_a_signed_zero_diagonal(first):
     # a zero diagonal whose first entry is +0 or -0, unit subdiagonal: the
     # sign of the zero must not change the spectrum -sqrt(2), 0, sqrt(2)
-    w = np.sort(analysis._tridiagonal_eigs(np.array([first, 0.0, 0.0]), np.array([1.0, 1.0])))
-    np.testing.assert_allclose(w, [-np.sqrt(2), 0.0, np.sqrt(2)], atol=1e-14)
     h = np.array([[first, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
-    np.testing.assert_allclose(hermitian_eigs(h), w, atol=1e-14)
+    np.testing.assert_allclose(hermitian_eigs(h), [-np.sqrt(2), 0.0, np.sqrt(2)], atol=1e-14)
 
 
 @settings(max_examples=80, deadline=None)
@@ -247,7 +245,7 @@ def test_tridiagonal_eigs_of_a_signed_zero_diagonal(first):
     st.booleans(),
     st.integers(min_value=0, max_value=2**32 - 1),
 )
-# rank 2 of 29: a QL deflation test relative to the neighbouring diagonal
+# rank 2 of 29: a deflation test relative to the neighbouring diagonal
 # entries alone never passes among the 27 zero eigenvalues' rounding noise
 @example(n=29, cols=2, clustered=False, seed=0)
 def test_eigs_of_gram_matrices_match_reference(n, cols, clustered, seed):
@@ -260,12 +258,6 @@ def test_eigs_of_gram_matrices_match_reference(n, cols, clustered, seed):
         d = q * (1.0 + 1e-9 * rng.random(q.shape[1]))
     h = d @ d.conj().T
     _assert_spectrum(h, hermitian_eigs(h), 1e-12)
-
-
-def test_eigs_raise_when_the_iteration_cap_is_hit(monkeypatch):
-    monkeypatch.setattr(analysis, "_MAX_SWEEPS", 1)
-    with pytest.raises(RuntimeError, match="did not converge"):
-        hermitian_eigs(_random_hermitian(np.random.default_rng(8), 8))
 
 
 def test_frame_bounds_mercedes():

@@ -449,6 +449,24 @@ def test_verify_oracle_at_the_gate(capsys, tmp_path):
     assert got["ok"] is True and got["oracle"]["agrees"] is True
 
 
+def test_oracle_that_does_not_converge_is_usage_error(capsys, tmp_path, monkeypatch):
+    # a random bank's dense frame operator is far from diagonal, so the
+    # oracle calls the general eigensolver; LinAlgError is a ValueError
+    rng = np.random.default_rng(7)
+    filters = tuple(Signal(rng.standard_normal(16) + 1j * rng.standard_normal(16)) for _ in range(3))
+    path = tmp_path / "random.json"
+    path.write_text(json.dumps(bank_to_json(FilterBank(filters, 2))))
+
+    def not_converging(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvals", not_converging)
+    code, out, err = _run(capsys, "analyze", str(path), "--oracle")
+    assert code == 2
+    assert err.startswith("error:") and "did not converge" in err and "Traceback" not in err
+    assert out == ""
+
+
 def test_output_json_reparses_identically(capsys, tmp_path):
     path = _build(capsys, tmp_path, "example5", 4)
     text = path.read_text()

@@ -147,6 +147,34 @@ def test_cross_check_reads_the_report_spectra():
     assert not out["spectrum_union_ok"] and not out["agrees"]
 
 
+def test_the_two_routes_share_no_eigensolver(monkeypatch):
+    # the per-root route reads eigvalsh, the dense oracle the general
+    # eigensolver: each still runs with the other's routine broken
+    rng = np.random.default_rng(6)
+    fb = FilterBank(tuple(_random_signal(rng, 16) for _ in range(3)), 2)
+    rep = fusion_report(fb)
+    assert not rep.is_tight
+    general = np.linalg.eigvals
+    calls = []
+
+    def counted(a):
+        calls.append(a.shape)
+        return general(a)
+
+    def broken(*args, **kwargs):
+        raise AssertionError("the other route's eigensolver was called")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "eigvalsh", broken)
+        patch.setattr(np.linalg, "eigh", broken)
+        patch.setattr(np.linalg, "eigvals", counted)
+        assert cross_check(fb, rep)["agrees"] is True
+    assert calls == [(16, 16)]
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "eigvals", broken)
+        assert fusion_report(fb).bounds.A == rep.bounds.A
+
+
 @pytest.mark.parametrize("random", [False, True], ids=["mercedes-benz", "random"])
 def test_cross_check_catches_a_flipped_channel_verdict(random):
     rng = np.random.default_rng(4)
