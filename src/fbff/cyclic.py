@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Signal", "CyclicPoly", "ring_product", "twist", "conj_reverse"]
+__all__ = ["Signal", "CyclicPoly", "ring_product", "twist"]
 
 _SCALARS = (int, float, complex, np.integer, np.floating, np.complexfloating)
 
@@ -62,15 +62,6 @@ def twist(coeffs, r: int, R: int) -> np.ndarray:
     if R <= 0 or period % R != 0:
         raise ValueError(f"twist order {R} must divide period {period}")
     return coeffs * np.exp(2j * np.pi * r * np.arange(period) / R)
-
-
-def conj_reverse(coeffs) -> np.ndarray:
-    """Conjugate coefficients and negate exponents along the last axis.
-
-    Evaluations of the result are pointwise conjugates of the original,
-    which makes this the entrywise building block of matrix adjoints.
-    """
-    return np.conj(np.roll(np.asarray(coeffs)[..., ::-1], 1, axis=-1))
 
 
 @functools.cache
@@ -113,23 +104,9 @@ class Signal:
         arr.setflags(write=False)
         object.__setattr__(self, "samples", arr)
 
-    @classmethod
-    def zero(cls, period: int) -> "Signal":
-        return cls(np.zeros(period, dtype=complex))
-
-    @classmethod
-    def delta(cls, k: int, period: int, scale: complex = 1.0) -> "Signal":
-        """``scale`` at sample k mod P: the monomial ``scale * z^{-k}``."""
-        s = np.zeros(period, dtype=complex)
-        s[k % period] = scale
-        return cls(s)
-
     @property
     def period(self) -> int:
         return self.samples.size
-
-    def norm(self) -> float:
-        return float(np.sqrt(np.sum(np.abs(self.samples) ** 2)))
 
     def __add__(self, other: "Signal") -> "Signal":
         if not isinstance(other, Signal):

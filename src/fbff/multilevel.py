@@ -50,8 +50,6 @@ from .signals import FilterBank, Signal, translate_matrix, upsample
 __all__ = [
     "equivalent_filter",
     "TreeNode",
-    "dwt_tree",
-    "packet_tree",
     "periodize_bank",
     "compose_tree",
     "verify_tree",
@@ -112,29 +110,9 @@ class TreeNode:
         return self.bank.downsample * max(child.max_leaf_rate for child in self.children)
 
 
-def dwt_tree(bank: FilterBank, levels: int) -> TreeNode:
-    """Classic tree: only channel 0 is re-expanded, ``levels`` times."""
-    if levels < 1:
-        raise ValueError("levels must be >= 1")
-    node = TreeNode(bank)
-    for _ in range(levels - 1):
-        node = TreeNode(bank, [node] + [TreeNode(None)] * (bank.n_channels - 1))
-    return node
-
-
-def packet_tree(bank: FilterBank, levels: int) -> TreeNode:
-    """Full tree: every channel is re-expanded, ``levels`` times."""
-    if levels < 1:
-        raise ValueError("levels must be >= 1")
-    node = TreeNode(bank)
-    for _ in range(levels - 1):
-        node = TreeNode(bank, [node] * bank.n_channels)
-    return node
-
-
 def periodize_bank(fb: FilterBank, filter_period: int) -> FilterBank:
-    """Fold every filter of a bank onto a shorter period, as :func:`fbff.signals.periodize`
-    folds one, by summing the blocks of length filter_period / M along P."""
+    """Fold every filter of a bank onto a shorter period, the sum of its blocks of
+    length filter_period, by summing the blocks of length filter_period / M along P."""
     m, n, p = fb.coeffs.shape
     if filter_period == m * p:
         return fb

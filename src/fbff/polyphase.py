@@ -23,28 +23,18 @@ from .signals import FilterBank, Signal
 
 __all__ = [
     "decompose",
-    "reconstruct",
     "matrix_of",
     "bank_of",
     "eval_matrix",
     "eval_all_roots",
     "gram",
     "zak_power_rows",
-    "pp_inner",
 ]
 
 
 def decompose(phi: Signal, m: int) -> np.ndarray:
     """Split a period-(m*P) signal into its m polyphase components (m x 1)."""
     return FilterBank((phi,), m).coeffs
-
-
-def reconstruct(v: np.ndarray) -> Signal:
-    """Interleave the components of an M x 1 matrix back into a signal;
-    exact inverse of :func:`decompose`."""
-    if v.shape[1] != 1:
-        raise ValueError(f"expected one column, got {v.shape[1]}")
-    return bank_of(v).filters[0]
 
 
 def matrix_of(fb: FilterBank) -> np.ndarray:
@@ -96,14 +86,3 @@ def zak_power_rows(vec: np.ndarray, r_count: int) -> np.ndarray:
         raise ValueError(f"redundancy {r_count} must divide inner period {period}")
     power = np.abs(eval_all_roots(vec)) ** 2
     return power.reshape(rows, -1, r_count, period // r_count).sum(axis=(1, 2))
-
-
-def pp_inner(phi: Signal, psi: Signal, m: int) -> complex:
-    """Inner product of two filters computed in the polyphase domain.
-
-    Averages the C^M inner products of the evaluated polyphase vectors of
-    the two-channel bank (phi, psi) over all roots; the polyphase map is
-    unitary, so this equals the time-domain inner product.
-    """
-    ev = eval_all_roots(FilterBank((phi, psi), m).coeffs)
-    return complex(np.sum(ev[:, 0] * np.conj(ev[:, 1])) / (phi.period // m))

@@ -10,8 +10,7 @@ A :class:`FilterBank` holds one read-only complex buffer, viewed as its
 ``samples``, from whose rows it reads its N filters.  :func:`translate_matrix`
 alone lays out translates, as a read-only strided view of the doubled
 samples whose column k is T^{mk} phi; every time-domain operator takes one
-per bank, leaf or prototype (here synthesis and analysis, one einsum each,
-of ``samples.T``).
+per bank, leaf or prototype.
 """
 
 from __future__ import annotations
@@ -21,32 +20,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cyclic import Signal, _require_equal_periods, conj_reverse, twist
+from .cyclic import Signal, twist
 
 __all__ = [
     "FilterBank",
-    "inner",
     "circ_convolve",
     "upsample",
-    "downsample",
-    "translate",
     "translate_matrix",
     "modulate",
-    "involution",
-    "periodize",
-    "synthesis_apply",
-    "analysis_apply",
     "signal_to_json",
     "signal_from_json",
     "bank_to_json",
     "bank_from_json",
 ]
-
-
-def inner(x: Signal, y: Signal) -> complex:
-    """Inner product <x, y> = sum_k x[k] conj(y[k])."""
-    _require_equal_periods(x, y)
-    return complex(np.sum(x.samples * np.conj(y.samples)))
 
 
 def circ_convolve(x: Signal, h: Signal) -> Signal:
@@ -66,22 +52,10 @@ def upsample(y: Signal | np.ndarray, m: int) -> Signal | np.ndarray:
     return Signal(out) if isinstance(y, Signal) else out
 
 
-def downsample(x: Signal, m: int) -> Signal:
-    """Keep every m-th sample; requires m to divide the period."""
-    if m < 1 or x.period % m != 0:
-        raise ValueError(f"downsampling factor {m} must divide period {x.period}")
-    return Signal(x.samples[::m])
-
-
-def translate(x: Signal, k: int) -> Signal:
-    """Circular shift: result[i] = x[i - k]."""
-    return Signal(np.roll(x.samples, k))
-
-
 def translate_matrix(x: Signal | np.ndarray, m: int) -> np.ndarray:
     """A read-only view of ``x`` (a Signal or an array of P rows) doubled, whose
     slice ``[..., k]`` is ``x`` rolled by m k along axis 0, m | P: for a Signal,
-    the P x (P/m) matrix whose column k is ``translate(x, m * k)``."""
+    the P x (P/m) matrix whose column k is T^{mk} x."""
     a = x.samples if isinstance(x, Signal) else np.asarray(x)
     p = len(a)
     if m < 1 or p % m != 0:
@@ -95,18 +69,6 @@ def translate_matrix(x: Signal | np.ndarray, m: int) -> np.ndarray:
 def modulate(x: Signal, p: int) -> Signal:
     """Pointwise multiply by the character exp(2 pi j p q / P)."""
     return Signal(twist(x.samples, p, x.period))
-
-
-def involution(x: Signal) -> Signal:
-    """Conjugate time-reversal; turns convolution into correlation."""
-    return Signal(conj_reverse(x.samples))
-
-
-def periodize(x: Signal, target_period: int) -> Signal:
-    """Fold a signal onto a divisor period by summing translated copies."""
-    if target_period < 1 or x.period % target_period != 0:
-        raise ValueError(f"target period {target_period} must divide period {x.period}")
-    return Signal(x.samples.reshape(-1, target_period).sum(axis=0))
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -143,7 +105,7 @@ class FilterBank:
 
     def _hold(self, samples: np.ndarray, m: int, values=None) -> None:
         """Keep the (N, M * P) ``samples``, ``values`` written in, read-only with their
-        view ``coeffs``: the layout's one map, in which a fold along P adds as periodize does."""
+        view ``coeffs``: the layout's one map, in which a fold along P sums each filter's blocks."""
         coeffs = samples.reshape(len(samples), -1, m).transpose(2, 0, 1)
         if values is not None:
             coeffs[...] = values
@@ -172,30 +134,6 @@ class FilterBank:
     @property
     def filter_period(self) -> int:
         return self.downsample * self.inner_period
-
-
-def synthesis_apply(fb: FilterBank, inputs) -> Signal:
-    """Synthesize: sum_n T_n y_n, T_n the M-translate matrix of filter n."""
-    inputs = list(inputs)
-    if len(inputs) != fb.n_channels:
-        raise ValueError(f"expected {fb.n_channels} inputs, got {len(inputs)}")
-    p = fb.inner_period
-    if any(y.period != p for y in inputs):
-        raise ValueError(f"inputs must have period {p}")
-    t = translate_matrix(fb.samples.T, fb.downsample)  # [:, n] is T_n
-    return Signal(np.einsum("ink,nk->i", t, [y.samples for y in inputs]))
-
-
-def analysis_apply(fb: FilterBank, x: Signal) -> list[Signal]:
-    """Analyze: channel n output is T_n^H x, T_n as in :func:`synthesis_apply`.
-
-    Sample p of channel n equals the frame coefficient <x, T^{Mp} filter_n>;
-    this map is the adjoint of :func:`synthesis_apply`.
-    """
-    if x.period != fb.filter_period:
-        raise ValueError(f"input period {x.period} != filter period {fb.filter_period}")
-    t = translate_matrix(fb.samples.T, fb.downsample)
-    return [Signal(c) for c in np.einsum("ink,i->nk", t.conj(), x.samples)]
 
 
 # -- JSON wire format ---------------------------------------------------------

@@ -21,6 +21,7 @@ from fbff.constructions import (
 from fbff.multilevel import verify_weighted_parseval
 from fbff.polyphase import bank_of, eval_all_roots, matrix_of
 from fbff.signals import FilterBank, Signal, translate_matrix
+from refs import delta, zero
 
 
 def _random_hermitian(rng, n):
@@ -108,12 +109,12 @@ def _assert_spectrum(h, w, tol):
 
 
 @pytest.mark.parametrize("n", [1, 3, 7, 33])
-def test_jacobi_odd_sizes_drop_the_padding(n):
+def test_hermitian_eigs_odd_sizes(n):
     h = _random_hermitian(np.random.default_rng(n), n)
     _assert_spectrum(h, hermitian_eigs(h), 1e-12)
 
 
-def test_jacobi_equal_diagonals():
+def test_hermitian_eigs_equal_diagonals():
     # equal diagonal entries; the all-ones matrix has an (n-1)-fold zero
     w = hermitian_eigs(np.array([[1.0, 2j], [-2j, 1.0]]))
     np.testing.assert_allclose(w, [-1.0, 3.0], atol=1e-14)
@@ -124,7 +125,7 @@ def test_jacobi_equal_diagonals():
         _assert_spectrum(h, w, 1e-12)
 
 
-def test_jacobi_block_diagonal_never_mixes_blocks():
+def test_hermitian_eigs_block_diagonal_never_mixes_blocks():
     # no coupling across the blocks: the reduced form splits there, and
     # the spectrum is the sorted union of the blocks' own spectra
     rng = np.random.default_rng(4)
@@ -140,7 +141,7 @@ def test_jacobi_block_diagonal_never_mixes_blocks():
 
 
 @pytest.mark.parametrize("n", [6, 17, 40])
-def test_jacobi_repeated_eigenvalues(n):
+def test_hermitian_eigs_repeated_eigenvalues(n):
     rng = np.random.default_rng(n)
     u = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
     h = 1.5 * np.eye(n) + u @ u.conj().T
@@ -150,7 +151,7 @@ def test_jacobi_repeated_eigenvalues(n):
 
 
 @pytest.mark.parametrize("n", [64, 128, 256])
-def test_jacobi_large_against_reference(n):
+def test_hermitian_eigs_large_against_reference(n):
     h = _random_hermitian(np.random.default_rng(n), n)
     _assert_spectrum(h, hermitian_eigs(h), 1e-12)
 
@@ -199,7 +200,7 @@ def test_eigs_of_hard_tridiagonal_matrices(h):
 
 
 @pytest.mark.parametrize("scale", [1e-300, 1e200])
-def test_jacobi_extreme_scales(scale):
+def test_hermitian_eigs_extreme_scales(scale):
     # the off-diagonal test's Frobenius norms and the solver's own scaling
     # must neither underflow nor overflow
     h = _random_hermitian(np.random.default_rng(2), 9)
@@ -211,7 +212,7 @@ def test_jacobi_extreme_scales(scale):
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_jacobi_rejects_non_finite(bad):
+def test_hermitian_eigs_rejects_non_finite(bad):
     h = np.eye(3, dtype=complex)
     h[1, 1] = bad
     with pytest.raises(ValueError, match="non-finite"):
@@ -274,7 +275,7 @@ def test_frame_bounds_daubechies():
 
 
 def test_frame_bounds_zero_bank():
-    fb = frame_bounds(matrix_of(FilterBank((Signal.zero(8),), 2)))
+    fb = frame_bounds(matrix_of(FilterBank((zero(8),), 2)))
     assert fb.A == 0.0 and fb.B == 0.0
 
 
@@ -340,11 +341,11 @@ def test_gram_stack_builds_each_entry_once_and_evaluates_it_at_every_root(monkey
 
 
 def test_channel_projection_delta():
-    assert channel_is_projection(Signal.delta(0, 8), 2)
+    assert channel_is_projection(delta(0, 8), 2)
 
 
 def test_channel_projection_rejects_overlapping_translates():
-    phi = Signal.delta(0, 8) + Signal.delta(2, 8)
+    phi = delta(0, 8) + delta(2, 8)
     assert not channel_is_projection(phi, 2)
 
 
@@ -437,7 +438,7 @@ def test_fusion_report_stacked_bank():
 
 
 def test_fusion_report_zero_bank_not_tight():
-    rep = fusion_report(FilterBank((Signal.zero(8),), 2))
+    rep = fusion_report(FilterBank((zero(8),), 2))
     assert not rep.is_tight and not rep.is_puntf
 
 

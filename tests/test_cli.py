@@ -19,6 +19,7 @@ from fbff.cli import frequency_table, main, write_frequency_table
 from fbff.constructions import named_bank
 from fbff.gabor import gabor_bank
 from fbff.signals import FilterBank, Signal, bank_from_json, bank_to_json, signal_from_json
+from refs import delta
 
 
 def _run(capsys, *argv):
@@ -288,7 +289,7 @@ def test_compose_tree_cli(capsys, tmp_path):
 def test_compose_sizes_the_ambient_space_by_the_largest_path_rate(capsys, tmp_path):
     # a rate-3 bank of unit impulses under channel 0 of a rate-2 root: path
     # rates 6 and 2, so --inner-dim 4 gives ambient dimension 24
-    impulses = FilterBank(tuple(Signal.delta(k, 12) for k in range(3)), 3)
+    impulses = FilterBank(tuple(delta(k, 12) for k in range(3)), 3)
     tree = tmp_path / "tree.json"
     tree.write_text(
         json.dumps({"bank": "daubechies4", "children": [{"bank": bank_to_json(impulses)}, "identity"]})
@@ -315,7 +316,7 @@ def test_compose_inline_bank(capsys, tmp_path):
 
 def _impulse_bank_tree():
     # CI's t23 tree: a rate-3 bank of unit impulses under channel 0 of daubechies4
-    impulses = FilterBank(tuple(Signal.delta(k, 12) for k in range(3)), 3)
+    impulses = FilterBank(tuple(delta(k, 12) for k in range(3)), 3)
     return {"bank": "daubechies4", "children": [{"bank": bank_to_json(impulses)}, "identity"]}
 
 

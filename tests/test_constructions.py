@@ -20,6 +20,7 @@ from fbff.constructions import (
 )
 from fbff.polyphase import bank_of, eval_matrix, gram
 from fbff.signals import Signal, modulate
+from refs import delta, zero
 
 
 def _linear(c0, c1, period):
@@ -38,7 +39,7 @@ def _unitary_at_all_roots(mat, tol=1e-12):
 def test_mercedes_filters():
     fb = bank_of(mercedes_benz(4))
     s3 = np.sqrt(3.0)
-    assert fb.filters[0] == Signal.delta(0, 8)
+    assert fb.filters[0] == delta(0, 8)
     np.testing.assert_allclose(fb.filters[1].samples[:2], [-0.5, s3 / 2], atol=0)
     np.testing.assert_allclose(fb.filters[2].samples[:2], [-0.5, -s3 / 2], atol=0)
 
@@ -69,8 +70,8 @@ def test_daubechies_unitary_at_all_roots():
 def test_daubechies_period_one_folds_to_orthonormal_pair():
     mat = daubechies4(1)
     a, b, c, d = DAUB_A, DAUB_B, DAUB_C, DAUB_D
-    assert np.array_equal(mat[0, 0], Signal.delta(0, 1, a + b).samples)
-    assert np.array_equal(mat[1, 1], Signal.delta(0, 1, -b - a).samples)
+    assert np.array_equal(mat[0, 0], delta(0, 1, a + b).samples)
+    assert np.array_equal(mat[1, 1], delta(0, 1, -b - a).samples)
     rep = fusion_report(bank_of(mat))
     assert rep.is_puntf
     assert rep.bounds.A == pytest.approx(1.0, abs=1e-12)
@@ -146,7 +147,7 @@ def test_stacked_bank_quarter_band_shift():
 
 
 def test_tensor_with_identity():
-    ident = np.array([[Signal.delta(0, 4).samples]])
+    ident = np.array([[delta(0, 4).samples]])
     mat = mercedes_benz(4)
     assert np.array_equal(tensor(mat, ident), mat)
     assert np.array_equal(tensor(ident, mat), mat)
@@ -182,7 +183,7 @@ def test_tensor_evaluates_to_kronecker():
 def test_product_identity():
     ident = np.array(
         tuple(
-            tuple(Signal.delta(0, 4, 1.0 if i == j else 0.0).samples for j in range(2))
+            tuple(delta(0, 4, 1.0 if i == j else 0.0).samples for j in range(2))
             for i in range(2)
         )
     )
@@ -230,9 +231,9 @@ def test_product_rejects_non_square_left():
 
 def test_elementary_factor_basis_vector():
     mat = elementary_paraunitary(np.array([1.0, 0.0]), 4)
-    assert np.array_equal(mat[0, 0], Signal.delta(3, 4).samples)  # z = z^{-(P-1)}
-    assert np.array_equal(mat[1, 1], Signal.delta(0, 4).samples)
-    assert np.array_equal(mat[0, 1], Signal.zero(4).samples)
+    assert np.array_equal(mat[0, 0], delta(3, 4).samples)  # z = z^{-(P-1)}
+    assert np.array_equal(mat[1, 1], delta(0, 4).samples)
+    assert np.array_equal(mat[0, 1], zero(4).samples)
 
 
 def test_elementary_factor_unitary():

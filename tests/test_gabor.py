@@ -23,7 +23,8 @@ from fbff.gabor import (
 )
 from fbff.oracle import dense_channel_gram, dense_frame_spectrum, densify
 from fbff.polyphase import bank_of
-from fbff.signals import Signal, inner, modulate, translate
+from fbff.signals import Signal, modulate
+from refs import delta, inner, norm, translate, zero
 
 
 def _random_signal(rng, period):
@@ -54,8 +55,8 @@ def _falling(m, k):
 def test_gabor_lattice_validation():
     # Q = period / (M*R), so the lattice must fit the prototype's period
     with pytest.raises(ValueError, match=r"M\*R = 2\*2"):
-        gabor_bank(Signal.zero(7), 2, 2)
-    phi = Signal.delta(0, 8)
+        gabor_bank(zero(7), 2, 2)
+    phi = delta(0, 8)
     assert gabor_bank(phi, 2, 2).n_channels == 4
     with pytest.raises(ValueError, match="redundancy 3 must divide"):
         zak_row_sums(phi, 2, 3)
@@ -121,7 +122,7 @@ def test_zak_row_sums_delta():
     # every twisted component of the delta evaluates to 1, so row 0 of the
     # (M, Q) grid is the constant M * R and the other rows vanish; the dense
     # spectrum of this degenerate bank (extremes 0 and M * R) pins the scale
-    phi = Signal.delta(0, 8)
+    phi = delta(0, 8)
     rows = zak_row_sums(phi, 2, 2)
     assert rows.shape == (2, 2)
     np.testing.assert_allclose(rows[0], 4.0 * np.ones(2), atol=1e-12)
@@ -401,7 +402,7 @@ def test_half_norm_scaled_orthonormal_pair_passes_both_checks():
 def test_gabor_tightness_generic_failure():
     rng = np.random.default_rng(5)
     phi = _random_signal(rng, 8)
-    phi = Signal(phi.samples / phi.norm())
+    phi = Signal(phi.samples / norm(phi))
     assert not gabor_tightness(phi, 2, 2)
     bounds = gabor_frame_bounds(phi, 2, 2)
     assert bounds.B - bounds.A > 1e-6  # generic prototypes are not tight
@@ -432,7 +433,7 @@ def test_zak_verdicts_match_the_materialized_bank():
         assert result.converged
         cases.append(result.signal)
     generic = _random_signal(np.random.default_rng(5), 8)  # as in the generic failure test
-    cases += [Signal(generic.samples / generic.norm()), _half_norm_pair(2)]
+    cases += [Signal(generic.samples / norm(generic)), _half_norm_pair(2)]
     verdicts = set()
     for phi in cases:
         ref = fusion_report(gabor_bank(phi, 2, 2), tol=1e-7)

@@ -25,25 +25,24 @@ from fbff.constructions import (
 from fbff.multilevel import (
     TreeNode,
     compose_tree,
-    dwt_tree,
     equivalent_filter,
-    packet_tree,
     periodize_bank,
     tree_from_json,
     verify_tree,
     verify_weighted_parseval,
 )
 from fbff.polyphase import bank_of
-from fbff.signals import (
-    FilterBank,
-    Signal,
+from fbff.signals import FilterBank, Signal, circ_convolve, translate_matrix, upsample
+from refs import (
     analysis_apply,
-    circ_convolve,
+    delta,
+    dwt_tree,
     inner,
+    norm,
+    packet_tree,
     periodize,
     synthesis_apply,
-    translate_matrix,
-    upsample,
+    zero,
 )
 
 AMBIENT = 16  # 4 * Q with Q = 4
@@ -58,7 +57,7 @@ def _stacked_bank(ambient=AMBIENT):
 
 
 def test_channel_apply_delta_filter_upsamples():
-    ch = FilterBank((Signal.delta(0, 8),), 2)
+    ch = FilterBank((delta(0, 8),), 2)
     rng = np.random.default_rng(0)
     y = _random_signal(rng, 4)
     assert synthesis_apply(ch, [y]) == upsample(y, 2)
@@ -84,19 +83,19 @@ def test_projection_channel_left_inverse():
 
 
 def test_channel_shape_validation():
-    ch = FilterBank((Signal.delta(0, 8),), 2)
+    ch = FilterBank((delta(0, 8),), 2)
     with pytest.raises(ValueError):
-        synthesis_apply(ch, [Signal.zero(8)])
+        synthesis_apply(ch, [zero(8)])
     with pytest.raises(ValueError):
-        analysis_apply(ch, Signal.zero(4))[0]
+        analysis_apply(ch, zero(4))[0]
     with pytest.raises(ValueError):
-        FilterBank((Signal.zero(9),), 2)
+        FilterBank((zero(9),), 2)
 
 
 def test_equivalent_filter_delta_inner():
     rng = np.random.default_rng(3)
     outer = _random_signal(rng, 8)
-    assert equivalent_filter(outer, Signal.delta(0, 4), 2) == outer
+    assert equivalent_filter(outer, delta(0, 4), 2) == outer
 
 
 def test_equivalent_filter_composition_identity():
@@ -166,7 +165,7 @@ def test_packet_tree_leaves():
 def _basis_isometry(ch):
     # the leaf's synthesis applied to each basis vector of its input space
     rank = ch.inner_period
-    cols = [synthesis_apply(ch, [Signal.delta(k, rank)]).samples for k in range(rank)]
+    cols = [synthesis_apply(ch, [delta(k, rank)]).samples for k in range(rank)]
     return np.stack(cols, axis=1)
 
 
@@ -405,7 +404,7 @@ def test_periodized_orthonormal_pair_stays_tight():
 
 @pytest.mark.parametrize("m, n", [(1, 1), (1, 3), (2, 2), (3, 2), (4, 1)])
 def test_periodize_bank_folds_each_filter_exactly(m, n):
-    # the fold of the polyphase array is signals.periodize of every filter,
+    # the fold of the polyphase array is refs.periodize of every filter,
     # bit for bit, at every period t with M | t | MP; any other t is refused
     rng = np.random.default_rng(10 * m + n)
     period = 24 * m  # folds of up to 24 blocks
@@ -523,7 +522,7 @@ def test_compose_matches_the_reference_walk_on_a_dense_bank(seed):
         outer, inner_f = bank.filters[k // 3], inner[k % 3]
         assert w == ref_w and leaf.downsample == ref.downsample == 9
         err = np.max(np.abs(leaf.samples[0] - ref.samples[0]))
-        assert err <= 1e-15 * outer.norm() * inner_f.norm()
+        assert err <= 1e-15 * norm(outer) * norm(inner_f)
 
 
 def _supports_differ(rng, n, p):
@@ -544,7 +543,7 @@ def test_equivalent_filter_of_a_stack_is_its_rows_one_at_a_time(outer_kind, m):
     stack = _supports_differ(rng, 4, 6)
     outer = _random_signal(rng, 6 * m)
     if outer_kind == "monomial":
-        outer = Signal.delta(5, 6 * m, 2 - 1j)
+        outer = delta(5, 6 * m, 2 - 1j)
     elif outer_kind == "sparse":  # 5 taps: more than row 0 has, as many as the union
         outer = Signal(np.where(np.arange(6 * m) < 5, outer.samples, 0))
     got = equivalent_filter(outer, stack, m)
@@ -629,7 +628,7 @@ def test_max_leaf_rate_is_the_largest_composed_rate(name, shape, depth, seed):
 def test_max_leaf_rate_of_mixed_rates():
     # a rate-3 bank of unit impulses under channel 0 of a rate-2 root: leaf
     # rates 6, 6, 6 and 2, so the ambient dimension is inner rank times 6
-    impulses = FilterBank(tuple(Signal.delta(k, 12) for k in range(3)), 3)
+    impulses = FilterBank(tuple(delta(k, 12) for k in range(3)), 3)
     tree = TreeNode(bank_of(daubechies4(12)), [TreeNode(impulses), TreeNode(None)])
     assert tree.max_leaf_rate == 6
     leaves = compose_tree(tree, 24)

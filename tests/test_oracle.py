@@ -21,7 +21,8 @@ from fbff.oracle import (
     spectrum_union_check,
 )
 from fbff.polyphase import bank_of, matrix_of
-from fbff.signals import FilterBank, Signal, synthesis_apply
+from fbff.signals import FilterBank, Signal
+from refs import delta, synthesis_apply, zero
 
 
 def _random_signal(rng, period):
@@ -29,7 +30,7 @@ def _random_signal(rng, period):
 
 
 def test_densify_trivial_identity():
-    fb = FilterBank((Signal.delta(0, 2),), 1)
+    fb = FilterBank((delta(0, 2),), 1)
     d = densify(fb)
     np.testing.assert_array_equal(d.reshape(len(d), -1), np.eye(2))
 
@@ -55,15 +56,15 @@ def test_densify_columns_apply_like_synthesis():
 
 def test_densify_gate():
     with pytest.raises(ValueError):
-        densify(FilterBank((Signal.zero(1024),), 2))
+        densify(FilterBank((zero(1024),), 2))
 
 
 def test_densify_gate_edge():
     m = 2
-    d = densify(FilterBank((Signal.zero(_MAX_DIM),), m))
+    d = densify(FilterBank((zero(_MAX_DIM),), m))
     assert d.shape == (_MAX_DIM, 1, _MAX_DIM // m)
     with pytest.raises(ValueError, match="gated"):
-        densify(FilterBank((Signal.zero(_MAX_DIM + m),), m))
+        densify(FilterBank((zero(_MAX_DIM + m),), m))
 
 
 def test_spectrum_of_tight_bank_is_flat():
@@ -88,7 +89,7 @@ def test_spectrum_extremes_match_polyphase_bounds():
 
 
 def test_channel_gram_delta():
-    fb = FilterBank((Signal.delta(0, 6),), 2)
+    fb = FilterBank((delta(0, 6),), 2)
     cg = dense_channel_gram(densify(fb), 0)
     assert cg.is_projection and cg.rank == 3
 
@@ -108,7 +109,7 @@ def test_channel_gram_mercedes_ranks():
 
 
 def test_channel_gram_detects_non_projection():
-    fb = FilterBank((Signal.delta(0, 6) + Signal.delta(2, 6),), 2)
+    fb = FilterBank((delta(0, 6) + delta(2, 6),), 2)
     cg = dense_channel_gram(densify(fb), 0)
     assert not cg.is_projection
 
@@ -261,7 +262,7 @@ def test_channel_defect_matches_the_dense_gram_defect(m, p, n, paraunitary, seed
 def test_channel_gram_forms_no_dim_by_dim_matrix():
     # one channel of 2 translates at the gate's dimension 256: a dim x dim
     # complex matrix would take 1 MiB, the 2 x 2 Gram takes 64 bytes
-    dense = densify(FilterBank((Signal.delta(0, _MAX_DIM),), _MAX_DIM // 2))
+    dense = densify(FilterBank((delta(0, _MAX_DIM),), _MAX_DIM // 2))
     tracemalloc.start()
     try:
         cg = dense_channel_gram(dense, 0)

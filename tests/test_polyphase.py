@@ -10,11 +10,10 @@ from fbff.polyphase import (
     eval_matrix,
     gram,
     matrix_of,
-    pp_inner,
-    reconstruct,
     zak_power_rows,
 )
-from fbff.signals import FilterBank, Signal, inner, translate
+from fbff.signals import FilterBank, Signal
+from refs import delta, inner, pp_inner, reconstruct, translate, zero
 
 
 def _random_signal(rng, period):
@@ -31,15 +30,15 @@ def _random_matrix(rng, m, n, period):
 
 
 def test_decompose_delta():
-    v = decompose(Signal.delta(0, 8), 2)
-    assert np.array_equal(v[0, 0], Signal.delta(0, 4).samples)
-    assert np.array_equal(v[1, 0], Signal.zero(4).samples)
+    v = decompose(delta(0, 8), 2)
+    assert np.array_equal(v[0, 0], delta(0, 4).samples)
+    assert np.array_equal(v[1, 0], zero(4).samples)
 
 
 def test_decompose_offset_delta():
-    v = decompose(Signal.delta(1, 4), 2)
-    assert np.array_equal(v[0, 0], Signal.zero(2).samples)
-    assert np.array_equal(v[1, 0], Signal.delta(0, 2).samples)
+    v = decompose(delta(1, 4), 2)
+    assert np.array_equal(v[0, 0], zero(2).samples)
+    assert np.array_equal(v[1, 0], delta(0, 2).samples)
 
 
 def test_round_trip_exact():
@@ -50,7 +49,7 @@ def test_round_trip_exact():
 
 def test_reconstruct_zero_and_single_component():
     z = np.zeros((2, 1, 3))
-    assert reconstruct(z) == Signal.zero(6)
+    assert reconstruct(z) == zero(6)
     v = np.array([[[0, 0, 0]], [[1, 2, 3]]])
     out = reconstruct(v)
     assert np.all(out.samples[0::2] == 0)
@@ -59,7 +58,7 @@ def test_reconstruct_zero_and_single_component():
 
 def test_decompose_requires_divisor():
     with pytest.raises(ValueError):
-        decompose(Signal.zero(9), 2)
+        decompose(zero(9), 2)
 
 
 def test_matrix_of_mercedes_constants():
@@ -68,7 +67,7 @@ def test_matrix_of_mercedes_constants():
     expect = np.array([[1.0, -0.5, -0.5], [0.0, np.sqrt(3) / 2, -np.sqrt(3) / 2]])
     for m in range(2):
         for n in range(3):
-            assert np.array_equal(mat[m, n], Signal.delta(0, 4, expect[m, n]).samples)
+            assert np.array_equal(mat[m, n], delta(0, 4, expect[m, n]).samples)
 
 
 def test_matrix_of_daubechies_taps():
@@ -86,10 +85,10 @@ def test_matrix_of_daubechies_taps():
 
 
 def test_matrix_of_single_delta_filter():
-    fb = FilterBank((Signal.delta(0, 8),), 2)
+    fb = FilterBank((delta(0, 8),), 2)
     mat = matrix_of(fb)
-    assert np.array_equal(mat[0, 0], Signal.delta(0, 4).samples)
-    assert np.array_equal(mat[1, 0], Signal.zero(4).samples)
+    assert np.array_equal(mat[0, 0], delta(0, 4).samples)
+    assert np.array_equal(mat[1, 0], zero(4).samples)
 
 
 def test_eval_constant_matrix():
@@ -177,15 +176,15 @@ def test_zak_power_rows_fold_the_twisted_columns(m, q, r):
 
 def test_zak_power_rows_needs_a_divisor():
     with pytest.raises(ValueError, match="redundancy"):
-        zak_power_rows(decompose(Signal.delta(0, 8), 2), 3)
+        zak_power_rows(decompose(delta(0, 8), 2), 3)
 
 
 def test_pp_inner_delta():
-    assert pp_inner(Signal.delta(0, 8), Signal.delta(0, 8), 2) == pytest.approx(1.0)
+    assert pp_inner(delta(0, 8), delta(0, 8), 2) == pytest.approx(1.0)
 
 
 def test_pp_inner_orthogonal_signals():
-    assert abs(pp_inner(Signal.delta(0, 8), Signal.delta(3, 8), 2)) <= 1e-12
+    assert abs(pp_inner(delta(0, 8), delta(3, 8), 2)) <= 1e-12
 
 
 def test_pp_inner_unitarity():
@@ -252,9 +251,9 @@ def test_bank_of_inverts_matrix_of(m, n, period, seed):
 
 def test_pp_inner_preconditions():
     with pytest.raises(ValueError):
-        pp_inner(Signal.zero(8), Signal.zero(6), 2)
+        pp_inner(zero(8), zero(6), 2)
     with pytest.raises(ValueError):
-        pp_inner(Signal.zero(9), Signal.zero(9), 2)
+        pp_inner(zero(9), zero(9), 2)
 
 
 @given(

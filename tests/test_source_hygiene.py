@@ -1,7 +1,8 @@
 """Static checks on the library source: every imported name and every
 private module-level definition is read in its own module, each module's
-``__all__`` lists exactly its public definitions, and every public function
-or class has a caller outside the tests."""
+``__all__`` lists exactly its public definitions, and every public function,
+class, method or property has a caller outside the tests.  The references
+that only tests call live in ``tests/refs.py``, and each is imported by a test."""
 
 import ast
 import functools
@@ -16,23 +17,11 @@ MODULES = sorted(SRC.glob("*.py"))
 # callers outside the library: the scripts and the benchmark harness
 CALLERS = sorted((ROOT / "scripts").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
 TRACER = ROOT / "perfbench" / "tracer.py"
+TESTS = ROOT / "tests"
 
-# Public definitions whose only callers are tests.  Each is the library's
-# form of a claim the tests check, or the reference another function is
-# tested against.
-TEST_ONLY = {
-    "dwt_tree",  # test_acceptance.py, criterion 5
-    "packet_tree",  # test_acceptance.py, criterion 5
-    "translate",  # test_acceptance.py, criterion 10
-    "analysis_apply",  # test_acceptance.py, criterion 10
-    "reconstruct",  # test_acceptance.py, criterion 10
-    "pp_inner",  # test_acceptance.py, criterion 10
-    "inner",  # test_acceptance.py, criteria 4 and 8-10: the time-domain inner product
-    "synthesis_apply",  # equivalent_filter's reference and analysis_apply's adjoint in test_signals.py
-    "involution",  # analysis_apply's reference in test_multilevel.py and test_signals.py
-    "downsample",  # analysis_apply's reference in test_signals.py
-    "periodize",  # periodize_bank's reference in test_multilevel.py
-}
+# Public definitions whose only callers are tests: none.  A reference that
+# only tests call belongs in tests/refs.py, not in the library.
+TEST_ONLY: set[str] = set()
 
 
 def _read_names(tree: ast.AST) -> set[str]:
@@ -265,17 +254,51 @@ def fbff_reads(source: str, module: str | None = None) -> set[tuple[str, str]]:
     return reads
 
 
-def traced_names(source: str) -> set[str]:
-    """Names that the tracer's ``"fbff.<module>:<name>[.attr]"`` binding
-    strings patch; the tracer reports a deleted one as absent."""
-    pattern = re.compile(r"fbff\.\w+:(\w+)")
+def _binding_matches(source: str, pattern: str) -> set[str]:
+    """Group 1 of ``pattern`` matched at the start of each string constant in ``source``."""
+    regex = re.compile(pattern)
     return {
         m.group(1)
         for node in ast.walk(ast.parse(source))
         if isinstance(node, ast.Constant) and isinstance(node.value, str)
-        for m in [pattern.match(node.value)]
+        for m in [regex.match(node.value)]
         if m
     }
+
+
+def traced_names(source: str) -> set[str]:
+    """Names that the tracer's ``"fbff.<module>:<name>[.attr]"`` binding
+    strings patch; the tracer reports a deleted one as absent."""
+    return _binding_matches(source, r"fbff\.\w+:(\w+)")
+
+
+def traced_methods(source: str) -> set[str]:
+    """The ``attr`` of each ``"fbff.<module>:<class>.<attr>"`` binding string:
+    the methods the tracer patches on a class."""
+    return _binding_matches(source, r"fbff\.\w+:\w+\.(\w+)")
+
+
+def attribute_reads(source: str) -> set[str]:
+    """Names of the attributes that ``source`` reads, of any object."""
+    return {
+        node.attr
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def uncalled_methods(source: str, reads: set[str]) -> list[str]:
+    """``<class>.<name>`` of each public method or property of a top-level
+    class in ``source`` whose name is not in ``reads``; dunders are exempt."""
+    return sorted(
+        f"{cls.name}.{node.name}"
+        for cls in ast.parse(source).body
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not node.name.startswith("_")
+        and node.name not in reads
+    )
 
 
 def uncalled_definitions(source: str, module: str, reads: set, exempt: set) -> list[str]:
@@ -334,6 +357,45 @@ def test_caller_scanner_flags_only_uncalled_definitions():
     ]
 
 
+def test_method_scanner_flags_only_unread_methods():
+    module = (
+        "import functools\n"
+        "class A:\n"
+        "    def __init__(self): self.stored = self.helper()\n"
+        "    def helper(self): pass\n"
+        "    def called(self): pass\n"
+        "    def _private(self): pass\n"
+        "    def traced(self): pass\n"
+        "    def orphan(self): pass\n"
+        "    def stored(self): pass\n"
+        "    @property\n"
+        "    def prop(self): return 1\n"
+        "    @property\n"
+        "    def unread_prop(self): return 1\n"
+        "    @functools.cached_property\n"
+        "    def cached(self): return 2\n"
+        "    @classmethod\n"
+        "    def make(cls): return cls()\n"
+        "class _B:\n"
+        "    def hidden(self): pass\n"
+        "def f(a): return a.called(), a.prop, A.make\n"
+    )
+    script = "def g(a):\n    a.cached\n    del a.orphan\n"
+    tracer = 'T = ("fbff.mod:A.traced", "fbff.mod:f")\n'
+    reads = attribute_reads(module) | attribute_reads(script) | traced_methods(tracer)
+    assert traced_methods(tracer) == {"traced"}
+    # a store or a delete of an attribute is not a read
+    assert uncalled_methods(module, reads) == ["A.orphan", "A.stored", "A.unread_prop", "_B.hidden"]
+    assert uncalled_methods(module, attribute_reads(module)) == [
+        "A.cached",
+        "A.orphan",
+        "A.stored",
+        "A.traced",
+        "A.unread_prop",
+        "_B.hidden",
+    ]
+
+
 @functools.cache
 def _library_reads() -> frozenset[tuple[str, str]]:
     reads = set()
@@ -354,6 +416,21 @@ def test_public_definitions_have_callers_outside_the_tests(path):
     assert uncalled_definitions(source, path.stem, _library_reads(), _traced() | TEST_ONLY) == []
 
 
+@functools.cache
+def _method_reads() -> frozenset[str]:
+    reads = traced_methods(TRACER.read_text(encoding="utf-8"))
+    for path in MODULES + CALLERS:
+        reads |= attribute_reads(path.read_text(encoding="utf-8"))
+    return frozenset(reads)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_public_methods_have_callers_outside_the_tests(path):
+    # a method is called when an attribute of its name is read outside the
+    # tests, so a method that shares a name with a numpy one cannot be flagged
+    assert uncalled_methods(path.read_text(encoding="utf-8"), _method_reads()) == []
+
+
 def test_one_class_for_periodic_sequences():
     # the tracer's alias names the signal class itself, not a second class
     import fbff.cyclic
@@ -369,3 +446,26 @@ def test_test_only_list_holds_exactly_the_uncalled_definitions():
         source = path.read_text(encoding="utf-8")
         uncalled.update(uncalled_definitions(source, path.stem, _library_reads(), _traced()))
     assert uncalled == TEST_ONLY
+
+
+def test_test_references_load_from_the_tests():
+    # perfbench/ is on sys.path in the same session, with its own reference
+    # module: the test references need a name that it does not shadow
+    import refs
+
+    assert Path(refs.__file__).resolve() == TESTS / "refs.py"
+    assert not (ROOT / "perfbench" / "refs.py").exists()
+
+
+def test_every_test_reference_is_imported_by_a_test():
+    defined = {
+        node.name
+        for node in ast.parse((TESTS / "refs.py").read_text(encoding="utf-8")).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+    imported = set()
+    for path in sorted(TESTS.glob("test_*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module == "refs":
+                imported.update(a.name for a in node.names)
+    assert sorted(defined - imported) == []
