@@ -87,7 +87,7 @@ class FrameBounds:
 
     ``spectra`` is the (P, M) array of evaluated Gram eigenvalues, one
     ascending row per root, clipped at zero.  A is the smallest and B the
-    largest of them; ``per_root[p]`` holds root p's own (min, max) pair.
+    largest of them; ``per_root[p]`` holds root p's own [min, max] pair.
     """
 
     spectra: np.ndarray
@@ -105,8 +105,8 @@ class FrameBounds:
         return float(np.max(self.spectra[:, -1]))
 
     @property
-    def per_root(self) -> tuple[tuple[float, float], ...]:
-        return tuple((float(a), float(b)) for a, b in self.spectra[:, [0, -1]])
+    def per_root(self) -> list[list[float]]:
+        return self.spectra[:, [0, -1]].tolist()
 
     def is_tight(self, tol: float) -> bool:
         """Whether B > 0 and B - A <= tol * B: the zero bank is not tight."""
@@ -220,7 +220,7 @@ def report_to_json(rep: FusionReport) -> dict:
     return {
         "A": rep.bounds.A,
         "B": rep.bounds.B,
-        "per_root": [[a, b] for a, b in rep.bounds.per_root],
+        "per_root": rep.bounds.per_root,
         "channel_projection": list(rep.channel_projection),
         "is_tight": rep.is_tight,
         "is_puntf": rep.is_puntf,

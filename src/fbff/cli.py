@@ -31,13 +31,14 @@ _VERIFY_ERROR = 1
 _DESIGN_TOL = 1e-7  # verdict tolerance of a converged design-maxflat report
 
 
-def frequency_table(fb: FilterBank, n_samples: int):
+def frequency_table(fb: FilterBank, n_samples: int) -> np.ndarray:
     """Squared-magnitude response of every filter at n_samples frequencies.
 
-    Returns a list of (channel, omega, mag2) rows in channel-major order with
-    omega = 2 pi k / n_samples, by one FFT of each filter folded modulo
-    n_samples, which is exact for any filter period.  Raises ValueError when
-    a magnitude is not finite (finite samples whose squares overflow).
+    Returns the (N, n_samples) float array whose [n, k] entry is
+    |H_n(omega_k)|^2 at omega_k = 2 pi k / n_samples, by one FFT of each
+    filter folded modulo n_samples, which is exact for any filter period.
+    Raises ValueError when a magnitude is not finite (finite samples whose
+    squares overflow).
     """
     if n_samples < 2:
         raise ValueError("need at least two frequency samples")
@@ -47,26 +48,25 @@ def frequency_table(fb: FilterBank, n_samples: int):
         mag2 = np.abs(np.fft.fft(folded, axis=-1)) ** 2
     if not np.all(np.isfinite(mag2)):
         raise ValueError("squared magnitudes are not finite (samples too large)")
-    omegas = [2.0 * np.pi * i / n_samples for i in range(n_samples)]
-    return [
-        (n, omega, m) for n, mags in enumerate(mag2.tolist()) for omega, m in zip(omegas, mags)
-    ]
+    return mag2
 
 
 def write_frequency_table(fb: FilterBank, n_samples: int, path=None) -> None:
     """Write :func:`frequency_table` as an ``n,omega,mag2`` CSV to ``path``
-    (standard output when None), with 17 significant digits.
+    (standard output when None), one row per (channel, omega) in
+    channel-major order, with 17 significant digits.
 
-    Every channel's rows share one omega column, so each of the
-    ``n_samples`` omegas is formatted once into a template of the table,
-    and one ``%`` format over the rows fills in every mag2.
+    Every channel's rows share one omega column, so each omega is formatted
+    once into a ``"omega,%.17g"`` cell; each channel's block of the template
+    joins that one row of cells, and one ``%`` format over the table array,
+    flattened by one ``tolist``, fills in every mag2.
     """
-    rows = frequency_table(fb, n_samples)
-    omegas = ["%.17g" % omega for _, omega, _ in rows[:n_samples]]
+    mag2 = frequency_table(fb, n_samples)
+    cells = ["%.17g,%%.17g" % (2.0 * np.pi * i / n_samples) for i in range(n_samples)]
     template = "n,omega,mag2\n" + "".join(
-        f"{n},{omega},%.17g\n" for n in range(fb.n_channels) for omega in omegas
+        f"{n}," + f"\n{n},".join(cells) + "\n" for n in range(fb.n_channels)
     )
-    _write_text(template % tuple(mag2 for _, _, mag2 in rows), path)
+    _write_text(template % tuple(mag2.ravel().tolist()), path)
 
 
 def _named_bank(args) -> FilterBank:
@@ -98,8 +98,15 @@ def _tolerance(text: str) -> float:
     return value
 
 
+# fbff writes only fresh dicts and lists, so the encoder's cycle check (a dict
+# insert and delete per container, one per [re, im] pair) is pure cost; a cycle
+# would end in RecursionError, which main reports as exit 2.  The separators,
+# allow_nan and ensure_ascii are json.dumps' defaults.
+_ENCODER = json.JSONEncoder(check_circular=False)
+
+
 def _write_json(obj, path=None) -> None:
-    _write_text(json.dumps(obj) + "\n", path)  # one line, by the C encoder
+    _write_text(_ENCODER.encode(obj) + "\n", path)  # one line, by the C encoder
 
 
 def _write_text(text: str, path=None) -> None:
@@ -160,7 +167,6 @@ def _cmd_compose(args) -> int:
     tree = multilevel.tree_from_json(spec, _named_banks(ambient))
     leaves = multilevel.compose_tree(tree, ambient, tol=args.tol)
     stack = np.array([leaf.samples[0] for leaf, _ in leaves])  # every leaf has period ambient
-    rows = np.stack([stack.real, stack.imag], axis=-1).tolist()
     out = {
         "ambient_dim": ambient,
         "leaves": [
@@ -168,9 +174,9 @@ def _cmd_compose(args) -> int:
                 "weight": {"num": w.numerator, "den": w.denominator},
                 "rank": leaf.inner_period,
                 "rate": leaf.downsample,
-                "filter": {"period": ambient, "samples": row},  # signal_to_json's form
+                "filter": filt,
             }
-            for (leaf, w), row in zip(leaves, rows)
+            for (leaf, w), filt in zip(leaves, signal_to_json(stack))
         ],
     }
     status = 0

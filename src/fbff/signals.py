@@ -140,13 +140,18 @@ class FilterBank:
 #
 # signal: {"period": P, "samples": [[re, im], ...]}
 # bank:   {"downsample": M, "inner_period": P, "filters": [<signal>, ...]}
+#
+# An (N, P) stack of rows is written as the list of its N signal objects.
 
 
-def signal_to_json(x: Signal) -> dict:
-    return {
-        "period": x.period,
-        "samples": np.stack([x.samples.real, x.samples.imag], axis=-1).tolist(),
-    }
+def signal_to_json(x: Signal | np.ndarray) -> dict | list[dict]:
+    """The signal object of a Signal, or the list of those of an (N, P) stack
+    of rows; every [re, im] pair comes from one ``tolist``."""
+    a = x.samples if isinstance(x, Signal) else np.asarray(x)
+    pairs = np.stack([a.real, a.imag], axis=-1).tolist()
+    if isinstance(x, Signal):
+        return {"period": x.period, "samples": pairs}
+    return [{"period": a.shape[-1], "samples": row} for row in pairs]
 
 
 def _fields(obj, kind: str, keys: tuple[str, ...]) -> list:
@@ -183,7 +188,7 @@ def bank_to_json(fb: FilterBank) -> dict:
     return {
         "downsample": fb.downsample,
         "inner_period": fb.inner_period,
-        "filters": [signal_to_json(f) for f in fb.filters],
+        "filters": signal_to_json(fb.samples),
     }
 
 

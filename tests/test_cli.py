@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 import warnings
 from pathlib import Path
@@ -227,11 +228,14 @@ def test_freq_overflowing_samples_are_usage_error(capsys, tmp_path):
 
 def test_frequency_table_matches_direct_sum():
     fb = named_bank("daubechies4", 4)
-    rows = frequency_table(fb, 5)
+    table = frequency_table(fb, 5)
+    assert table.shape == (fb.n_channels, 5)
     k = np.arange(fb.filter_period)
-    for n, omega, mag2 in rows:
-        direct = abs(np.sum(fb.filters[n].samples * np.exp(-1j * k * omega))) ** 2
-        assert mag2 == pytest.approx(direct, abs=1e-12)
+    for n, mags in enumerate(table):
+        for i, mag2 in enumerate(mags):
+            omega = 2.0 * np.pi * i / 5
+            direct = abs(np.sum(fb.filters[n].samples * np.exp(-1j * k * omega))) ** 2
+            assert mag2 == pytest.approx(direct, abs=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
@@ -254,8 +258,11 @@ def test_freq_csv_is_the_table_row_by_row(m, inner_period, channels, seed, data)
         ),
         m,
     )
+    omegas = [2.0 * np.pi * i / n_samples for i in range(n_samples)]
     want = "n,omega,mag2\n" + "".join(
-        f"{n},{omega:.17g},{mag2:.17g}\n" for n, omega, mag2 in frequency_table(fb, n_samples)
+        f"{n},{omega:.17g},{mag2:.17g}\n"
+        for n, mags in enumerate(frequency_table(fb, n_samples).tolist())
+        for omega, mag2 in zip(omegas, mags)
     )
     with contextlib.redirect_stdout(io.StringIO()) as out:
         write_frequency_table(fb, n_samples)
@@ -476,7 +483,81 @@ def test_output_json_reparses_identically(capsys, tmp_path):
 
 
 def _per_sample_signal_to_json(x):
+    if not isinstance(x, Signal):  # a stack of rows
+        return [_per_sample_signal_to_json(Signal(row)) for row in x]
     return {"period": x.period, "samples": [[float(v.real), float(v.imag)] for v in x.samples]}
+
+
+# -0.0, subnormals of both signs and the smallest normal, among ordinary samples
+_SAMPLES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 2.2250738585072014e-308]),
+    st.floats(min_value=-1e3, max_value=1e3),
+)
+
+
+@st.composite
+def _edge_banks(draw):
+    m, p, n = (draw(st.integers(min_value=1, max_value=k)) for k in (3, 4, 4))
+    parts = draw(st.lists(_SAMPLES, min_size=2 * n * m * p, max_size=2 * n * m * p))
+    rows = np.array(parts).reshape(n, m * p, 2).view(complex)[..., 0]  # keeps every sign
+    return FilterBank(tuple(Signal(row) for row in rows), m)
+
+
+def _written_json(argv):
+    """Exit code, stdout and the objects ``main(argv)`` handed to ``_write_json``."""
+    objs, write = [], cli._write_json
+
+    def spy(obj, path=None):
+        objs.append(obj)
+        write(obj, path)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_write_json", spy)
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            code = main(argv)
+    return code, out.getvalue(), objs
+
+
+@settings(max_examples=40, deadline=None)
+@given(_edge_banks(), st.integers(min_value=0, max_value=2**32 - 1))
+def test_write_json_writes_what_json_dumps_writes(fb, seed):
+    def dumped(obj):
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            cli._write_json(obj)
+        return out.getvalue()
+
+    obj = bank_to_json(fb)
+    assert dumped(obj) == json.dumps(obj) + "\n"
+    # one wire form: the bank's stack, a Signal and a stack's rows agree byte for byte
+    per_filter = [signals.signal_to_json(f) for f in fb.filters]
+    assert json.dumps(obj["filters"]) == json.dumps(per_filter)
+    assert json.dumps(signals.signal_to_json(fb.samples)) == json.dumps(per_filter)
+    rep = report_to_json(fusion_report(fb))
+    assert len(rep["per_root"]) == fb.inner_period
+    assert dumped(rep) == json.dumps(rep) + "\n"
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = Path(tmp) / "tree.json"
+        tree.write_text(json.dumps({"bank": obj}))
+        # any bank passes the projection gate at this tolerance
+        argv = ["compose", "--tree", str(tree), "--inner-dim", str(fb.inner_period), "--verify"]
+        code, text, objs = _written_json(argv + ["--tol", "1e300"])
+    assert code in (0, 1) and len(objs) == 1
+    assert text == json.dumps(objs[0]) + "\n"
+    argv = ["design-maxflat", "--half-taps", "2", "--seed", str(seed), "--restarts", "3"]
+    code, text, objs = _written_json(argv)
+    assert code in (0, 1) and len(objs) == 1
+    assert text == json.dumps(objs[0]) + "\n"
+
+
+def test_cyclic_output_is_usage_error(capsys, monkeypatch):
+    # the encoder keeps no cycle check: a cycle ends in RecursionError, exit 2
+    cycle = []
+    cycle.append(cycle)
+    monkeypatch.setattr(cli, "bank_to_json", lambda fb: cycle)
+    code, out, err = _run(capsys, "build", "mercedes-benz", "--period", "4")
+    assert code == 2
+    assert err.startswith("error:") and "recursion" in err and "Traceback" not in err
+    assert out == ""
 
 
 def _indented_json(obj, path=None):
