@@ -9,11 +9,14 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import json
 import os
+import re
 import sys
 
 import numpy as np
+import orjson
 
 from . import analysis, constructions, gabor, multilevel, oracle
 from .polyphase import bank_of
@@ -117,9 +120,52 @@ def _write_text(text: str, path=None) -> None:
             fh.write(text)
 
 
+# orjson 3.8 recurses once per nesting level with no limit: above about 50 000
+# levels it overflows the C stack (a segfault, not an exception), and below
+# that it reads files nested deeper than the stdlib's recursion limit, whose
+# RecursionError exits 2.  So only files nested at most this deep go to orjson;
+# a bank nests 5 levels, a tree file 2 per tree level.
+_ORJSON_DEPTH = 64
+# keeps quotes and brackets, with both bracket kinds written as [ and ]
+_BRACKETS = (bytes.maketrans(b"{}", b"[]"), bytes(sorted(set(range(256)) - set(b'[]{}"'))))
+_STRING = re.compile(rb'"[^"]*"')
+
+
+def _shallow(data: bytes) -> bool:
+    """True when ``data`` holds no backslash and, outside its strings, its
+    brackets balance and nest at most ``_ORJSON_DEPTH`` levels deep.
+
+    Without a backslash no quote is escaped, so strings are exactly the
+    ``"..."`` runs.  Each round deletes the innermost bracket pairs, one level.
+    """
+    if b"\\" in data:
+        return False
+    brackets = _STRING.sub(b"", data.translate(*_BRACKETS))
+    for _ in range(_ORJSON_DEPTH):
+        if not brackets:
+            break
+        brackets = brackets.replace(b"[]", b"")
+    return not brackets
+
+
 def _load_json(path: str):
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+    """The JSON value of a bank or tree file, parsed from its bytes by orjson.
+
+    A file orjson refuses (NaN, Infinity or 1e400 tokens, a BOM, a lone
+    surrogate, a syntax error), or is not given (see :func:`_shallow`), is
+    read by the stdlib exactly as ``json.load`` of the file opened as UTF-8
+    text, with the same errors and messages.  One difference remains: orjson
+    reads integers outside the 64-bit range as floats, where the stdlib kept
+    them exact.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if _shallow(data):
+        try:
+            return orjson.loads(data)
+        except orjson.JSONDecodeError:
+            pass
+    return json.load(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
 
 
 def _load_bank(path: str) -> FilterBank:

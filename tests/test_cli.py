@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -627,6 +628,14 @@ def _malformed_bank(edit):
     return obj
 
 
+_BANK_TEXT = json.dumps(bank_to_json(named_bank("mercedes-benz", 2)))
+
+
+def _first_sample_text(real):
+    """The bank's text with its first sample's real part written as ``real``."""
+    return re.sub(r'"samples": \[\[[^,]+', f'"samples": [[{real}', _BANK_TEXT, count=1)
+
+
 @pytest.mark.parametrize(
     "argv_head,payload,message",
     [
@@ -640,23 +649,159 @@ def _malformed_bank(edit):
         (("compose", "--inner-dim", "0", "--tree"), {"bank": "example7"}, "--inner-dim must be positive, got 0"),
         (("compose", "--inner-dim", "-2", "--tree"), {"bank": bank_to_json(named_bank("daubechies4", 2))}, "--inner-dim must be positive, got -2"),
         (("build", "paraunitary-chain", "--period", "4", "--seed", "-1"), None, "seed must be nonnegative, got -1"),
+        # raw texts, which orjson refuses and the stdlib reads as it did before orjson
+        (("analyze",), _first_sample_text("1e400"), "samples must be finite"),
+        (("analyze",), _first_sample_text("-Infinity"), "samples must be finite"),
+        (("analyze",), "\ufeff" + _BANK_TEXT, "error: Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
+        (("analyze",), _BANK_TEXT[:-1] + ",}", "error: Expecting property name enclosed in double quotes: line 1 column 311 (char 310)"),
+        # read as text, each CRLF is one character
+        (("analyze",), _BANK_TEXT.replace(", ", ",\r\n")[:-1] + ",}", "error: Expecting property name enclosed in double quotes: line 29 column 9 (char 310)"),
     ],
     ids=[
         "nan-sample", "inf-sample", "no-downsample", "top-level-list", "string-sample", "tree-bank-5",
         "period-0", "inner-dim-0", "inner-dim-negative", "chain-seed-negative",
+        "1e400-token", "minus-infinity-token", "bom", "syntax-error", "crlf-syntax-error",
     ],
 )
 def test_malformed_input_is_usage_error(capsys, tmp_path, argv_head, payload, message):
+    # json.dumps writes the nan and inf samples as NaN and Infinity tokens
     argv = list(argv_head)
     if payload is not None:
         path = tmp_path / "input.json"
-        path.write_text(json.dumps(payload))
+        text = payload if isinstance(payload, str) else json.dumps(payload)
+        path.write_text(text, encoding="utf-8", newline="")
         argv.append(str(path))
     code, out, err = _run(capsys, *argv)
     assert code == 2
     assert err.startswith("error:") and message in err and "Traceback" not in err
     assert out == ""
 
+
+
+def test_integers_beyond_64_bits_are_read_as_floats(capsys, tmp_path):
+    # orjson reads such an integer as the nearest float; the stdlib's exact int
+    # made this bank exit 2 with "samples must be a list of [re, im] number pairs"
+    path = tmp_path / "bank.json"
+    path.write_text(
+        '{"downsample": 1, "inner_period": 2, "filters": [{"period": 2, '
+        '"samples": [[123456789012345678901234567890, 0], [0.5, 0.0]]}]}'
+    )
+    sample = cli._load_json(str(path))["filters"][0]["samples"][0]
+    assert sample == [1.2345678901234568e29, 0] and type(sample[0]) is float
+    assert cli._load_bank(str(path)).samples[0, 0] == 1.2345678901234568e29
+    code, _, err = _run(capsys, "analyze", str(path))
+    assert code == 0 and err == ""
+
+
+# values the wire carries bit for bit: signed zeros, subnormals, the largest
+# float, any finite float (most of whose reprs have 17 digits) and int64 integers
+_WIRE_VALUES = st.one_of(
+    _SAMPLES,
+    st.sampled_from([1.7976931348623157e308, -1.7976931348623157e308, 0.30000000000000004]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(min_value=-(2**63), max_value=2**63 - 1),
+)
+
+
+@st.composite
+def _wire_banks(draw):
+    """A bank's JSON object with samples from _WIRE_VALUES."""
+    m, p, n = (draw(st.integers(min_value=1, max_value=k)) for k in (3, 4, 3))
+    rows = st.lists(st.lists(_WIRE_VALUES, min_size=2, max_size=2), min_size=m * p, max_size=m * p)
+    filters = draw(st.lists(rows, min_size=n, max_size=n))
+    return {"downsample": m, "inner_period": p, "filters": [{"period": m * p, "samples": r} for r in filters]}
+
+
+# any string is a bank name here: names that json.dumps escapes go to the stdlib
+_TREE_BANKS = st.one_of(st.sampled_from(["daubechies4", "example7"]), st.text(max_size=4), _wire_banks())
+_WIRE_TREES = st.recursive(
+    st.fixed_dictionaries({"bank": _TREE_BANKS}),
+    lambda kids: st.fixed_dictionaries(
+        {"bank": _TREE_BANKS, "children": st.lists(st.just("identity") | kids, max_size=3)}
+    ),
+    max_leaves=6,
+)
+
+
+def _seventeen_digit_text(obj):
+    """The bank object ``obj`` as JSON with every float written to 17 significant digits."""
+    def num(v):
+        return "%.17g" % v if isinstance(v, float) else str(v)
+
+    filters = ", ".join(
+        '{"period": %d, "samples": [%s]}'
+        % (f["period"], ", ".join(f"[{num(re)}, {num(im)}]" for re, im in f["samples"]))
+        for f in obj["filters"]
+    )
+    return '{"downsample": %d, "inner_period": %d, "filters": [%s]}' % (
+        obj["downsample"], obj["inner_period"], filters
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(_wire_banks(), _WIRE_TREES)
+def test_load_json_reads_what_json_load_reads(obj, tree):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input.json"
+        writers = (
+            lambda: path.write_text(json.dumps(obj)),
+            lambda: cli._write_json(obj, str(path)),
+            lambda: path.write_text(_seventeen_digit_text(obj)),
+        )
+        for write in writers:
+            write()
+            assert cli._shallow(path.read_bytes())  # read by orjson
+            got = cli._load_bank(str(path)).samples
+            want = bank_from_json(json.loads(path.read_text())).samples
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        path.write_text(json.dumps(tree))
+        with open(path, encoding="utf-8") as fh:
+            want = json.load(fh)
+        # json.dumps tells -0.0 from 0.0 and 1 from 1.0
+        assert json.dumps(cli._load_json(str(path))) == json.dumps(want)
+
+
+_DEPTH = cli._ORJSON_DEPTH
+
+
+@pytest.mark.parametrize(
+    "text,shallow",
+    [
+        (_BANK_TEXT, True),
+        ("[" * _DEPTH + "]" * _DEPTH, True),
+        ("[" * (_DEPTH + 1) + "]" * (_DEPTH + 1), False),
+        ('{"a": [' * (_DEPTH // 2) + "1" + "]}" * (_DEPTH // 2), True),
+        ('{"a": [' * (_DEPTH // 2) + "[1]" + "]}" * (_DEPTH // 2), False),
+        ("[[[", False),
+        ('["]]]", "{"]', True),
+        # a string's brackets neither open nor close a level: 65 levels, not 1
+        ('["]", ' * 65 + "1" + ', "["]' * 65, False),
+        ('{"bank": "daubechies\\u0034"}', False),
+    ],
+    ids=[
+        "bank", "at-depth", "past-depth", "mixed-at-depth", "mixed-past-depth", "unbalanced",
+        "brackets-in-strings", "brackets-in-strings-hide-no-level", "escape",
+    ],
+)
+def test_orjson_reads_only_shallow_files_without_escapes(text, shallow):
+    assert cli._shallow(text.encode()) is shallow
+
+
+def test_nesting_beyond_the_c_stack_is_usage_error(tmp_path):
+    # 300 000 levels overflow orjson 3.8's stack, a segfault, so the file must
+    # reach the stdlib, whose RecursionError exits 2; run apart, so that a
+    # crash fails this test alone
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    path = tmp_path / "input.json"
+    path.write_text(_deep_bank_text(300_000))
+    run = subprocess.run(
+        [sys.executable, "-m", "fbff", "analyze", str(path)],
+        env=env, cwd=tmp_path, capture_output=True, text=True,
+    )
+    assert run.returncode == 2
+    assert run.stderr.startswith("error:") and "recursion" in run.stderr
+    assert "Traceback" not in run.stderr and run.stdout == ""
 
 _BAD_REPORT_TOLERANCES = {
     "nan": ("--tol", "nan"),
@@ -849,8 +994,10 @@ def _deep_tree_text(depth):
     [
         (("analyze",), _deep_bank_text(3000)),
         (("compose", "--inner-dim", "1", "--tree"), _deep_tree_text(3000)),
+        # every level holds a string with one bracket, which hides no level
+        (("analyze",), '["]", ' * 3000 + "1" + ', "["]' * 3000),
     ],
-    ids=["bank-samples", "tree"],
+    ids=["bank-samples", "tree", "brackets-in-strings"],
 )
 def test_deeply_nested_input_is_usage_error(capsys, tmp_path, argv_head, text):
     path = tmp_path / "input.json"

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from fbff import analysis, cyclic
 from fbff.cyclic import Signal, ring_product, twist
@@ -156,6 +156,22 @@ def test_eval_at_root_is_the_integer_exponent_gather_bit_for_bit():
             expected = complex(a.samples @ roots[np.arange(period) * (p % period) % period])
             assert a.eval_at_root(p) == expected
 
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=4096),
+    st.integers(min_value=-(2**62), max_value=2**62),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.sampled_from([1.0, 1e-310, 1e300]),
+)
+def test_eval_at_root_is_the_matmul_of_its_root_powers_bit_for_bit(period, p, seed, scale):
+    # eval_at_root takes ndarray.dot, which gives the bits of samples @ row in
+    # less time; scaled samples add subnormal and huge products
+    a = Signal(scale * (np.random.default_rng(seed).standard_normal((period, 2)) @ [1, 1j]))
+    got = np.array([a.eval_at_root(p)])
+    want = np.array([complex(a.samples @ cyclic._root_powers(period, p % period))])
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 def test_root_power_rows_are_bounded_and_read_only():
     rng = np.random.default_rng(13)
