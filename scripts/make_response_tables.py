@@ -16,8 +16,9 @@ import pathlib
 import sys
 
 from fbff.cli import write_frequency_table
-from fbff.constructions import named_bank
+from fbff.constructions import named_matrix
 from fbff.gabor import design_maxflat, gabor_bank
+from fbff.polyphase import bank_of
 
 
 def write_table(fb, n_samples, path):
@@ -38,7 +39,7 @@ def main() -> int:
     outdir.mkdir(parents=True, exist_ok=True)
 
     for name in ("example5", "example7"):
-        fb = named_bank(name, args.period)
+        fb = bank_of(named_matrix(name, args.period))
         write_table(fb, args.samples, outdir / f"{name}_responses.csv")
 
     result = design_maxflat(args.half_taps, seed=args.seed, restarts=100)

@@ -21,8 +21,9 @@ import sys
 import numpy as np
 
 from fbff.analysis import fusion_report
-from fbff.constructions import named_bank
+from fbff.constructions import named_matrix
 from fbff.oracle import cross_check
+from fbff.polyphase import bank_of
 from fbff.signals import FilterBank, Signal
 
 
@@ -39,7 +40,7 @@ def random_bank(rng, max_rate=3, max_extra=3, max_period=4):
 
 def boundary_ladder():
     for name in ("mercedes-benz", "daubechies4"):
-        fb = named_bank(name, 16)
+        fb = bank_of(named_matrix(name, 16))
         for d in np.geomspace(1e-11, 1e-8, 30):
             scaled = Signal((1.0 + d) * fb.filters[0].samples)
             yield FilterBank((scaled,) + fb.filters[1:], fb.downsample)

@@ -39,7 +39,6 @@ __all__ = [
     "frame_bounds",
     "autocorrelation_defect",
     "channel_defects",
-    "channel_defect",
     "channel_is_projection",
     "FusionReport",
     "fusion_report",
@@ -114,7 +113,8 @@ class FrameBounds:
 
 
 def gram_stack(mat: np.ndarray) -> np.ndarray:
-    """The (P, M, M) stack of evaluated Grams; slice p is ``gram(mat, p)``.
+    """The (P, M, M) stack of evaluated Grams of the polyphase matrix ``mat``;
+    slice p is :func:`~fbff.polyphase.gram` at root p.
 
     Each entry's Signal is built once per bank, then every entry is evaluated
     root by root, so all of root p's entries read its one cached row of powers.
@@ -164,18 +164,13 @@ def channel_defects(mat: np.ndarray) -> np.ndarray:
         return autocorrelation_defect(np.sum(np.abs(eval_all_roots(mat)) ** 2, axis=0))
 
 
-def channel_defect(phi: Signal, m: int) -> float:
-    """Largest entry of T^H T - I for T the m-translates of ``phi``, i.e.
-    max_j |<phi, T^{mj} phi> - delta_j|, by one inverse FFT of the squared
-    polyphase norms; (1 + d) times an orthonormal channel reads 2d + d^2."""
-    return float(channel_defects(decompose(phi, m))[0])
-
-
 def channel_is_projection(phi: Signal, m: int, tol: float = 1e-9) -> bool:
-    """Whether the m-translates of ``phi`` are orthonormal, i.e. whether
-    :func:`channel_defect` is at most ``tol``; then the channel's
-    synthesis-analysis composite is an orthogonal projection."""
-    return channel_defect(phi, m) <= tol
+    """Whether the m-translates of ``phi`` are orthonormal, i.e. whether the
+    largest entry of T^H T - I, max_j |<phi, T^{mj} phi> - delta_j|, read by
+    :func:`channel_defects` from one FFT of ``phi``'s polyphase components,
+    is at most ``tol``; then the channel's synthesis-analysis composite is an
+    orthogonal projection.  (1 + d) times an orthonormal channel reads 2d + d^2."""
+    return bool(channel_defects(decompose(phi, m))[0] <= tol)
 
 
 @dataclass(frozen=True)

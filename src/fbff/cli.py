@@ -76,7 +76,7 @@ def _named_bank(args) -> FilterBank:
     """The bank ``build`` names; composite names read their extra options."""
     name, period = args.name, args.period
     if name in constructions.NAMED_MATRICES:
-        return constructions.named_bank(name, period)
+        return bank_of(constructions.named_matrix(name, period))
     if name == "paraunitary-chain":
         return bank_of(
             constructions.paraunitary_chain(args.dim, args.count, period, seed=args.seed)
@@ -202,7 +202,7 @@ def _cmd_freq(args) -> int:
 def _named_banks(period: int):
     """Tree bank resolver at ``period``; a packet tree names one bank at
     many nodes, so each name is built once per resolver."""
-    return functools.cache(lambda name: constructions.named_bank(name, period))
+    return functools.cache(lambda name: bank_of(constructions.named_matrix(name, period)))
 
 
 def _cmd_compose(args) -> int:
@@ -262,10 +262,11 @@ def _cmd_design_maxflat(args) -> int:
         report["is_tight"] = bounds.is_tight(_DESIGN_TOL)
         report["channel_projection"] = [proj] * 4  # modulation keeps polyphase norms
         report["tolerance"] = _DESIGN_TOL
+        (filt,) = signal_to_json(result.signal.samples[None])
         if args.out is not None:
-            _write_json(signal_to_json(result.signal), args.out)
+            _write_json(filt, args.out)
         else:
-            report["filter"] = signal_to_json(result.signal)
+            report["filter"] = filt
     _write_json(report)
     return 0 if result.converged else _VERIFY_ERROR
 

@@ -14,8 +14,6 @@ import math
 import numpy as np
 
 from .cyclic import ring_product, twist
-from .polyphase import bank_of
-from .signals import FilterBank
 
 __all__ = [
     "mercedes_benz",
@@ -28,7 +26,6 @@ __all__ = [
     "modulated_daubechies_stack",
     "paraunitary_chain",
     "named_matrix",
-    "named_bank",
     "NAMED_MATRICES",
 ]
 
@@ -185,6 +182,3 @@ def named_matrix(name: str, period: int) -> np.ndarray:
         raise ValueError(f"unknown bank name: {name!r}") from None
     return builder(period)
 
-
-def named_bank(name: str, period: int) -> FilterBank:
-    return bank_of(named_matrix(name, period))

@@ -8,11 +8,12 @@ child leaves a channel as a leaf, a bank child splits it again.
 
 A chain of channels is one channel at the product rate (the noble
 identities): its filter is the ring product of the outer filter with the
-upsampled inner one, and each flattened leaf is a one-channel bank of that
-filter.  Every channel of a node shares the node's one prefix filter, so
-compose forms all of a node's equivalent filters from one ring product of
-the prefix with the folded bank's sample stack (and ``fbff compose`` writes
-the leaves from one stack of their samples).  Compose judges each level's
+upsampled inner one (:func:`equivalent_filter`, on sample arrays), and each
+flattened leaf is a one-channel bank of that filter.  Every channel of a
+node shares the node's one prefix filter, so compose forms all of a node's
+equivalent filters from one ring product of the prefix with the folded
+bank's sample stack (and ``fbff compose`` writes the leaves from one stack
+of their samples).  Compose judges each level's
 channels, and verify each leaf, by the one projection rule: the largest
 entry of T^H T - I, from polyphase norms or from the leaf's T.  Compose
 judges each distinct (bank, level period) once per call: a packet tree that
@@ -58,23 +59,17 @@ __all__ = [
 ]
 
 
-def equivalent_filter(
-    phi_outer: Signal | np.ndarray, phi_inner: Signal | np.ndarray, m: int
-) -> Signal | np.ndarray:
+def equivalent_filter(phi_outer: np.ndarray, phi_inner: np.ndarray, m: int) -> np.ndarray:
     """Single filter realizing two chained channels.
 
     By the noble identities, applying the outer channel (rate m) after the
     inner one equals one channel at the product rate whose filter is the
     ring product of the outer filter with the inner one upsampled by m,
-    sum_k inner[k] T^{mk} outer.  Either filter is a Signal or an array along
-    its last axis; an (N, P) stack of inner filters gives the (N, m P) stack
-    of their equivalent filters from one ring product, and the result is of
-    the inner filter's kind.
+    sum_k inner[k] T^{mk} outer.  Both filters are arrays along their last
+    axis: an (N, P) stack of inner filters gives the (N, m P) stack of their
+    equivalent filters from one ring product.
     """
-    outer = phi_outer.samples if isinstance(phi_outer, Signal) else phi_outer
-    if isinstance(phi_inner, Signal):
-        return Signal(ring_product(outer, upsample(phi_inner.samples, m)))
-    return ring_product(outer, upsample(phi_inner, m))
+    return ring_product(phi_outer, upsample(phi_inner, m))
 
 
 @dataclass(frozen=True)

@@ -7,10 +7,10 @@ filters column by column gives the M x N polyphase matrix, one complex
 as its only data; a single filter is an M x 1 matrix (a one-channel bank's).
 Evaluating it at the P-th roots of unity reduces every frame-theoretic
 question about the bank to finite-dimensional linear algebra, one root at a
-time (:func:`eval_matrix`, entry by entry, each a dot product with the root's
-cached, read-only row of powers; the per-root Grams build each entry's Signal
-once per bank and evaluate the entries root by root, all of them at root p
-before any at p + 1) or at every root by one FFT along P
+time (:func:`gram`, on the matrix's M rows of N entry Signals, which the
+per-root Grams build once per bank and evaluate root by root, all of them at
+root p before any at p + 1, each a dot product with the root's cached,
+read-only row of powers) or at every root by one FFT along P
 (:func:`eval_all_roots`); a filter's Zak row sums are its squared polyphase
 norms folded over R.
 """
@@ -25,7 +25,6 @@ __all__ = [
     "decompose",
     "matrix_of",
     "bank_of",
-    "eval_matrix",
     "eval_all_roots",
     "gram",
     "zak_power_rows",
@@ -47,29 +46,18 @@ def bank_of(coeffs) -> FilterBank:
     return FilterBank.from_coeffs(coeffs)
 
 
-def eval_matrix(mat: np.ndarray | list[list[Signal]], p: int) -> np.ndarray:
-    """Entrywise evaluation at the p-th root of unity; returns M x N complex.
-
-    ``mat`` is an (M, N, P) array or its M rows of N entry Signals, built once
-    and evaluated at many roots: each entry goes through ``Signal.eval_at_root``,
-    so both forms give the same bits."""
-    return np.array(
-        [[(e if isinstance(e, Signal) else Signal(e)).eval_at_root(p) for e in row] for row in mat],
-        dtype=complex,
-    )
-
-
 def eval_all_roots(mat: np.ndarray) -> np.ndarray:
-    """Values at every root by one FFT along P: slice [..., p] is ``eval_matrix(mat, p)``,
-    in C order whatever ``mat``'s strides, so sums over it add in one order."""
+    """Values at every root by one FFT along P, in C order whatever ``mat``'s
+    strides, so sums over it add in one order."""
     return np.fft.fft(np.ascontiguousarray(mat), axis=-1)
 
 
-def gram(mat: np.ndarray | list[list[Signal]], p: int) -> np.ndarray:
-    """The M x M matrix E E^H with E the evaluation at root p, ``mat`` an array
-    or its rows of entry Signals as in :func:`eval_matrix`; Hermitian by
-    construction, and its extreme eigenvalues are the per-root frame bounds."""
-    e = eval_matrix(mat, p)
+def gram(entries: list[list[Signal]], p: int) -> np.ndarray:
+    """The M x M matrix E E^H with E the evaluation at root p of ``entries``,
+    a polyphase matrix's M rows of N entry Signals, each through
+    ``Signal.eval_at_root``; Hermitian by construction, and its extreme
+    eigenvalues are the per-root frame bounds."""
+    e = np.array([[x.eval_at_root(p) for x in row] for row in entries], dtype=complex)
     return e @ e.conj().T
 
 

@@ -41,29 +41,27 @@ def circ_convolve(x: Signal, h: Signal) -> Signal:
     return x * h
 
 
-def upsample(y: Signal | np.ndarray, m: int) -> Signal | np.ndarray:
-    """Insert m - 1 zeros between samples along the last axis, of a Signal or
-    of an array of signals; output period is m * P, and of the input's kind."""
+def upsample(y: np.ndarray, m: int) -> np.ndarray:
+    """Insert m - 1 zeros between samples along the last axis of an array of
+    signals; output period is m * P."""
     if m < 1:
         raise ValueError("upsampling factor must be positive")
-    a = y.samples if isinstance(y, Signal) else np.asarray(y)
-    out = np.zeros((*a.shape[:-1], m * a.shape[-1]), dtype=complex)
-    out[..., ::m] = a
-    return Signal(out) if isinstance(y, Signal) else out
+    out = np.zeros((*y.shape[:-1], m * y.shape[-1]), dtype=complex)
+    out[..., ::m] = y
+    return out
 
 
-def translate_matrix(x: Signal | np.ndarray, m: int) -> np.ndarray:
-    """A read-only view of ``x`` (a Signal or an array of P rows) doubled, whose
-    slice ``[..., k]`` is ``x`` rolled by m k along axis 0, m | P: for a Signal,
-    the P x (P/m) matrix whose column k is T^{mk} x."""
-    a = x.samples if isinstance(x, Signal) else np.asarray(x)
-    p = len(a)
+def translate_matrix(x: np.ndarray, m: int) -> np.ndarray:
+    """A read-only view of the array ``x`` of P rows doubled, whose slice
+    ``[..., k]`` is ``x`` rolled by m k along axis 0, m | P: for one signal's
+    samples, the P x (P/m) matrix whose column k is T^{mk} x."""
+    p = len(x)
     if m < 1 or p % m != 0:
         raise ValueError(f"translation step {m} must divide period {p}")
-    doubled = np.concatenate([a, a])  # [i, ..., k] below reads its row P + i - m k
+    doubled = np.concatenate([x, x])  # [i, ..., k] below reads its row P + i - m k
     doubled.setflags(write=False)  # so the view is read-only too
     s = doubled.strides  # numpy checks the view against doubled's bounds
-    return np.ndarray((*a.shape, p // m), a.dtype, doubled, p * s[0], (*s, -m * s[0]))
+    return np.ndarray((*x.shape, p // m), x.dtype, doubled, p * s[0], (*s, -m * s[0]))
 
 
 def modulate(x: Signal, p: int) -> Signal:
@@ -144,14 +142,11 @@ class FilterBank:
 # An (N, P) stack of rows is written as the list of its N signal objects.
 
 
-def signal_to_json(x: Signal | np.ndarray) -> dict | list[dict]:
-    """The signal object of a Signal, or the list of those of an (N, P) stack
-    of rows; every [re, im] pair comes from one ``tolist``."""
-    a = x.samples if isinstance(x, Signal) else np.asarray(x)
-    pairs = np.stack([a.real, a.imag], axis=-1).tolist()
-    if isinstance(x, Signal):
-        return {"period": x.period, "samples": pairs}
-    return [{"period": a.shape[-1], "samples": row} for row in pairs]
+def signal_to_json(x: np.ndarray) -> list[dict]:
+    """The list of the signal objects of an (N, P) stack of rows; every
+    [re, im] pair comes from one ``tolist``."""
+    pairs = np.stack([x.real, x.imag], axis=-1).tolist()
+    return [{"period": x.shape[-1], "samples": row} for row in pairs]
 
 
 def _fields(obj, kind: str, keys: tuple[str, ...]) -> list:

@@ -4,7 +4,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from fbff import analysis, cyclic
 from fbff.analysis import (
-    channel_defect,
+    channel_defects,
     channel_is_projection,
     frame_bounds,
     fusion_report,
@@ -16,10 +16,10 @@ from fbff.constructions import (
     daubechies_mercedes,
     mercedes_benz,
     modulated_daubechies_stack,
-    named_bank,
+    named_matrix,
 )
 from fbff.multilevel import verify_weighted_parseval
-from fbff.polyphase import bank_of, eval_all_roots, matrix_of
+from fbff.polyphase import bank_of, decompose, eval_all_roots, matrix_of
 from fbff.signals import FilterBank, Signal, translate_matrix
 from refs import delta, zero
 
@@ -358,10 +358,10 @@ def test_channel_projection_daubechies_lowpass():
 def test_channel_defect_reads_twice_the_scaling_of_a_projection_channel():
     # the defect is the largest entry of T^H T - I: (1 + d)^2 - 1 = 2d + d^2
     phi = bank_of(mercedes_benz(16)).filters[0]
-    assert channel_defect(phi, 2) <= 1e-15
+    assert channel_defects(decompose(phi, 2))[0] <= 1e-15
     for d in (1e-11, 1e-8, 1e-3):
         scaled = Signal((1.0 + d) * phi.samples)
-        assert channel_defect(scaled, 2) == pytest.approx(2 * d + d * d, rel=1e-4)
+        assert channel_defects(decompose(scaled, 2))[0] == pytest.approx(2 * d + d * d, rel=1e-4)
     assert channel_is_projection(Signal((1.0 + 4e-10) * phi.samples), 2, tol=1e-9)
     assert not channel_is_projection(Signal((1.0 + 6e-10) * phi.samples), 2, tol=1e-9)
 
@@ -369,9 +369,9 @@ def test_channel_defect_reads_twice_the_scaling_of_a_projection_channel():
 def test_channel_defect_is_the_largest_autocorrelation_defect():
     rng = np.random.default_rng(6)
     phi = Signal(rng.standard_normal(12) + 1j * rng.standard_normal(12))
-    t = translate_matrix(phi, 3)
+    t = translate_matrix(phi.samples, 3)
     expected = np.max(np.abs(t.conj().T @ t - np.eye(4)))
-    assert channel_defect(phi, 3) == pytest.approx(expected, rel=1e-12)
+    assert channel_defects(decompose(phi, 3))[0] == pytest.approx(expected, rel=1e-12)
 
 
 def _random_banks():
@@ -387,7 +387,7 @@ def _ladder():
     """Filter 0 of two projection banks scaled by 1 + d: its defect 2d + d^2
     crosses tol 1e-9."""
     for name in ("mercedes-benz", "daubechies4"):
-        fb = named_bank(name, 16)
+        fb = bank_of(named_matrix(name, 16))
         for d in np.geomspace(1e-11, 1e-8, 30):
             scaled = Signal((1.0 + d) * fb.filters[0].samples)
             yield FilterBank((scaled,) + fb.filters[1:], fb.downsample)
@@ -396,7 +396,7 @@ def _ladder():
 def _one_fft_channels(fb, tol):
     """The report's channel verdicts, after checking that its one-FFT
     defects agree with each filter decomposed on its own."""
-    per_filter = [channel_defect(phi, fb.downsample) for phi in fb.filters]
+    per_filter = [channel_defects(decompose(phi, fb.downsample))[0] for phi in fb.filters]
     one_fft = analysis.channel_defects(matrix_of(fb))
     for got, want in zip(one_fft, per_filter, strict=True):
         assert abs(got - want) <= 1e-12 * max(1.0, want)

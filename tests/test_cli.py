@@ -18,8 +18,9 @@ from hypothesis import given, settings, strategies as st
 from fbff import cli, constructions, multilevel, signals
 from fbff.analysis import fusion_report, report_to_json
 from fbff.cli import frequency_table, main, write_frequency_table
-from fbff.constructions import named_bank
+from fbff.constructions import named_matrix
 from fbff.gabor import gabor_bank
+from fbff.polyphase import bank_of
 from fbff.signals import FilterBank, Signal, bank_from_json, bank_to_json, signal_from_json
 from refs import delta
 
@@ -138,7 +139,7 @@ def test_analyze_oracle_agreement(capsys, tmp_path):
 def test_analyze_oracle_agrees_across_the_projection_boundary(capsys, tmp_path):
     # filter 0 scaled by 1 + d has defect 2d + d^2, which crosses the
     # verdict tolerance 1e-9 inside the ladder; both routes read that number
-    fb = named_bank("mercedes-benz", 16)
+    fb = bank_of(named_matrix("mercedes-benz", 16))
     path = tmp_path / "scaled.json"
     flags = []
     for delta in np.geomspace(1e-11, 1e-8, 30):
@@ -215,7 +216,7 @@ def test_freq_requires_two_samples(capsys, tmp_path):
 
 def test_freq_overflowing_samples_are_usage_error(capsys, tmp_path):
     # finite samples whose squared magnitudes overflow: no table to write
-    obj = bank_to_json(named_bank("mercedes-benz", 2))
+    obj = bank_to_json(bank_of(named_matrix("mercedes-benz", 2)))
     obj["filters"][0]["samples"][0] = [1e200, 0.0]
     path = tmp_path / "input.json"
     path.write_text(json.dumps(obj))
@@ -228,7 +229,7 @@ def test_freq_overflowing_samples_are_usage_error(capsys, tmp_path):
 
 
 def test_frequency_table_matches_direct_sum():
-    fb = named_bank("daubechies4", 4)
+    fb = bank_of(named_matrix("daubechies4", 4))
     table = frequency_table(fb, 5)
     assert table.shape == (fb.n_channels, 5)
     k = np.arange(fb.filter_period)
@@ -350,7 +351,7 @@ def test_compose_writes_the_per_leaf_signal_json(capsys, tmp_path, spec, ambient
     tree_path.write_text(json.dumps(spec))
     argv = ["compose", "--tree", str(tree_path), "--inner-dim", "4", "--verify", "--out", str(out_path)]
     assert _run(capsys, *argv)[0] == 0
-    tree = multilevel.tree_from_json(spec, lambda name: named_bank(name, ambient))
+    tree = multilevel.tree_from_json(spec, lambda name: bank_of(named_matrix(name, ambient)))
     leaves = multilevel.compose_tree(tree, ambient)
     ok, residual = multilevel.verify_tree(leaves)
     want = {
@@ -360,7 +361,7 @@ def test_compose_writes_the_per_leaf_signal_json(capsys, tmp_path, spec, ambient
                 "weight": {"num": w.numerator, "den": w.denominator},
                 "rank": leaf.inner_period,
                 "rate": leaf.downsample,
-                "filter": signals.signal_to_json(leaf.filters[0]),
+                "filter": signals.signal_to_json(leaf.samples)[0],
             }
             for leaf, w in leaves
         ],
@@ -393,6 +394,12 @@ def test_design_maxflat_cli(capsys, tmp_path):
     assert report["is_tight"] is True
     filt = json.loads(out_path.read_text())
     assert filt["period"] == 4 * report["block"]
+    # the same seed without --out: the report carries the file's object as "filter"
+    code, out, _ = _run(capsys, "design-maxflat", "--half-taps", "2", "--seed", "3", "--restarts", "20")
+    assert code == 0
+    full = json.loads(out)
+    assert "filter" not in report and full.pop("filter") == filt
+    assert full == report
 
 
 def test_design_maxflat_verdicts_match_the_materialized_bank(capsys):
@@ -483,10 +490,11 @@ def test_output_json_reparses_identically(capsys, tmp_path):
     assert json.dumps(bank_to_json(fb)) + "\n" == text
 
 
-def _per_sample_signal_to_json(x):
-    if not isinstance(x, Signal):  # a stack of rows
-        return [_per_sample_signal_to_json(Signal(row)) for row in x]
-    return {"period": x.period, "samples": [[float(v.real), float(v.imag)] for v in x.samples]}
+def _per_sample_signal_to_json(stack):
+    return [
+        {"period": len(row), "samples": [[float(v.real), float(v.imag)] for v in row]}
+        for row in stack
+    ]
 
 
 # -0.0, subnormals of both signs and the smallest normal, among ordinary samples
@@ -529,8 +537,8 @@ def test_write_json_writes_what_json_dumps_writes(fb, seed):
 
     obj = bank_to_json(fb)
     assert dumped(obj) == json.dumps(obj) + "\n"
-    # one wire form: the bank's stack, a Signal and a stack's rows agree byte for byte
-    per_filter = [signals.signal_to_json(f) for f in fb.filters]
+    # one wire form: the bank's stack and its filters one at a time agree byte for byte
+    per_filter = [signals.signal_to_json(f.samples[None])[0] for f in fb.filters]
     assert json.dumps(obj["filters"]) == json.dumps(per_filter)
     assert json.dumps(signals.signal_to_json(fb.samples)) == json.dumps(per_filter)
     rep = report_to_json(fusion_report(fb))
@@ -623,12 +631,12 @@ def test_usage_error_exit_code(capsys):
 
 
 def _malformed_bank(edit):
-    obj = bank_to_json(named_bank("mercedes-benz", 2))
+    obj = bank_to_json(bank_of(named_matrix("mercedes-benz", 2)))
     edit(obj)
     return obj
 
 
-_BANK_TEXT = json.dumps(bank_to_json(named_bank("mercedes-benz", 2)))
+_BANK_TEXT = json.dumps(bank_to_json(bank_of(named_matrix("mercedes-benz", 2))))
 
 
 def _first_sample_text(real):
@@ -642,12 +650,12 @@ def _first_sample_text(real):
         (("analyze",), _malformed_bank(lambda o: o["filters"][0]["samples"][0].__setitem__(0, float("nan"))), "samples must be finite"),
         (("analyze",), _malformed_bank(lambda o: o["filters"][1]["samples"][2].__setitem__(1, float("inf"))), "samples must be finite"),
         (("analyze",), _malformed_bank(lambda o: o.pop("downsample")), "bank must be an object"),
-        (("analyze",), [bank_to_json(named_bank("mercedes-benz", 2))], "bank must be an object"),
+        (("analyze",), [bank_to_json(bank_of(named_matrix("mercedes-benz", 2)))], "bank must be an object"),
         (("analyze",), _malformed_bank(lambda o: o["filters"][0]["samples"].__setitem__(1, ["0.5", 0.0])), "samples must be a list"),
         (("compose", "--inner-dim", "4", "--tree"), {"bank": 5}, "bank must be an object"),
         (("build", "mercedes-benz", "--period", "0"), None, "period must be positive"),
         (("compose", "--inner-dim", "0", "--tree"), {"bank": "example7"}, "--inner-dim must be positive, got 0"),
-        (("compose", "--inner-dim", "-2", "--tree"), {"bank": bank_to_json(named_bank("daubechies4", 2))}, "--inner-dim must be positive, got -2"),
+        (("compose", "--inner-dim", "-2", "--tree"), {"bank": bank_to_json(bank_of(named_matrix("daubechies4", 2)))}, "--inner-dim must be positive, got -2"),
         (("build", "paraunitary-chain", "--period", "4", "--seed", "-1"), None, "seed must be nonnegative, got -1"),
         # raw texts, which orjson refuses and the stdlib reads as it did before orjson
         (("analyze",), _first_sample_text("1e400"), "samples must be finite"),
@@ -1011,14 +1019,14 @@ def test_deeply_nested_input_is_usage_error(capsys, tmp_path, argv_head, text):
 def test_oversized_tree_is_usage_error(capsys, tmp_path, monkeypatch):
     # a 35-level DWT tree over --inner-dim 1 has ambient dimension 2^35; the
     # allocation failure is simulated rather than attempted
-    real = constructions.named_bank
+    real = constructions.named_matrix
 
-    def named_bank_within_memory(name, period):
+    def named_matrix_within_memory(name, period):
         if period > 2**20:
             raise MemoryError  # as Python raises it: no message
         return real(name, period)
 
-    monkeypatch.setattr(constructions, "named_bank", named_bank_within_memory)
+    monkeypatch.setattr(constructions, "named_matrix", named_matrix_within_memory)
     path = tmp_path / "tree.json"
     path.write_text(_deep_tree_text(35))
     code, out, err = _run(capsys, "compose", "--tree", str(path), "--inner-dim", "1")

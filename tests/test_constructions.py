@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fbff.analysis import fusion_report
+from fbff.analysis import fusion_report, gram_stack
 from fbff.constructions import (
     DAUB_A,
     DAUB_B,
@@ -18,7 +18,7 @@ from fbff.constructions import (
     tensor,
     union,
 )
-from fbff.polyphase import bank_of, eval_matrix, gram
+from fbff.polyphase import bank_of, eval_all_roots
 from fbff.signals import Signal, modulate
 from refs import delta, zero
 
@@ -31,7 +31,7 @@ def _linear(c0, c1, period):
 
 def _unitary_at_all_roots(mat, tol=1e-12):
     return all(
-        np.max(np.abs(gram(mat, p) - np.eye(mat.shape[0]))) <= tol
+        np.max(np.abs(gram_stack(mat)[p] - np.eye(mat.shape[0]))) <= tol
         for p in range(mat.shape[2])
     )
 
@@ -45,7 +45,7 @@ def test_mercedes_filters():
 
 
 def test_mercedes_column_norms_at_z_one():
-    e = eval_matrix(mercedes_benz(2), 0)
+    e = eval_all_roots(mercedes_benz(2))[..., 0]
     np.testing.assert_allclose(np.linalg.norm(e, axis=0), np.ones(3), atol=1e-14)
 
 
@@ -174,8 +174,8 @@ def test_tensor_evaluates_to_kronecker():
     out = tensor(m0, m1)
     for p in range(6):
         np.testing.assert_allclose(
-            eval_matrix(out, p),
-            np.kron(eval_matrix(m0, p), eval_matrix(m1, p)),
+            eval_all_roots(out)[..., p],
+            np.kron(eval_all_roots(m0)[..., p], eval_all_roots(m1)[..., p]),
             atol=1e-10,
         )
 
@@ -218,8 +218,8 @@ def test_product_matches_numeric_product_at_roots():
     prod = paraunitary_product(chain, mercedes_benz(8))
     for p in range(8):
         np.testing.assert_allclose(
-            eval_matrix(prod, p),
-            eval_matrix(chain, p) @ eval_matrix(mercedes_benz(8), p),
+            eval_all_roots(prod)[..., p],
+            eval_all_roots(chain)[..., p] @ eval_all_roots(mercedes_benz(8))[..., p],
             atol=1e-10,
         )
 

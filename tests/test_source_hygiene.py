@@ -431,6 +431,44 @@ def test_public_methods_have_callers_outside_the_tests(path):
     assert uncalled_methods(path.read_text(encoding="utf-8"), _method_reads()) == []
 
 
+def signal_type_checks(source: str) -> list[int]:
+    """Lines of the ``isinstance(x, Signal)`` calls in ``source``, a tuple of
+    types that names ``Signal`` or ``<module>.Signal`` included."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)):
+            continue
+        if node.func.id != "isinstance" or len(node.args) != 2:
+            continue
+        kinds = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
+        if any(getattr(k, "id", getattr(k, "attr", None)) == "Signal" for k in kinds):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_signal_check_scanner_flags_only_signal_type_checks():
+    source = (
+        "from fbff import cyclic\n"
+        "def f(x, y, z):\n"
+        "    a = isinstance(x, Signal)\n"
+        "    b = isinstance(y, (int, cyclic.Signal))\n"
+        "    c = isinstance(z, np.ndarray)\n"
+        "    d = isinstance(x, (dict, list))\n"
+        "    return Signal(x), a, b, c, d\n"
+    )
+    assert signal_type_checks(source) == [3, 4]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "cyclic.py"], ids=lambda p: p.name
+)
+def test_library_functions_take_one_operand_kind(path):
+    # a library function takes the one operand kind its library callers pass
+    # (arrays, or Signals), never either: only the Signal class itself, in
+    # cyclic.py, checks whether an operand is a Signal
+    assert signal_type_checks(path.read_text(encoding="utf-8")) == []
+
+
 def test_one_class_for_periodic_sequences():
     # the tracer's alias names the signal class itself, not a second class
     import fbff.cyclic
