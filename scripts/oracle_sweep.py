@@ -3,6 +3,10 @@
 random bank ensemble and a fixed boundary ladder, printing a worst-case
 summary.
 
+The random banks draw the rate M from 1 to 3, the channel count N from 1 to
+M + 3 and the period P from 1 to 4, so undercomplete banks (N < M, lower
+bound 0) and single-root banks (P = 1) are among them.
+
 Every bank gets one fusion report and one dense solve (oracle.cross_check),
 which check it three ways: frame bounds against the dense spectrum extremes,
 per-channel projection verdicts against the dense translate Gram's defect (a
@@ -29,8 +33,8 @@ from fbff.signals import FilterBank, Signal
 
 def random_bank(rng, max_rate=3, max_extra=3, max_period=4):
     m = int(rng.integers(1, max_rate + 1))
-    n = int(rng.integers(m, m + max_extra + 1))
-    p = int(rng.integers(2, max_period + 1))
+    n = int(rng.integers(1, m + max_extra + 1))
+    p = int(rng.integers(1, max_period + 1))
     filters = tuple(
         Signal(rng.standard_normal(m * p) + 1j * rng.standard_normal(m * p))
         for _ in range(n)

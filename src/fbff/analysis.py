@@ -228,7 +228,12 @@ def report_to_json(rep: FusionReport) -> dict:
     }
 
 
-def isometry_defect(t: np.ndarray) -> float:
-    """Largest entry of T^H T - I for a dense T: 0 exactly when T T^H is
-    the orthogonal projection of rank ``T.shape[1]`` onto T's span."""
-    return float(np.max(np.abs(t.conj().T @ t - np.eye(t.shape[1])), initial=0.0))
+def isometry_defect(t: np.ndarray) -> float | np.ndarray:
+    """Largest entry of T^H T - I for each dense T of a (..., dim, r) stack,
+    from one batched product: 0 exactly when T T^H is the orthogonal
+    projection of rank r onto T's span.  A 2-D ``t`` gives one float."""
+    gram = np.swapaxes(t.conj(), -1, -2) @ t
+    diag = np.arange(t.shape[-1])
+    gram[..., diag, diag] -= 1.0
+    defect = np.max(np.abs(gram), axis=(-2, -1), initial=0.0)
+    return float(defect) if t.ndim == 2 else defect

@@ -93,14 +93,14 @@ def gabor_tightness(phi: Signal, m: int, r: int, *, tol: float = 1e-9) -> bool:
 
     It is iff each component s_k = sqrt(M) * phi[k::M] has orthonormal
     R-translates.  Their defect is read from the Zak row sums over R, which
-    are the components' squared polyphase norms, and from the dense
-    translate Grams.  The verdict is Zak defect <= tol; defects differing
-    beyond rounding, 1e-12 of max(1, defect), raise RuntimeError.
+    are the components' squared polyphase norms, and from their stacked
+    dense translate Grams.  The verdict is Zak defect <= tol; defects
+    differing beyond rounding, 1e-12 of max(1, defect), raise RuntimeError.
     """
     rows = zak_row_sums(phi, m, r)
     zak_defect = float(np.max(autocorrelation_defect(rows / r)))
     comps = translate_matrix(np.sqrt(m) * phi.samples.reshape(-1, m), r)  # [:, k] is T of s_k
-    time_defect = max(isometry_defect(comps[:, k]) for k in range(m))
+    time_defect = float(np.max(isometry_defect(np.moveaxis(comps, 1, 0))))
     if abs(zak_defect - time_defect) > 1e-12 * max(1.0, zak_defect):
         raise RuntimeError(
             f"tightness defects disagree: Zak {zak_defect:.3e}, Gram {time_defect:.3e}"

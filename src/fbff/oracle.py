@@ -2,29 +2,27 @@
 
 The synthesis operator is materialized as an explicit matrix of translated
 filters, and every frame quantity is read off it directly, with no
-polyphase machinery anywhere on this path.  A channel is judged by the
-polyphase route's defect, the largest entry of T^H T - I, read from its
-P x P translate Gram; spectra match to tol * max(1, B).  Deliberately naive:
-O((MP)^3) eigenvalue solves (no eigenvectors) by LAPACK's general
-eigensolver ``zgeev`` (``hermitian_eigs``), which the polyphase route never
-uses, gated to dense dimension 256, where one solve of a random bank takes
-about 60 ms of CPU on one thread.
+polyphase machinery anywhere on this path.  Channels are judged by the
+polyphase route's defect, the largest entry of T^H T - I, read from the
+stack of every channel's P x P translate Gram, formed by one batched
+product (``analysis.isometry_defect``); spectra match to tol * max(1, B).
+Deliberately naive: O((MP)^3) eigenvalue solves (no eigenvectors) by
+LAPACK's general eigensolver ``zgeev`` (``hermitian_eigs``), which the
+polyphase route never uses, gated to dense dimension 256, where one solve
+of a random bank takes about 60 ms of CPU on one thread.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .analysis import FusionReport, frame_bounds, hermitian_eigs
+from .analysis import FusionReport, frame_bounds, hermitian_eigs, isometry_defect
 from .polyphase import matrix_of
 from .signals import FilterBank, translate_matrix
 
 __all__ = [
     "densify",
     "dense_frame_spectrum",
-    "ChannelGram",
     "dense_channel_gram",
     "spectrum_union_check",
     "cross_check",
@@ -50,29 +48,12 @@ def dense_frame_spectrum(d: np.ndarray) -> np.ndarray:
     return hermitian_eigs(mat @ mat.conj().T)
 
 
-@dataclass(frozen=True)
-class ChannelGram:
-    """Projection verdict for one channel's dense translate Gram."""
-
-    is_projection: bool
-    rank: int
-    trace: float
-    defect: float  # largest entry of T^H T - I
-
-
-def dense_channel_gram(d: np.ndarray, n: int, tol: float = 1e-9) -> ChannelGram:
-    """Form the P x P Gram T^H T of the channel's translates ``d[:, n, :]``
-    densely; the channel is a projection iff its largest entry of
-    T^H T - I is <= tol."""
-    if not 0 <= n < d.shape[1]:
-        raise ValueError(f"channel index {n} out of range")
-    cols = d[:, n, :]
-    gram = cols.conj().T @ cols
-    defect = float(np.max(np.abs(gram - np.eye(d.shape[2]))))
-    trace = float(np.trace(gram).real)  # = trace of the projection T T^H
-    return ChannelGram(
-        is_projection=defect <= tol, rank=int(round(trace)), trace=trace, defect=defect
-    )
+def dense_channel_gram(d: np.ndarray) -> np.ndarray:
+    """The (N,) defects of the channels of the densified array ``d``: each
+    channel's largest entry of T^H T - I, T its translates ``d[:, n, :]``,
+    from one batched product of the P x P Gram stack; channel n is a
+    projection iff its defect is <= the tolerance."""
+    return isometry_defect(np.moveaxis(d, 1, 0))
 
 
 def _union_matches(dense: np.ndarray, spectra: np.ndarray, tol: float) -> bool:
@@ -97,10 +78,8 @@ def cross_check(fb: FilterBank, rep: FusionReport, tol: float = 1e-8) -> dict:
     a_dense = max(float(spectrum[0]), 0.0)
     b_dense = float(spectrum[-1])
     bound_gap = max(abs(rep.bounds.A - a_dense), abs(rep.bounds.B - b_dense))
-    channel_match = all(
-        dense_channel_gram(dense, n, tol=rep.tolerance).is_projection == flag
-        for n, flag in enumerate(rep.channel_projection)
-    )
+    defects = dense_channel_gram(dense)
+    channel_match = bool(np.all((defects <= rep.tolerance) == rep.channel_projection))
     union_ok = _union_matches(spectrum, rep.bounds.spectra, tol)
     return {
         "A_dense": a_dense,

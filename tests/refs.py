@@ -123,6 +123,13 @@ def pp_inner(phi: Signal, psi: Signal, m: int) -> complex:
     return complex(np.sum(ev[:, 0] * np.conj(ev[:, 1])) / (phi.period // m))
 
 
+def channel_trace(dense: np.ndarray, n: int) -> float:
+    """Trace of channel n's dense translate Gram T^H T, T = ``dense[:, n, :]``:
+    the trace, so for a projection channel the rank, of T T^H."""
+    cols = dense[:, n, :]
+    return float(np.trace(cols.conj().T @ cols).real)
+
+
 # -- trees --------------------------------------------------------------------
 
 

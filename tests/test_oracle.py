@@ -22,7 +22,7 @@ from fbff.oracle import (
 )
 from fbff.polyphase import bank_of, decompose, matrix_of
 from fbff.signals import FilterBank, Signal
-from refs import delta, synthesis_apply, zero
+from refs import channel_trace, delta, synthesis_apply, zero
 
 
 def _random_signal(rng, period):
@@ -90,16 +90,16 @@ def test_spectrum_extremes_match_polyphase_bounds():
 
 def test_channel_gram_delta():
     fb = FilterBank((delta(0, 6),), 2)
-    cg = dense_channel_gram(densify(fb), 0)
-    assert cg.is_projection and cg.rank == 3
+    dense = densify(fb)
+    assert dense_channel_gram(dense)[0] <= 1e-9
+    assert round(channel_trace(dense, 0)) == 3
 
 
 def test_channel_gram_mercedes_ranks():
     fb = bank_of(mercedes_benz(2))
     d = densify(fb)
-    grams = [dense_channel_gram(d, n) for n in range(3)]
-    assert all(cg.is_projection for cg in grams)
-    assert [cg.rank for cg in grams] == [2, 2, 2]
+    assert np.all(dense_channel_gram(d) <= 1e-9)
+    assert [round(channel_trace(d, n)) for n in range(3)] == [2, 2, 2]
     # the three projections sum to 1.5 I
     total = np.zeros((4, 4), dtype=complex)
     for n in range(3):
@@ -110,14 +110,7 @@ def test_channel_gram_mercedes_ranks():
 
 def test_channel_gram_detects_non_projection():
     fb = FilterBank((delta(0, 6) + delta(2, 6),), 2)
-    cg = dense_channel_gram(densify(fb), 0)
-    assert not cg.is_projection
-
-
-def test_channel_gram_index_check():
-    fb = bank_of(mercedes_benz(2))
-    with pytest.raises(ValueError):
-        dense_channel_gram(densify(fb), 3)
+    assert not dense_channel_gram(densify(fb))[0] <= 1e-9
 
 
 def test_spectrum_union_constant_bank():
@@ -252,22 +245,39 @@ def test_channel_defect_matches_the_dense_gram_defect(m, p, n, paraunitary, seed
     else:
         fb = FilterBank(tuple(_random_signal(rng, m * p) for _ in range(n)), m)
     dense = densify(fb)
+    defects = dense_channel_gram(dense)
+    assert defects.shape == (fb.n_channels,)
     for idx, phi in enumerate(fb.filters):
         poly = channel_defects(decompose(phi, m))[0]
-        cg = dense_channel_gram(dense, idx)
-        assert abs(poly - cg.defect) <= 1e-12 * max(1.0, poly)
-        assert cg.is_projection == (cg.defect <= 1e-9)
+        assert abs(poly - defects[idx]) <= 1e-12 * max(1.0, poly)
+        # the batched stack gives each channel's own dense Gram defect, bit for bit
+        cols = dense[:, idx, :]
+        assert defects[idx] == np.max(np.abs(cols.conj().T @ cols - np.eye(p)))
+
+
+def _traced_peak(f, *args):
+    tracemalloc.start()
+    try:
+        out = f(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak
 
 
 def test_channel_gram_forms_no_dim_by_dim_matrix():
     # one channel of 2 translates at the gate's dimension 256: a dim x dim
     # complex matrix would take 1 MiB, the 2 x 2 Gram takes 64 bytes
     dense = densify(FilterBank((delta(0, _MAX_DIM),), _MAX_DIM // 2))
-    tracemalloc.start()
-    try:
-        cg = dense_channel_gram(dense, 0)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert cg.is_projection and cg.rank == 2 and cg.defect == 0.0
+    defects, peak = _traced_peak(dense_channel_gram, dense)
+    assert defects.tolist() == [0.0] and round(channel_trace(dense, 0)) == 2
     assert peak < _MAX_DIM * _MAX_DIM * 16 // 8
+    # eight channels of 256 translates at the gate, (M, N, P) = (1, 8, 256):
+    # the batched product holds the conjugated (P, N, P) array and the stack
+    # of N P x P complex Grams, one stack each; a further stack-sized
+    # temporary, such as T^H T - I out of place, would take a third
+    n, p = 8, _MAX_DIM
+    dense = densify(FilterBank(tuple(delta(k, p) for k in range(n)), 1))
+    defects, peak = _traced_peak(dense_channel_gram, dense)
+    assert defects.tolist() == [0.0] * n
+    assert peak < 2.25 * n * p * p * 16
