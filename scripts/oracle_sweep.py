@@ -28,17 +28,14 @@ from fbff.analysis import fusion_report
 from fbff.constructions import named_matrix
 from fbff.oracle import cross_check
 from fbff.polyphase import bank_of
-from fbff.signals import FilterBank, Signal
+from fbff.signals import FilterBank
 
 
 def random_bank(rng, max_rate=3, max_extra=3, max_period=4):
     m = int(rng.integers(1, max_rate + 1))
     n = int(rng.integers(1, m + max_extra + 1))
     p = int(rng.integers(1, max_period + 1))
-    filters = tuple(
-        Signal(rng.standard_normal(m * p) + 1j * rng.standard_normal(m * p))
-        for _ in range(n)
-    )
+    filters = [rng.standard_normal(m * p) + 1j * rng.standard_normal(m * p) for _ in range(n)]
     return FilterBank(filters, m)
 
 
@@ -46,8 +43,7 @@ def boundary_ladder():
     for name in ("mercedes-benz", "daubechies4"):
         fb = bank_of(named_matrix(name, 16))
         for d in np.geomspace(1e-11, 1e-8, 30):
-            scaled = Signal((1.0 + d) * fb.filters[0].samples)
-            yield FilterBank((scaled,) + fb.filters[1:], fb.downsample)
+            yield FilterBank([(1.0 + d) * fb.samples[0], *fb.samples[1:]], fb.downsample)
 
 
 def main() -> int:

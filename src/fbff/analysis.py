@@ -164,7 +164,7 @@ def channel_defects(mat: np.ndarray) -> np.ndarray:
         return autocorrelation_defect(np.sum(np.abs(eval_all_roots(mat)) ** 2, axis=0))
 
 
-def channel_is_projection(phi: Signal, m: int, tol: float = 1e-9) -> bool:
+def channel_is_projection(phi: np.ndarray, m: int, tol: float = 1e-9) -> bool:
     """Whether the m-translates of ``phi`` are orthonormal, i.e. whether the
     largest entry of T^H T - I, max_j |<phi, T^{mj} phi> - delta_j|, read by
     :func:`channel_defects` from one FFT of ``phi``'s polyphase components,

@@ -199,18 +199,25 @@ def _cmd_freq(args) -> int:
     return 0
 
 
-def _named_banks(period: int):
-    """Tree bank resolver at ``period``; a packet tree names one bank at
-    many nodes, so each name is built once per resolver."""
-    return functools.cache(lambda name: bank_of(constructions.named_matrix(name, period)))
+def _banks(period: int, inline: dict):
+    """Tree bank resolver at ``period``: names built once each, inline banks once per ``inline``."""
+    named = functools.cache(lambda name: bank_of(constructions.named_matrix(name, period)))
+
+    def resolve(spec):
+        if isinstance(spec, str):
+            return named(spec)
+        inline[id(spec)] = inline.get(id(spec)) or bank_from_json(spec)
+        return inline[id(spec)]
+
+    return resolve
 
 
 def _cmd_compose(args) -> int:
     if args.inner_dim < 1:
         raise ValueError(f"--inner-dim must be positive, got {args.inner_dim}")
-    spec = _load_json(args.tree)
-    ambient = args.inner_dim * multilevel.tree_from_json(spec, _named_banks(4)).max_leaf_rate
-    tree = multilevel.tree_from_json(spec, _named_banks(ambient))
+    spec, inline = _load_json(args.tree), {}  # inline banks parsed once; named at 4, then ambient
+    ambient = args.inner_dim * multilevel.tree_from_json(spec, _banks(4, inline)).max_leaf_rate
+    tree = multilevel.tree_from_json(spec, _banks(ambient, inline))
     leaves = multilevel.compose_tree(tree, ambient, tol=args.tol)
     stack = np.array([leaf.samples[0] for leaf, _ in leaves])  # every leaf has period ambient
     out = {
@@ -262,7 +269,7 @@ def _cmd_design_maxflat(args) -> int:
         report["is_tight"] = bounds.is_tight(_DESIGN_TOL)
         report["channel_projection"] = [proj] * 4  # modulation keeps polyphase norms
         report["tolerance"] = _DESIGN_TOL
-        (filt,) = signal_to_json(result.signal.samples[None])
+        (filt,) = signal_to_json(result.signal[None])
         if args.out is not None:
             _write_json(filt, args.out)
         else:

@@ -36,7 +36,8 @@ import numpy as np
 
 from . import polyphase
 from .analysis import FrameBounds, autocorrelation_defect, isometry_defect
-from .signals import FilterBank, Signal, modulate, translate_matrix
+from .cyclic import twist
+from .signals import FilterBank, translate_matrix
 
 __all__ = [
     "gabor_bank",
@@ -54,16 +55,17 @@ __all__ = [
 ]
 
 
-def gabor_bank(phi: Signal, m: int, r: int) -> FilterBank:
+def gabor_bank(phi: np.ndarray, m: int, r: int) -> FilterBank:
     """The M*R modulates of ``phi`` by Q*n, Q = period / (M*R), downsampled
-    by M over the inner period Q*R, as a plain filter bank."""
-    if m < 1 or r < 1 or phi.period % (m * r):
-        raise ValueError(f"M*R = {m}*{r} must divide the prototype period {phi.period}")
-    q = phi.period // (m * r)
-    return FilterBank(tuple(modulate(phi, q * n) for n in range(m * r)), m)
+    by M over the inner period Q*R: filter n is ``phi`` twisted by Q*n."""
+    period = len(phi)
+    if m < 1 or r < 1 or period % (m * r):
+        raise ValueError(f"M*R = {m}*{r} must divide the prototype period {period}")
+    q = period // (m * r)
+    return FilterBank([twist(phi, q * n, period) for n in range(m * r)], m)
 
 
-def zak_row_sums(phi: Signal, m: int, r: int) -> np.ndarray:
+def zak_row_sums(phi: np.ndarray, m: int, r: int) -> np.ndarray:
     """M x Q grid: M * sum_r |Zak(m, r)|^2 at roots 0 .. Q-1 (then it repeats).
 
     The extreme entries are the optimal frame bounds of the bank; a tight
@@ -78,7 +80,7 @@ def zak_row_sums(phi: Signal, m: int, r: int) -> np.ndarray:
     return rows
 
 
-def gabor_frame_bounds(phi: Signal, m: int, r: int) -> FrameBounds:
+def gabor_frame_bounds(phi: np.ndarray, m: int, r: int) -> FrameBounds:
     """Optimal bounds of the translate-and-modulate bank built on ``phi``.
 
     The evaluated Gram of such a bank is diagonal, with entry m equal to
@@ -88,7 +90,7 @@ def gabor_frame_bounds(phi: Signal, m: int, r: int) -> FrameBounds:
     return FrameBounds(np.sort(zak_row_sums(phi, m, r).T, axis=1))
 
 
-def gabor_tightness(phi: Signal, m: int, r: int, *, tol: float = 1e-9) -> bool:
+def gabor_tightness(phi: np.ndarray, m: int, r: int, *, tol: float = 1e-9) -> bool:
     """Whether the translate-and-modulate bank on ``phi`` is a tight frame.
 
     It is iff each component s_k = sqrt(M) * phi[k::M] has orthonormal
@@ -99,7 +101,7 @@ def gabor_tightness(phi: Signal, m: int, r: int, *, tol: float = 1e-9) -> bool:
     """
     rows = zak_row_sums(phi, m, r)
     zak_defect = float(np.max(autocorrelation_defect(rows / r)))
-    comps = translate_matrix(np.sqrt(m) * phi.samples.reshape(-1, m), r)  # [:, k] is T of s_k
+    comps = translate_matrix(np.sqrt(m) * np.reshape(phi, (-1, m)), r)  # [:, k] is T of s_k
     time_defect = float(np.max(isometry_defect(np.moveaxis(comps, 1, 0))))
     if abs(zak_defect - time_defect) > 1e-12 * max(1.0, zak_defect):
         raise RuntimeError(
@@ -241,15 +243,12 @@ def interleave_taps(even, odd) -> np.ndarray:
     return taps
 
 
-def embed_taps(taps, q: int) -> Signal:
+def embed_taps(taps, q: int) -> np.ndarray:
     """Zero-extend a tap vector into the period-4Q signal space (M = R = 2)."""
     taps = np.asarray(taps, dtype=complex)
-    period = 4 * q
-    if taps.size > period:
-        raise ValueError(f"{taps.size} taps do not fit in period {period}")
-    samples = np.zeros(period, dtype=complex)
-    samples[: taps.size] = taps
-    return Signal(samples)
+    if taps.size > 4 * q:
+        raise ValueError(f"{taps.size} taps do not fit in period {4 * q}")
+    return np.pad(taps, (0, 4 * q - taps.size))
 
 
 # -- small dense Levenberg-Marquardt ------------------------------------------
@@ -324,7 +323,7 @@ class MaxFlatResult:
     """
 
     taps: np.ndarray | None
-    signal: Signal | None
+    signal: np.ndarray | None  # the taps embedded in period 4Q
     restart: int
     block: int  # Q used for the embedding
     trace: tuple[tuple[float | None, int], ...]

@@ -43,10 +43,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import signals
 from .analysis import channel_defects, isometry_defect
 from .cyclic import ring_product
-from .signals import FilterBank, Signal, translate_matrix, upsample
+from .signals import FilterBank, translate_matrix, upsample
 
 __all__ = [
     "equivalent_filter",
@@ -150,7 +149,7 @@ def compose_tree(tree: TreeNode, dim: int, tol: float = 1e-9):
             rows, rate = equivalent_filter(outer, rows, outer_rate), outer_rate * m
         for row, child in zip(rows, node.children):
             if child.bank is None:
-                leaves.append((FilterBank((Signal(row),), rate), weight))
+                leaves.append((FilterBank(row[None], rate), weight))
             else:
                 walk(child, dim_here // m, (row, rate), weight)
 
@@ -220,13 +219,12 @@ def tree_from_json(obj, resolve_bank) -> TreeNode:
     The format is ``{"bank": <name or inline bank>, "children": [...]}``
     where each child is either the string ``"identity"`` or another tree
     object, and ``children`` may be omitted for a depth-one node.
-    ``resolve_bank`` maps a bank name to a FilterBank; inline banks use the
-    shared filter-bank JSON format.
+    ``resolve_bank`` maps each bank spec, a name or an inline bank in the
+    shared filter-bank JSON format, to a FilterBank.
     """
     if not isinstance(obj, dict) or "bank" not in obj:
         raise ValueError("tree node must be an object with a 'bank' key")
-    spec = obj["bank"]
-    bank = resolve_bank(spec) if isinstance(spec, str) else signals.bank_from_json(spec)
+    bank = resolve_bank(obj["bank"])
     specs = obj.get("children", [])
     if not isinstance(specs, list):
         raise ValueError("tree children must be a list")

@@ -4,8 +4,8 @@ The synthesis operator is materialized as an explicit matrix of translated
 filters, and every frame quantity is read off it directly, with no
 polyphase machinery anywhere on this path.  Channels are judged by the
 polyphase route's defect, the largest entry of T^H T - I, read from the
-stack of every channel's P x P translate Gram, formed by one batched
-product (``analysis.isometry_defect``); spectra match to tol * max(1, B).
+channels' P x P translate Grams, formed by batched products over chunks of
+channels (``analysis.isometry_defect``); spectra match to tol * max(1, B).
 Deliberately naive: O((MP)^3) eigenvalue solves (no eigenvectors) by
 LAPACK's general eigensolver ``zgeev`` (``hermitian_eigs``), which the
 polyphase route never uses, gated to dense dimension 256, where one solve
@@ -29,6 +29,7 @@ __all__ = [
 ]
 
 _MAX_DIM = 256
+_CHUNK_BYTES = 1 << 22  # one chunk up to 21 channels at dense dimension 128 and P = 64
 
 
 def densify(fb: FilterBank) -> np.ndarray:
@@ -51,9 +52,12 @@ def dense_frame_spectrum(d: np.ndarray) -> np.ndarray:
 def dense_channel_gram(d: np.ndarray) -> np.ndarray:
     """The (N,) defects of the channels of the densified array ``d``: each
     channel's largest entry of T^H T - I, T its translates ``d[:, n, :]``,
-    from one batched product of the P x P Gram stack; channel n is a
-    projection iff its defect is <= the tolerance."""
-    return isometry_defect(np.moveaxis(d, 1, 0))
+    from batched products over chunks of channels whose conjugated translates
+    and P x P Grams take at most ``_CHUNK_BYTES``, the same products bit for
+    bit; channel n is a projection iff its defect is <= the tolerance."""
+    t = np.moveaxis(d, 1, 0)  # (N, MP, P)
+    step = max(1, _CHUNK_BYTES // ((len(d) + t.shape[2]) * t.shape[2] * d.itemsize))
+    return np.concatenate([isometry_defect(t[k : k + step]) for k in range(0, len(t), step)])
 
 
 def _union_matches(dense: np.ndarray, spectra: np.ndarray, tol: float) -> bool:

@@ -1,18 +1,15 @@
 """Polyphase decomposition, polyphase matrices, and their evaluation.
 
-A filter of period M * P splits into M cyclic polynomials of period P, one
-per residue class of the sample index mod M.  Stacking the components of N
-filters column by column gives the M x N polyphase matrix, one complex
-(M, N, P) coefficient array, which a :class:`~fbff.signals.FilterBank` holds
-as its only data; a single filter is an M x 1 matrix (a one-channel bank's).
-Evaluating it at the P-th roots of unity reduces every frame-theoretic
-question about the bank to finite-dimensional linear algebra, one root at a
-time (:func:`gram`, on the matrix's M rows of N entry Signals, which the
-per-root Grams build once per bank and evaluate root by root, all of them at
-root p before any at p + 1, each a dot product with the root's cached,
-read-only row of powers) or at every root by one FFT along P
-(:func:`eval_all_roots`); a filter's Zak row sums are its squared polyphase
-norms folded over R.
+A filter of period M * P, a 1-D sample array, splits into M cyclic
+polynomials of period P, one per residue class of the sample index mod M.
+The components of N filters, column by column, are the M x N polyphase
+matrix, the complex (M, N, P) array a :class:`~fbff.signals.FilterBank`
+holds; a single filter is M x 1 (:func:`decompose`).  Evaluated at the P-th
+roots of unity it reduces every frame question about the bank to linear
+algebra: root by root (:func:`gram`, on the entries as
+:class:`~fbff.cyclic.Signal` objects that the per-root Grams build once), or
+at every root by one FFT along P (:func:`eval_all_roots`).  A filter's
+Zak row sums are its squared polyphase norms folded over R.
 """
 
 from __future__ import annotations
@@ -31,9 +28,9 @@ __all__ = [
 ]
 
 
-def decompose(phi: Signal, m: int) -> np.ndarray:
-    """Split a period-(m*P) signal into its m polyphase components (m x 1)."""
-    return FilterBank((phi,), m).coeffs
+def decompose(phi: np.ndarray, m: int) -> np.ndarray:
+    """Split the samples of a period-(m*P) filter into its m polyphase components (m x 1)."""
+    return FilterBank([phi], m).coeffs
 
 
 def matrix_of(fb: FilterBank) -> np.ndarray:

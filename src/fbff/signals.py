@@ -1,33 +1,31 @@
 """Multirate operators and filter banks on periodic complex signals.
 
-A :class:`~fbff.cyclic.Signal` is a P-periodic sequence held as one period
-of samples; indexing is modulo P by construction.  Sampling-rate relations
-are divisibility checks: silent period coercion is the dominant bug class in
-multirate code, so nothing here ever resizes an operand for you.
+A P-periodic signal is one period of samples, a 1-D complex array; indexing
+is modulo P by construction.  Sampling-rate relations are divisibility
+checks: silent period coercion is the dominant bug class in multirate code,
+so nothing here ever resizes an operand for you.
 
 A :class:`FilterBank` holds one read-only complex buffer, viewed as its
-(M, N, P) polyphase matrix ``coeffs`` and as its (N, M P) sample stack
-``samples``, from whose rows it reads its N filters.  :func:`translate_matrix`
-alone lays out translates, as a read-only strided view of the doubled
-samples whose column k is T^{mk} phi; every time-domain operator takes one
-per bank, leaf or prototype.
+(N, M P) sample stack ``samples``, row n filter n, and as its (M, N, P)
+polyphase matrix ``coeffs``.  :func:`translate_matrix` alone lays out
+translates, as a read-only strided view of the doubled samples whose column
+k is T^{mk} phi; every time-domain operator takes one per bank, leaf or
+prototype.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cyclic import Signal, twist
+from .cyclic import Signal
 
 __all__ = [
     "FilterBank",
     "circ_convolve",
     "upsample",
     "translate_matrix",
-    "modulate",
     "signal_to_json",
     "signal_from_json",
     "bank_to_json",
@@ -64,11 +62,6 @@ def translate_matrix(x: np.ndarray, m: int) -> np.ndarray:
     return np.ndarray((*x.shape, p // m), x.dtype, doubled, p * s[0], (*s, -m * s[0]))
 
 
-def modulate(x: Signal, p: int) -> Signal:
-    """Pointwise multiply by the character exp(2 pi j p q / P)."""
-    return Signal(twist(x.samples, p, x.period))
-
-
 @dataclass(frozen=True, eq=False, init=False)
 class FilterBank:
     """N filters of period M * P at downsampling rate M in one read-only complex
@@ -78,44 +71,30 @@ class FilterBank:
     coeffs: np.ndarray
     samples: np.ndarray
 
-    def __init__(self, filters, downsample: int) -> None:
-        filters = tuple(filters)
-        if len(filters) < 1:
+    def __init__(self, samples, downsample: int) -> None:
+        """The bank whose sample stack is a copy of the (N, M * P) array-like ``samples``."""
+        samples = np.array(samples, dtype=complex)
+        if samples.shape[:1] == (0,):
             raise ValueError("a filter bank needs at least one channel")
+        if samples.ndim != 2 or not samples.shape[1]:
+            raise ValueError(f"need an (N, M * P) sample stack, got shape {samples.shape}")
+        n, period = samples.shape
         if downsample < 1:
             raise ValueError("downsampling rate must be positive")
-        period = filters[0].period
-        if any(f.period != period for f in filters):
-            raise ValueError("all filters must share one period")
         if period % downsample != 0:
             raise ValueError(f"downsampling rate {downsample} must divide filter period {period}")
-        self._hold(np.array([f.samples for f in filters]), downsample)
-
-    @classmethod
-    def from_coeffs(cls, coeffs) -> "FilterBank":
-        """The bank whose polyphase matrix is a copy of the array ``coeffs``."""
-        arr = np.asarray(coeffs, dtype=complex)
-        if arr.ndim != 3 or 0 in arr.shape:
-            raise ValueError(f"need an (M, N, P) array with M, N, P >= 1, got {arr.shape}")
-        bank = cls.__new__(cls)
-        bank._hold(np.empty((arr.shape[1], arr[:, 0].size), dtype=complex), len(arr), arr)
-        return bank
-
-    def _hold(self, samples: np.ndarray, m: int, values=None) -> None:
-        """Keep the (N, M * P) ``samples``, ``values`` written in, read-only with their
-        view ``coeffs``: the layout's one map, in which a fold along P sums each filter's blocks."""
-        coeffs = samples.reshape(len(samples), -1, m).transpose(2, 0, 1)
-        if values is not None:
-            coeffs[...] = values
-        samples.setflags(write=False)
-        coeffs.setflags(write=False)
+        samples.setflags(write=False)  # and so its view coeffs
+        coeffs = samples.reshape(n, -1, downsample).transpose(2, 0, 1)
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "samples", samples)
 
-    @functools.cached_property
-    def filters(self) -> tuple[Signal, ...]:
-        """The filters, rebuilt once from the rows of ``samples``."""
-        return tuple(Signal(s) for s in self.samples)
+    @classmethod
+    def from_coeffs(cls, coeffs) -> "FilterBank":
+        """The bank whose polyphase matrix is a copy of the (M, N, P) array-like ``coeffs``."""
+        arr = np.asarray(coeffs)
+        if arr.ndim != 3 or 0 in arr.shape:
+            raise ValueError(f"need an (M, N, P) array with M, N, P >= 1, got {arr.shape}")
+        return cls(arr.transpose(1, 2, 0).reshape(arr.shape[1], -1), len(arr))
 
     @property
     def downsample(self) -> int:
@@ -162,7 +141,7 @@ def _integer(value, name: str) -> int:
     return value
 
 
-def signal_from_json(obj: dict) -> Signal:
+def signal_from_json(obj: dict) -> np.ndarray:
     period, pairs = _fields(obj, "signal", ("period", "samples"))
     period = _integer(period, "period")
     try:
@@ -176,7 +155,7 @@ def signal_from_json(obj: dict) -> Signal:
         raise ValueError("samples must be finite")
     if arr.shape[0] != period:
         raise ValueError(f"sample count {arr.shape[0]} != period {period}")
-    return Signal(arr[:, 0] + 1j * arr[:, 1])
+    return arr[:, 0] + 1j * arr[:, 1]
 
 
 def bank_to_json(fb: FilterBank) -> dict:
@@ -188,14 +167,28 @@ def bank_to_json(fb: FilterBank) -> dict:
 
 
 def bank_from_json(obj: dict) -> FilterBank:
+    """The bank of a bank object, from one ``np.array`` over the filters' sample lists
+    when they stack as finite numbers of one period, each first one an int or a float
+    (a numeric stack hides an all-bool signal); else from signal_from_json of each."""
     m, p, filters = _fields(obj, "bank", ("downsample", "inner_period", "filters"))
     m = _integer(m, "downsample")
     p = _integer(p, "inner_period")
     if not isinstance(filters, list):
         raise ValueError("filters must be a list of signals")
-    fb = FilterBank(tuple(signal_from_json(f) for f in filters), m)
+    try:
+        pairs = np.array([f["samples"] for f in filters])
+        heads = {(type(f["period"]), f["period"], type(f["samples"][0][0])) for f in filters}
+        ok = pairs.ndim == 3 and pairs.shape[2] == 2 and pairs.dtype.kind in "iuf"
+        ok = ok and heads <= {(int, pairs.shape[1], int), (int, pairs.shape[1], float)}
+    except (KeyError, TypeError, ValueError, IndexError):  # not signal objects, or ragged
+        ok = False
+    if ok and np.all(np.isfinite(pairs)):
+        stack = pairs[..., 0] + 1j * pairs[..., 1]
+    else:
+        stack = [signal_from_json(f) for f in filters]
+        if len({row.size for row in stack}) > 1:
+            raise ValueError("all filters must share one period")
+    fb = FilterBank(stack, m)
     if fb.inner_period != p:
-        raise ValueError(
-            f"inner_period {p} inconsistent with filters of period {fb.filter_period}"
-        )
+        raise ValueError(f"inner_period {p} inconsistent with filters of period {fb.filter_period}")
     return fb

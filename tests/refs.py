@@ -2,8 +2,8 @@
 
 Each is the plain form of a claim the tests check, or the reference a
 library function is tested against: signal constructors and the norm, the
-time-domain multirate operators, the polyphase round trip and inner product,
-and the classic and packet trees.  The library keeps only what its CLI,
+time-domain multirate operators, the polyphase round trip and inner
+product, and the classic and packet trees.  A signal is its sample array.  The library keeps only what its CLI,
 scripts or benchmark call; these stay here so that a test can state an
 identity without the library exporting it.
 """
@@ -12,27 +12,26 @@ from __future__ import annotations
 
 import numpy as np
 
-from fbff.cyclic import Signal, _require_equal_periods
 from fbff.multilevel import TreeNode
 from fbff.polyphase import bank_of, eval_all_roots
 from fbff.signals import FilterBank, translate_matrix
 
-# -- signals and cyclic polynomials -------------------------------------------
+# -- signals: one period of samples, a 1-D complex array ------------------------
 
 
-def zero(period: int) -> Signal:
-    return Signal(np.zeros(period, dtype=complex))
+def zero(period: int) -> np.ndarray:
+    return np.zeros(period, dtype=complex)
 
 
-def delta(k: int, period: int, scale: complex = 1.0) -> Signal:
+def delta(k: int, period: int, scale: complex = 1.0) -> np.ndarray:
     """``scale`` at sample k mod P: the monomial ``scale * z^{-k}``."""
     s = np.zeros(period, dtype=complex)
     s[k % period] = scale
-    return Signal(s)
+    return s
 
 
-def norm(x: Signal) -> float:
-    return float(np.sqrt(np.sum(np.abs(x.samples) ** 2)))
+def norm(x: np.ndarray) -> float:
+    return float(np.sqrt(np.sum(np.abs(x) ** 2)))
 
 
 def conj_reverse(coeffs) -> np.ndarray:
@@ -47,80 +46,81 @@ def conj_reverse(coeffs) -> np.ndarray:
 # -- time-domain multirate operators ------------------------------------------
 
 
-def inner(x: Signal, y: Signal) -> complex:
+def inner(x: np.ndarray, y: np.ndarray) -> complex:
     """Inner product <x, y> = sum_k x[k] conj(y[k])."""
-    _require_equal_periods(x, y)
-    return complex(np.sum(x.samples * np.conj(y.samples)))
+    if x.size != y.size:
+        raise ValueError(f"period mismatch: {x.size} vs {y.size}")
+    return complex(np.sum(x * np.conj(y)))
 
 
-def downsample(x: Signal, m: int) -> Signal:
+def downsample(x: np.ndarray, m: int) -> np.ndarray:
     """Keep every m-th sample; requires m to divide the period."""
-    if m < 1 or x.period % m != 0:
-        raise ValueError(f"downsampling factor {m} must divide period {x.period}")
-    return Signal(x.samples[::m])
+    if m < 1 or x.size % m != 0:
+        raise ValueError(f"downsampling factor {m} must divide period {x.size}")
+    return x[::m]
 
 
-def translate(x: Signal, k: int) -> Signal:
+def translate(x: np.ndarray, k: int) -> np.ndarray:
     """Circular shift: result[i] = x[i - k]."""
-    return Signal(np.roll(x.samples, k))
+    return np.roll(x, k)
 
 
-def involution(x: Signal) -> Signal:
+def involution(x: np.ndarray) -> np.ndarray:
     """Conjugate time-reversal; turns convolution into correlation."""
-    return Signal(conj_reverse(x.samples))
+    return conj_reverse(x)
 
 
-def periodize(x: Signal, target_period: int) -> Signal:
+def periodize(x: np.ndarray, target_period: int) -> np.ndarray:
     """Fold a signal onto a divisor period by summing translated copies."""
-    if target_period < 1 or x.period % target_period != 0:
-        raise ValueError(f"target period {target_period} must divide period {x.period}")
-    return Signal(x.samples.reshape(-1, target_period).sum(axis=0))
+    if target_period < 1 or x.size % target_period != 0:
+        raise ValueError(f"target period {target_period} must divide period {x.size}")
+    return x.reshape(-1, target_period).sum(axis=0)
 
 
-def synthesis_apply(fb: FilterBank, inputs) -> Signal:
+def synthesis_apply(fb: FilterBank, inputs) -> np.ndarray:
     """Synthesize: sum_n T_n y_n, T_n the M-translate matrix of filter n."""
-    inputs = list(inputs)
+    inputs = np.asarray(inputs, dtype=complex)
     if len(inputs) != fb.n_channels:
         raise ValueError(f"expected {fb.n_channels} inputs, got {len(inputs)}")
     p = fb.inner_period
-    if any(y.period != p for y in inputs):
+    if inputs.shape != (fb.n_channels, p):
         raise ValueError(f"inputs must have period {p}")
     t = translate_matrix(fb.samples.T, fb.downsample)  # [:, n] is T_n
-    return Signal(np.einsum("ink,nk->i", t, [y.samples for y in inputs]))
+    return np.einsum("ink,nk->i", t, inputs)
 
 
-def analysis_apply(fb: FilterBank, x: Signal) -> list[Signal]:
-    """Analyze: channel n output is T_n^H x, T_n as in :func:`synthesis_apply`.
+def analysis_apply(fb: FilterBank, x: np.ndarray) -> np.ndarray:
+    """Analyze: row n of the (N, P) output is T_n^H x, T_n as in :func:`synthesis_apply`.
 
     Sample p of channel n equals the frame coefficient <x, T^{Mp} filter_n>;
     this map is the adjoint of :func:`synthesis_apply`.
     """
-    if x.period != fb.filter_period:
-        raise ValueError(f"input period {x.period} != filter period {fb.filter_period}")
+    if x.size != fb.filter_period:
+        raise ValueError(f"input period {x.size} != filter period {fb.filter_period}")
     t = translate_matrix(fb.samples.T, fb.downsample)
-    return [Signal(c) for c in np.einsum("ink,i->nk", t.conj(), x.samples)]
+    return np.einsum("ink,i->nk", t.conj(), x)
 
 
 # -- polyphase ----------------------------------------------------------------
 
 
-def reconstruct(v: np.ndarray) -> Signal:
-    """Interleave the components of an M x 1 matrix back into a signal;
-    exact inverse of :func:`decompose`."""
+def reconstruct(v: np.ndarray) -> np.ndarray:
+    """Interleave the components of an M x 1 matrix back into a filter's
+    samples; exact inverse of :func:`decompose`."""
     if v.shape[1] != 1:
         raise ValueError(f"expected one column, got {v.shape[1]}")
-    return bank_of(v).filters[0]
+    return bank_of(v).samples[0]
 
 
-def pp_inner(phi: Signal, psi: Signal, m: int) -> complex:
+def pp_inner(phi: np.ndarray, psi: np.ndarray, m: int) -> complex:
     """Inner product of two filters computed in the polyphase domain.
 
     Averages the C^M inner products of the evaluated polyphase vectors of
     the two-channel bank (phi, psi) over all roots; the polyphase map is
     unitary, so this equals the time-domain inner product.
     """
-    ev = eval_all_roots(FilterBank((phi, psi), m).coeffs)
-    return complex(np.sum(ev[:, 0] * np.conj(ev[:, 1])) / (phi.period // m))
+    ev = eval_all_roots(FilterBank([phi, psi], m).coeffs)
+    return complex(np.sum(ev[:, 0] * np.conj(ev[:, 1])) / (len(phi) // m))
 
 
 def channel_trace(dense: np.ndarray, n: int) -> float:

@@ -21,7 +21,7 @@ from fbff.constructions import (
 )
 from fbff.multilevel import verify_weighted_parseval
 from fbff.polyphase import bank_of, decompose, eval_all_roots, matrix_of
-from fbff.signals import FilterBank, Signal, translate_matrix
+from fbff.signals import FilterBank, translate_matrix
 from refs import delta, zero
 
 
@@ -276,7 +276,7 @@ def test_frame_bounds_daubechies():
 
 
 def test_frame_bounds_zero_bank():
-    fb = frame_bounds(matrix_of(FilterBank((zero(8),), 2)))
+    fb = frame_bounds(matrix_of(FilterBank([zero(8)], 2)))
     assert fb.A == 0.0 and fb.B == 0.0
 
 
@@ -352,25 +352,25 @@ def test_channel_projection_rejects_overlapping_translates():
 
 def test_channel_projection_daubechies_lowpass():
     fb = bank_of(daubechies4(4))
-    assert channel_is_projection(fb.filters[0], 2)
-    assert channel_is_projection(fb.filters[1], 2)
+    assert channel_is_projection(fb.samples[0], 2)
+    assert channel_is_projection(fb.samples[1], 2)
 
 
 def test_channel_defect_reads_twice_the_scaling_of_a_projection_channel():
     # the defect is the largest entry of T^H T - I: (1 + d)^2 - 1 = 2d + d^2
-    phi = bank_of(mercedes_benz(16)).filters[0]
+    phi = bank_of(mercedes_benz(16)).samples[0]
     assert channel_defects(decompose(phi, 2))[0] <= 1e-15
     for d in (1e-11, 1e-8, 1e-3):
-        scaled = Signal((1.0 + d) * phi.samples)
+        scaled = (1.0 + d) * phi
         assert channel_defects(decompose(scaled, 2))[0] == pytest.approx(2 * d + d * d, rel=1e-4)
-    assert channel_is_projection(Signal((1.0 + 4e-10) * phi.samples), 2, tol=1e-9)
-    assert not channel_is_projection(Signal((1.0 + 6e-10) * phi.samples), 2, tol=1e-9)
+    assert channel_is_projection((1.0 + 4e-10) * phi, 2, tol=1e-9)
+    assert not channel_is_projection((1.0 + 6e-10) * phi, 2, tol=1e-9)
 
 
 def test_channel_defect_is_the_largest_autocorrelation_defect():
     rng = np.random.default_rng(6)
-    phi = Signal(rng.standard_normal(12) + 1j * rng.standard_normal(12))
-    t = translate_matrix(phi.samples, 3)
+    phi = rng.standard_normal(12) + 1j * rng.standard_normal(12)
+    t = translate_matrix(phi, 3)
     expected = np.max(np.abs(t.conj().T @ t - np.eye(4)))
     assert channel_defects(decompose(phi, 3))[0] == pytest.approx(expected, rel=1e-12)
 
@@ -379,7 +379,7 @@ def _random_banks():
     rng = np.random.default_rng(11)
     for m, n, p in [(1, 2, 3), (2, 3, 4), (3, 5, 2), (2, 2, 8), (4, 6, 5)]:
         filters = tuple(
-            Signal(rng.standard_normal(m * p) + 1j * rng.standard_normal(m * p)) for _ in range(n)
+            rng.standard_normal(m * p) + 1j * rng.standard_normal(m * p) for _ in range(n)
         )
         yield FilterBank(filters, m)
 
@@ -390,14 +390,14 @@ def _ladder():
     for name in ("mercedes-benz", "daubechies4"):
         fb = bank_of(named_matrix(name, 16))
         for d in np.geomspace(1e-11, 1e-8, 30):
-            scaled = Signal((1.0 + d) * fb.filters[0].samples)
-            yield FilterBank((scaled,) + fb.filters[1:], fb.downsample)
+            scaled = (1.0 + d) * fb.samples[0]
+            yield FilterBank([scaled, *fb.samples[1:]], fb.downsample)
 
 
 def _one_fft_channels(fb, tol):
     """The report's channel verdicts, after checking that its one-FFT
     defects agree with each filter decomposed on its own."""
-    per_filter = [channel_defects(decompose(phi, fb.downsample))[0] for phi in fb.filters]
+    per_filter = [channel_defects(decompose(phi, fb.downsample))[0] for phi in fb.samples]
     one_fft = analysis.channel_defects(matrix_of(fb))
     for got, want in zip(one_fft, per_filter, strict=True):
         assert abs(got - want) <= 1e-12 * max(1.0, want)
@@ -415,7 +415,7 @@ def test_fusion_report_channels_match_the_per_filter_defects():
 
 def test_channel_projection_overflow_is_value_error():
     # finite samples whose squared polyphase norms overflow have no verdict
-    phi = Signal(np.array([1e200, 0.0, 0.0, 0.0]))
+    phi = np.array([1e200, 0.0, 0.0, 0.0])
     with pytest.raises(ValueError, match="not finite"):
         channel_is_projection(phi, 2)
 
@@ -439,7 +439,7 @@ def test_fusion_report_stacked_bank():
 
 
 def test_fusion_report_zero_bank_not_tight():
-    rep = fusion_report(FilterBank((zero(8),), 2))
+    rep = fusion_report(FilterBank([zero(8)], 2))
     assert not rep.is_tight and not rep.is_puntf
 
 
@@ -449,7 +449,7 @@ def test_tightness_verdict_does_not_depend_on_scale(scale, gain, tight):
     # filter 0 times 1.01 gives A = 1.5, B = 1.5201: a 1.3 % gap, not tight
     # at tol 1e-3 however small the bank (B = 1.52e-304 at scale 1e-152)
     fb = bank_of(mercedes_benz(4))
-    filters = (gain * fb.filters[0],) + fb.filters[1:]
+    filters = [gain * fb.samples[0], *fb.samples[1:]]
     rep = fusion_report(FilterBank(tuple(scale * f for f in filters), 2), tol=1e-3)
     assert rep.bounds.B == pytest.approx(scale**2 * (1.5201 if gain > 1 else 1.5), rel=1e-4)
     assert rep.is_tight is tight
@@ -551,7 +551,7 @@ def test_random_bank_verdicts_match_dense_oracle():
         n = int(rng.integers(m, m + 4))
         p = int(rng.integers(2, 5))
         filters = tuple(
-            Signal(rng.standard_normal(m * p) + 1j * rng.standard_normal(m * p))
+            rng.standard_normal(m * p) + 1j * rng.standard_normal(m * p)
             for _ in range(n)
         )
         banks.append(FilterBank(filters, m))
@@ -561,7 +561,7 @@ def test_random_bank_verdicts_match_dense_oracle():
         assert max(spectrum[0], 0.0) == pytest.approx(bounds.A, abs=1e-8)
         assert spectrum[-1] == pytest.approx(bounds.B, abs=1e-8)
         defects = dense_channel_gram(densify(fb))
-        for idx, phi in enumerate(fb.filters):
+        for idx, phi in enumerate(fb.samples):
             assert channel_is_projection(phi, fb.downsample, 1e-9) == (defects[idx] <= 1e-9)
         assert spectrum_union_check(fb)
 
@@ -579,7 +579,7 @@ def test_puntf_iff_dense_structure():
     ]
     for _ in range(5):
         filters = tuple(
-            Signal(rng.standard_normal(6) + 1j * rng.standard_normal(6))
+            rng.standard_normal(6) + 1j * rng.standard_normal(6)
             for _ in range(3)
         )
         banks.append(FilterBank(filters, 2))

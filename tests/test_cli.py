@@ -21,7 +21,7 @@ from fbff.cli import frequency_table, main, write_frequency_table
 from fbff.constructions import named_matrix
 from fbff.gabor import gabor_bank
 from fbff.polyphase import bank_of
-from fbff.signals import FilterBank, Signal, bank_from_json, bank_to_json, signal_from_json
+from fbff.signals import FilterBank, bank_from_json, bank_to_json, signal_from_json
 from refs import delta
 
 
@@ -143,8 +143,8 @@ def test_analyze_oracle_agrees_across_the_projection_boundary(capsys, tmp_path):
     path = tmp_path / "scaled.json"
     flags = []
     for delta in np.geomspace(1e-11, 1e-8, 30):
-        scaled = Signal((1.0 + delta) * fb.filters[0].samples)
-        path.write_text(json.dumps(bank_to_json(FilterBank((scaled,) + fb.filters[1:], 2))))
+        scaled = (1.0 + delta) * fb.samples[0]
+        path.write_text(json.dumps(bank_to_json(FilterBank([scaled, *fb.samples[1:]], 2))))
         code, out, err = _run(capsys, "analyze", str(path), "--oracle")
         got = json.loads(out)
         assert code == 0 and got["oracle"]["agrees"] is True, (delta, got["oracle"], err)
@@ -155,10 +155,7 @@ def test_analyze_oracle_agrees_across_the_projection_boundary(capsys, tmp_path):
 def test_analyze_oracle_on_large_samples(capsys, tmp_path):
     # samples of about 1e3 give B near 1e8: the oracle compares on that scale
     rng = np.random.default_rng(0)
-    filters = tuple(
-        Signal(1e3 * (rng.standard_normal(16) + 1j * rng.standard_normal(16)))
-        for _ in range(3)
-    )
+    filters = [1e3 * (rng.standard_normal(16) + 1j * rng.standard_normal(16)) for _ in range(3)]
     path = tmp_path / "large.json"
     path.write_text(json.dumps(bank_to_json(FilterBank(filters, 2))))
     code, out, err = _run(capsys, "analyze", str(path), "--oracle")
@@ -236,7 +233,7 @@ def test_frequency_table_matches_direct_sum():
     for n, mags in enumerate(table):
         for i, mag2 in enumerate(mags):
             omega = 2.0 * np.pi * i / 5
-            direct = abs(np.sum(fb.filters[n].samples * np.exp(-1j * k * omega))) ** 2
+            direct = abs(np.sum(fb.samples[n] * np.exp(-1j * k * omega))) ** 2
             assert mag2 == pytest.approx(direct, abs=1e-12)
 
 
@@ -255,7 +252,7 @@ def test_freq_csv_is_the_table_row_by_row(m, inner_period, channels, seed, data)
     rng = np.random.default_rng(seed)
     fb = FilterBank(
         tuple(
-            Signal(rng.standard_normal(period) + 1j * rng.standard_normal(period))
+            rng.standard_normal(period) + 1j * rng.standard_normal(period)
             for _ in range(channels)
         ),
         m,
@@ -329,6 +326,24 @@ def _impulse_bank_tree():
     return {"bank": "daubechies4", "children": [{"bank": bank_to_json(impulses)}, "identity"]}
 
 
+def test_compose_parses_each_inline_bank_once(capsys, tmp_path, monkeypatch):
+    # CI's t23 tree, one inline bank and one named bank: the inline bank is
+    # parsed once per call, the named one built at period 4 for the rates
+    # and again at the ambient period 24 for the leaves
+    parsed, built = [], []
+    parse, build = cli.bank_from_json, constructions.named_matrix
+    monkeypatch.setattr(cli, "bank_from_json", lambda obj: parsed.append(obj) or parse(obj))
+    monkeypatch.setattr(constructions, "named_matrix", lambda name, p: built.append((name, p)) or build(name, p))
+    tree_path = tmp_path / "t23.json"
+    tree_path.write_text(json.dumps(_impulse_bank_tree()))
+    code, out, err = _run(capsys, "compose", "--tree", str(tree_path), "--inner-dim", "4", "--verify")
+    assert code == 0 and err == ""
+    got = json.loads(out)
+    assert got["ambient_dim"] == 24 and got["verified"] is True
+    assert len(parsed) == 1
+    assert built == [("daubechies4", 4), ("daubechies4", 24)]
+
+
 @pytest.mark.parametrize(
     "spec,ambient",
     [
@@ -351,7 +366,9 @@ def test_compose_writes_the_per_leaf_signal_json(capsys, tmp_path, spec, ambient
     tree_path.write_text(json.dumps(spec))
     argv = ["compose", "--tree", str(tree_path), "--inner-dim", "4", "--verify", "--out", str(out_path)]
     assert _run(capsys, *argv)[0] == 0
-    tree = multilevel.tree_from_json(spec, lambda name: bank_of(named_matrix(name, ambient)))
+    tree = multilevel.tree_from_json(
+        spec, lambda b: bank_of(named_matrix(b, ambient)) if isinstance(b, str) else bank_from_json(b)
+    )
     leaves = multilevel.compose_tree(tree, ambient)
     ok, residual = multilevel.verify_tree(leaves)
     want = {
@@ -407,7 +424,7 @@ def test_design_maxflat_verdicts_match_the_materialized_bank(capsys):
     assert code == 0
     report = json.loads(out)
     phi = signal_from_json(report["filter"])
-    assert phi.period == 4 * report["block"]  # M * Q * R with M = R = 2
+    assert phi.shape == (4 * report["block"],)  # M * Q * R with M = R = 2
     ref = fusion_report(gabor_bank(phi, 2, 2), tol=1e-7)
     assert abs(report["A"] - ref.bounds.A) <= 1e-12 * ref.bounds.B
     assert abs(report["B"] - ref.bounds.B) <= 1e-12 * ref.bounds.B
@@ -469,7 +486,7 @@ def test_oracle_that_does_not_converge_is_usage_error(capsys, tmp_path, monkeypa
     # a random bank's dense frame operator is far from diagonal, so the
     # oracle calls the general eigensolver; LinAlgError is a ValueError
     rng = np.random.default_rng(7)
-    filters = tuple(Signal(rng.standard_normal(16) + 1j * rng.standard_normal(16)) for _ in range(3))
+    filters = tuple(rng.standard_normal(16) + 1j * rng.standard_normal(16) for _ in range(3))
     path = tmp_path / "random.json"
     path.write_text(json.dumps(bank_to_json(FilterBank(filters, 2))))
 
@@ -509,7 +526,7 @@ def _edge_banks(draw):
     m, p, n = (draw(st.integers(min_value=1, max_value=k)) for k in (3, 4, 4))
     parts = draw(st.lists(_SAMPLES, min_size=2 * n * m * p, max_size=2 * n * m * p))
     rows = np.array(parts).reshape(n, m * p, 2).view(complex)[..., 0]  # keeps every sign
-    return FilterBank(tuple(Signal(row) for row in rows), m)
+    return FilterBank(rows, m)
 
 
 def _written_json(argv):
@@ -538,7 +555,7 @@ def test_write_json_writes_what_json_dumps_writes(fb, seed):
     obj = bank_to_json(fb)
     assert dumped(obj) == json.dumps(obj) + "\n"
     # one wire form: the bank's stack and its filters one at a time agree byte for byte
-    per_filter = [signals.signal_to_json(f.samples[None])[0] for f in fb.filters]
+    per_filter = [signals.signal_to_json(f[None])[0] for f in fb.samples]
     assert json.dumps(obj["filters"]) == json.dumps(per_filter)
     assert json.dumps(signals.signal_to_json(fb.samples)) == json.dumps(per_filter)
     rep = report_to_json(fusion_report(fb))

@@ -19,14 +19,14 @@ from fbff.constructions import (
     union,
 )
 from fbff.polyphase import bank_of, eval_all_roots
-from fbff.signals import Signal, modulate
+from fbff.cyclic import twist
 from refs import delta, zero
 
 
 def _linear(c0, c1, period):
     coeffs = np.zeros(period, dtype=complex)
     coeffs[0], coeffs[1] = c0, c1
-    return Signal(coeffs)
+    return coeffs
 
 
 def _unitary_at_all_roots(mat, tol=1e-12):
@@ -39,9 +39,9 @@ def _unitary_at_all_roots(mat, tol=1e-12):
 def test_mercedes_filters():
     fb = bank_of(mercedes_benz(4))
     s3 = np.sqrt(3.0)
-    assert fb.filters[0] == delta(0, 8)
-    np.testing.assert_allclose(fb.filters[1].samples[:2], [-0.5, s3 / 2], atol=0)
-    np.testing.assert_allclose(fb.filters[2].samples[:2], [-0.5, -s3 / 2], atol=0)
+    assert np.array_equal(fb.samples[0], delta(0, 8))
+    np.testing.assert_allclose(fb.samples[1][:2], [-0.5, s3 / 2], atol=0)
+    np.testing.assert_allclose(fb.samples[2][:2], [-0.5, -s3 / 2], atol=0)
 
 
 def test_mercedes_column_norms_at_z_one():
@@ -70,8 +70,8 @@ def test_daubechies_unitary_at_all_roots():
 def test_daubechies_period_one_folds_to_orthonormal_pair():
     mat = daubechies4(1)
     a, b, c, d = DAUB_A, DAUB_B, DAUB_C, DAUB_D
-    assert np.array_equal(mat[0, 0], delta(0, 1, a + b).samples)
-    assert np.array_equal(mat[1, 1], delta(0, 1, -b - a).samples)
+    assert np.array_equal(mat[0, 0], delta(0, 1, a + b))
+    assert np.array_equal(mat[1, 1], delta(0, 1, -b - a))
     rep = fusion_report(bank_of(mat))
     assert rep.is_puntf
     assert rep.bounds.A == pytest.approx(1.0, abs=1e-12)
@@ -111,7 +111,7 @@ def test_stacked_bank_matches_displayed_matrix():
         (1, 3): _linear(-1j * b, 1j * a, 4),
     }
     for (m, n), want in expected.items():
-        np.testing.assert_allclose(mat[m, n], want.samples, atol=1e-15)
+        np.testing.assert_allclose(mat[m, n], want, atol=1e-15)
 
 
 def test_stacked_bank_filters_are_modulates():
@@ -120,8 +120,8 @@ def test_stacked_bank_filters_are_modulates():
     base = bank_of(daubechies4(4))
     # filter n+2 is j^k times filter n, i.e. modulation by period/4
     for n in range(2):
-        expect = modulate(base.filters[n], fb.filter_period // 4)
-        np.testing.assert_allclose(fb.filters[n + 2].samples, expect.samples, atol=1e-12)
+        expect = twist(base.samples[n], fb.filter_period // 4, fb.filter_period)
+        np.testing.assert_allclose(fb.samples[n + 2], expect, atol=1e-12)
 
 
 def test_stacked_bank_quarter_band_shift():
@@ -132,13 +132,13 @@ def test_stacked_bank_quarter_band_shift():
     for n in range(2):
         spec_base = np.array(
             [
-                abs(np.sum(fb.filters[n].samples * np.exp(-1j * k * w))) ** 2
+                abs(np.sum(fb.samples[n] * np.exp(-1j * k * w))) ** 2
                 for w in 2 * np.pi * np.arange(period) / period
             ]
         )
         spec_mod = np.array(
             [
-                abs(np.sum(fb.filters[n + 2].samples * np.exp(-1j * k * w))) ** 2
+                abs(np.sum(fb.samples[n + 2] * np.exp(-1j * k * w))) ** 2
                 for w in 2 * np.pi * np.arange(period) / period
             ]
         )
@@ -147,7 +147,7 @@ def test_stacked_bank_quarter_band_shift():
 
 
 def test_tensor_with_identity():
-    ident = np.array([[delta(0, 4).samples]])
+    ident = np.array([[delta(0, 4)]])
     mat = mercedes_benz(4)
     assert np.array_equal(tensor(mat, ident), mat)
     assert np.array_equal(tensor(ident, mat), mat)
@@ -183,7 +183,7 @@ def test_tensor_evaluates_to_kronecker():
 def test_product_identity():
     ident = np.array(
         tuple(
-            tuple(delta(0, 4, 1.0 if i == j else 0.0).samples for j in range(2))
+            tuple(delta(0, 4, 1.0 if i == j else 0.0) for j in range(2))
             for i in range(2)
         )
     )
@@ -196,20 +196,20 @@ def test_product_bank_first_column_is_lowpass():
     base = daubechies4(4)
     for m in range(2):
         assert np.array_equal(prod[m, 0], base[m, 0])
-    assert np.array_equal(prod[0, 0], _linear(DAUB_A, DAUB_B, 4).samples)
+    assert np.array_equal(prod[0, 0], _linear(DAUB_A, DAUB_B, 4))
 
 
 def test_product_filters_combine_base_pair():
     # filters 1,2 are (-(low) +/- sqrt3 (high)) / 2
     fb = bank_of(daubechies_mercedes(4))
     base = bank_of(daubechies4(4))
-    low, high = base.filters
+    low, high = base.samples
     s3 = np.sqrt(3.0)
     np.testing.assert_allclose(
-        fb.filters[1].samples, 0.5 * (-low.samples + s3 * high.samples), atol=1e-14
+        fb.samples[1], 0.5 * (-low + s3 * high), atol=1e-14
     )
     np.testing.assert_allclose(
-        fb.filters[2].samples, 0.5 * (-low.samples - s3 * high.samples), atol=1e-14
+        fb.samples[2], 0.5 * (-low - s3 * high), atol=1e-14
     )
 
 
@@ -231,9 +231,9 @@ def test_product_rejects_non_square_left():
 
 def test_elementary_factor_basis_vector():
     mat = elementary_paraunitary(np.array([1.0, 0.0]), 4)
-    assert np.array_equal(mat[0, 0], delta(3, 4).samples)  # z = z^{-(P-1)}
-    assert np.array_equal(mat[1, 1], delta(0, 4).samples)
-    assert np.array_equal(mat[0, 1], zero(4).samples)
+    assert np.array_equal(mat[0, 0], delta(3, 4))  # z = z^{-(P-1)}
+    assert np.array_equal(mat[1, 1], delta(0, 4))
+    assert np.array_equal(mat[0, 1], zero(4))
 
 
 def test_elementary_factor_unitary():

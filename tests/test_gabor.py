@@ -23,12 +23,12 @@ from fbff.gabor import (
 )
 from fbff.oracle import dense_channel_gram, dense_frame_spectrum, densify
 from fbff.polyphase import bank_of
-from fbff.signals import Signal, modulate
+from fbff.cyclic import twist
 from refs import channel_trace, delta, inner, norm, translate, zero
 
 
 def _random_signal(rng, period):
-    return Signal(rng.standard_normal(period) + 1j * rng.standard_normal(period))
+    return rng.standard_normal(period) + 1j * rng.standard_normal(period)
 
 
 def _jacobian_cd(fn, x: np.ndarray, step: float = 1e-6) -> np.ndarray:
@@ -68,7 +68,7 @@ def test_gabor_lattice_validation():
 def test_gabor_bank_critically_sampled_orthonormal():
     # R = 1 needs every polyphase component at constant modulus 1/sqrt(M);
     # the normalized length-M window does it and yields the Haar-type basis
-    phi = Signal(np.concatenate([np.full(2, 2**-0.5), np.zeros(6)]))
+    phi = np.concatenate([np.full(2, 2**-0.5), np.zeros(6)])
     fb = gabor_bank(phi, 2, 1)
     assert fb.n_channels == 2
     bounds = gabor_frame_bounds(phi, 2, 1)
@@ -78,17 +78,22 @@ def test_gabor_bank_critically_sampled_orthonormal():
     np.testing.assert_allclose(spectrum, np.ones(8), atol=1e-10)
 
 
+def _modulate(x, p):
+    """Pointwise multiply by the character exp(2 pi j p q / P)."""
+    return twist(x, p, len(x))
+
+
 def test_gabor_bank_filters_are_modulates():
     rng = np.random.default_rng(0)
     phi = _random_signal(rng, 8)
     fb = gabor_bank(phi, 2, 2)
     for n in range(4):
-        assert fb.filters[n] == modulate(phi, 2 * n)
+        assert np.array_equal(fb.samples[n], _modulate(phi, 2 * n))
 
 
 def test_gabor_bounds_rectangular_window_vs_dense():
     # normalized length-2 window at M=2, Q=1, R=2
-    phi = Signal(np.array([2**-0.5, 2**-0.5, 0, 0]))
+    phi = np.array([2**-0.5, 2**-0.5, 0, 0])
     bounds = gabor_frame_bounds(phi, 2, 2)
     spectrum = dense_frame_spectrum(densify(gabor_bank(phi, 2, 2)))
     assert bounds.A == pytest.approx(max(spectrum[0], 0.0), abs=1e-8)
@@ -111,7 +116,7 @@ def test_modulation_commutation_identity():
     m, q, r = 2, 3, 2
     phi = _random_signal(rng, m * q * r)
     for n in range(m * r):
-        mod = modulate(phi, q * n)
+        mod = _modulate(phi, q * n)
         for p in range(q * r):
             lhs = inner(mod, translate(mod, m * p))
             rhs = np.exp(2j * np.pi * n * p / r) * inner(phi, translate(phi, m * p))
@@ -237,7 +242,7 @@ def test_zak_row_sum_overflow_is_value_error(check):
     # squared samples beyond the float range: a ValueError, not a numpy
     # overflow warning and inf bounds
     with pytest.raises(ValueError, match="not finite"):
-        check(Signal([1e200, 0, 0, 0, 0, 0, 0, 0]), 2, 2)
+        check(np.array([1e200, 0, 0, 0, 0, 0, 0, 0]), 2, 2)
 
 
 def test_tightness_jacobian_matches_central_differences():
@@ -353,20 +358,15 @@ def test_tightness_residual_unit_deltas():
 def test_tightness_residual_matches_spectral_form():
     # the time-domain residual entries reproduce the spectral defect
     # |s(z)|^2 + |s(-z)|^2 - 1 at every root of an even-period embedding
-    low = bank_of(daubechies4(4)).filters[0]
-    s = (low.samples[:4].real) / np.sqrt(2.0)  # satisfies the half-norm conditions
+    low = bank_of(daubechies4(4)).samples[0]
+    s = (low[:4].real) / np.sqrt(2.0)  # satisfies the half-norm conditions
     t = 4
     res = tightness_residual(s)[0][: (t + 1) // 2]  # the even half
     period = 2 * t
-    from fbff.cyclic import twist
-
-    poly = Signal(np.concatenate([s, np.zeros(period - t)]))
+    poly = np.concatenate([s, np.zeros(period - t)])
+    values, twisted = np.fft.fft(poly), np.fft.fft(twist(poly, 1, 2))  # at every root
     for p in range(period):
-        defect = (
-            abs(poly.eval_at_root(p)) ** 2
-            + abs(Signal(twist(poly.samples, 1, 2)).eval_at_root(p)) ** 2
-            - 1.0
-        )
+        defect = abs(values[p]) ** 2 + abs(twisted[p]) ** 2 - 1.0
         predicted = 2.0 * (
             res[0]
             + sum(
@@ -379,11 +379,11 @@ def test_tightness_residual_matches_spectral_form():
 
 def _half_norm_pair(q):
     """u interleaved with u twisted by z -> -z, u the Daubechies-4 lowpass / sqrt 2."""
-    low = bank_of(daubechies4(4)).filters[0]
-    u = low.samples[:4] / np.sqrt(2.0)
+    low = bank_of(daubechies4(4)).samples[0]
+    u = low[:4] / np.sqrt(2.0)
     even = np.concatenate([u, np.zeros(2 * q - u.size)])
     odd = np.array([(-1.0) ** p for p in range(2 * q)]) * even
-    return Signal(interleave_taps(even.real, odd.real))
+    return interleave_taps(even.real, odd.real)
 
 
 def test_half_norm_scaled_orthonormal_pair_passes_both_checks():
@@ -391,7 +391,7 @@ def test_half_norm_scaled_orthonormal_pair_passes_both_checks():
     # and the per-channel orthonormality conditions
     q = 2
     phi = _half_norm_pair(q)
-    assert phi.period == 4 * q
+    assert phi.shape == (4 * q,)
     assert gabor_tightness(phi, 2, 2)
     assert channel_is_projection(phi, 2)
     bounds = gabor_frame_bounds(phi, 2, 2)
@@ -402,7 +402,7 @@ def test_half_norm_scaled_orthonormal_pair_passes_both_checks():
 def test_gabor_tightness_generic_failure():
     rng = np.random.default_rng(5)
     phi = _random_signal(rng, 8)
-    phi = Signal(phi.samples / norm(phi))
+    phi = phi / norm(phi)
     assert not gabor_tightness(phi, 2, 2)
     bounds = gabor_frame_bounds(phi, 2, 2)
     assert bounds.B - bounds.A > 1e-6  # generic prototypes are not tight
@@ -419,8 +419,8 @@ def test_gabor_tightness_near_a_design_never_raises(t):
     verdicts = []
     for scale in scales:
         for _ in range(5):
-            d = _random_signal(rng, phi.period).samples
-            perturbed = Signal(phi.samples + scale * d / np.linalg.norm(d))
+            d = _random_signal(rng, len(phi))
+            perturbed = phi + scale * d / np.linalg.norm(d)
             verdicts.append(gabor_tightness(perturbed, 2, 2))
     assert all(verdicts[:5]) and not any(verdicts[-5:])
 
@@ -433,7 +433,7 @@ def test_zak_verdicts_match_the_materialized_bank():
         assert result.converged
         cases.append(result.signal)
     generic = _random_signal(np.random.default_rng(5), 8)  # as in the generic failure test
-    cases += [Signal(generic.samples / norm(generic)), _half_norm_pair(2)]
+    cases += [generic / norm(generic), _half_norm_pair(2)]
     verdicts = set()
     for phi in cases:
         ref = fusion_report(gabor_bank(phi, 2, 2), tol=1e-7)
@@ -494,7 +494,7 @@ def test_tight_system_splits_into_orthonormal_subsequences():
     m, q, r = 2, result.block, 2
     assert gabor_tightness(phi, m, r)
     for n in range(m * r):
-        mod = modulate(phi, q * n)
+        mod = _modulate(phi, q * n)
         for res in range(r):
             seq = [translate(mod, m * (res + r * shift)) for shift in range(q)]
             for i in range(q):
@@ -635,5 +635,5 @@ def test_embed_taps_bounds():
     with pytest.raises(ValueError):
         embed_taps(np.ones(10), 2)
     phi = embed_taps(np.ones(4), 3)
-    assert phi.period == 12
-    np.testing.assert_array_equal(phi.samples[4:], np.zeros(8))
+    assert phi.shape == (12,) and phi.dtype == complex
+    np.testing.assert_array_equal(phi, np.r_[np.ones(4), np.zeros(8)])

@@ -18,7 +18,7 @@ from refs import delta, inner, pp_inner, reconstruct, translate, zero
 
 
 def _random_signal(rng, period):
-    return Signal(rng.standard_normal(period) + 1j * rng.standard_normal(period))
+    return rng.standard_normal(period) + 1j * rng.standard_normal(period)
 
 
 def _random_matrix(rng, m, n, period):
@@ -32,29 +32,29 @@ def _random_matrix(rng, m, n, period):
 
 def test_decompose_delta():
     v = decompose(delta(0, 8), 2)
-    assert np.array_equal(v[0, 0], delta(0, 4).samples)
-    assert np.array_equal(v[1, 0], zero(4).samples)
+    assert np.array_equal(v[0, 0], delta(0, 4))
+    assert np.array_equal(v[1, 0], zero(4))
 
 
 def test_decompose_offset_delta():
     v = decompose(delta(1, 4), 2)
-    assert np.array_equal(v[0, 0], zero(2).samples)
-    assert np.array_equal(v[1, 0], delta(0, 2).samples)
+    assert np.array_equal(v[0, 0], zero(2))
+    assert np.array_equal(v[1, 0], delta(0, 2))
 
 
 def test_round_trip_exact():
     rng = np.random.default_rng(0)
     phi = _random_signal(rng, 12)
-    assert reconstruct(decompose(phi, 3)) == phi
+    assert np.array_equal(reconstruct(decompose(phi, 3)), phi)
 
 
 def test_reconstruct_zero_and_single_component():
     z = np.zeros((2, 1, 3))
-    assert reconstruct(z) == zero(6)
+    assert np.array_equal(reconstruct(z), zero(6))
     v = np.array([[[0, 0, 0]], [[1, 2, 3]]])
     out = reconstruct(v)
-    assert np.all(out.samples[0::2] == 0)
-    np.testing.assert_array_equal(out.samples[1::2], [1, 2, 3])
+    assert np.all(out[0::2] == 0)
+    np.testing.assert_array_equal(out[1::2], [1, 2, 3])
 
 
 def test_decompose_requires_divisor():
@@ -68,28 +68,28 @@ def test_matrix_of_mercedes_constants():
     expect = np.array([[1.0, -0.5, -0.5], [0.0, np.sqrt(3) / 2, -np.sqrt(3) / 2]])
     for m in range(2):
         for n in range(3):
-            assert np.array_equal(mat[m, n], delta(0, 4, expect[m, n]).samples)
+            assert np.array_equal(mat[m, n], delta(0, 4, expect[m, n]))
 
 
 def test_matrix_of_daubechies_taps():
     fb = bank_of(daubechies4(4))
-    low, high = fb.filters
+    low, high = fb.samples
     np.testing.assert_allclose(
-        low.samples[:4], [DAUB_A, DAUB_C, DAUB_B, DAUB_D], atol=0
+        low[:4], [DAUB_A, DAUB_C, DAUB_B, DAUB_D], atol=0
     )
     np.testing.assert_allclose(
-        high.samples[:4], [DAUB_D, -DAUB_B, DAUB_C, -DAUB_A], atol=0
+        high[:4], [DAUB_D, -DAUB_B, DAUB_C, -DAUB_A], atol=0
     )
     mat = matrix_of(fb)
-    assert np.array_equal(mat[0, 0], Signal([DAUB_A, DAUB_B, 0, 0]).samples)
-    assert np.array_equal(mat[1, 1], Signal([-DAUB_B, -DAUB_A, 0, 0]).samples)
+    assert np.array_equal(mat[0, 0], [DAUB_A, DAUB_B, 0, 0])
+    assert np.array_equal(mat[1, 1], [-DAUB_B, -DAUB_A, 0, 0])
 
 
 def test_matrix_of_single_delta_filter():
-    fb = FilterBank((delta(0, 8),), 2)
+    fb = FilterBank([delta(0, 8)], 2)
     mat = matrix_of(fb)
-    assert np.array_equal(mat[0, 0], delta(0, 4).samples)
-    assert np.array_equal(mat[1, 0], zero(4).samples)
+    assert np.array_equal(mat[0, 0], delta(0, 4))
+    assert np.array_equal(mat[1, 0], zero(4))
 
 
 def test_eval_constant_matrix():
@@ -224,9 +224,9 @@ def test_bank_of_inverts_matrix_of(m, n, period, seed):
     fb = bank_of(coeffs)
     mat = matrix_of(fb)
     assert np.array_equal(mat, coeffs) and not mat.flags.writeable
-    again = FilterBank(fb.filters, m)
+    again = FilterBank(fb.samples, m)
     assert np.array_equal(again.coeffs, coeffs)
-    assert all(a == b for a, b in zip(bank_of(matrix_of(again)).filters, fb.filters))
+    assert np.array_equal(bank_of(matrix_of(again)).samples, fb.samples)
     kept = coeffs.copy()
     coeffs[...] = 0  # the bank holds a copy
     assert np.array_equal(matrix_of(fb), kept)
@@ -247,5 +247,5 @@ def test_pp_inner_preconditions():
     st.lists(st.floats(min_value=-5, max_value=5, allow_nan=False), min_size=1, max_size=6),
 )
 def test_round_trip_property(m, base):
-    phi = Signal(np.tile(np.asarray(base, dtype=complex), m))
-    assert reconstruct(decompose(phi, m)) == phi
+    phi = np.tile(np.asarray(base, dtype=complex), m)
+    assert np.array_equal(reconstruct(decompose(phi, m)), phi)

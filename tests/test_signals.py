@@ -1,17 +1,17 @@
 import json
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from fbff.cyclic import Signal, twist
 from fbff.multilevel import equivalent_filter
 from fbff.signals import (
     FilterBank,
-    Signal,
     bank_from_json,
     bank_to_json,
     circ_convolve,
-    modulate,
     signal_from_json,
     signal_to_json,
     translate_matrix,
@@ -34,7 +34,11 @@ S3 = np.sqrt(3.0)
 
 
 def _random_signal(rng, period):
-    return Signal(rng.standard_normal(period) + 1j * rng.standard_normal(period))
+    return rng.standard_normal(period) + 1j * rng.standard_normal(period)
+
+
+def _equal(a, b):
+    return a.shape == b.shape and bool(np.array_equal(a, b))
 
 
 def _mercedes_bank(inner_period):
@@ -43,62 +47,62 @@ def _mercedes_bank(inner_period):
     phi0 = delta(0, p)
     phi1 = 0.5 * (-delta(0, p) + S3 * delta(1, p))
     phi2 = 0.5 * (-delta(0, p) - S3 * delta(1, p))
-    return FilterBank((phi0, phi1, phi2), 2)
+    return FilterBank([phi0, phi1, phi2], 2)
 
 
 def test_convolve_with_delta_is_identity():
     rng = np.random.default_rng(0)
-    x = _random_signal(rng, 6)
-    assert circ_convolve(x, delta(0, 6)) == x
+    x = Signal(_random_signal(rng, 6))
+    assert circ_convolve(x, Signal(delta(0, 6))) == x
 
 
 def test_convolve_shifts_compose():
-    assert circ_convolve(delta(1, 4), delta(1, 4)) == delta(2, 4)
+    assert circ_convolve(Signal(delta(1, 4)), Signal(delta(1, 4))) == Signal(delta(2, 4))
 
 
 def test_convolution_theorem_oracle():
     rng = np.random.default_rng(1)
     x = _random_signal(rng, 8)
     h = _random_signal(rng, 8)
-    lhs = np.fft.fft(circ_convolve(x, h).samples)
-    rhs = np.fft.fft(x.samples) * np.fft.fft(h.samples)
+    lhs = np.fft.fft(circ_convolve(Signal(x), Signal(h)).samples)
+    rhs = np.fft.fft(x) * np.fft.fft(h)
     np.testing.assert_allclose(lhs, rhs, atol=1e-10)
 
 
 def test_convolve_period_mismatch():
     with pytest.raises(ValueError):
-        circ_convolve(zero(4), zero(6))
+        circ_convolve(Signal(zero(4)), Signal(zero(6)))
 
 
 def test_upsample_delta():
-    assert Signal(upsample(delta(0, 3).samples, 2)) == delta(0, 6)
+    assert _equal(upsample(delta(0, 3), 2), delta(0, 6))
 
 
 def test_upsample_by_definition():
-    assert Signal(upsample(Signal([1, 2]).samples, 2)) == Signal([1, 0, 2, 0])
+    assert _equal(upsample(np.array([1, 2]), 2), np.array([1, 0, 2, 0]))
 
 
 def test_upsample_preserves_norm():
     rng = np.random.default_rng(2)
     y = _random_signal(rng, 5)
-    assert norm(Signal(upsample(y.samples, 3))) == pytest.approx(norm(y), abs=1e-12)
+    assert norm(upsample(y, 3)) == pytest.approx(norm(y), abs=1e-12)
 
 
 def test_downsample_inverts_upsample():
     rng = np.random.default_rng(3)
     y = _random_signal(rng, 5)
-    assert downsample(Signal(upsample(y.samples, 4)), 4) == y
+    assert _equal(downsample(upsample(y, 4), 4), y)
 
 
 def test_downsample_by_definition():
-    assert downsample(Signal([1, 2, 3, 4]), 2) == Signal([1, 3])
+    assert _equal(downsample(np.array([1, 2, 3, 4]), 2), np.array([1, 3]))
 
 
 def test_downsample_matches_indexing_oracle():
     rng = np.random.default_rng(4)
     x = _random_signal(rng, 12)
-    expected = np.array([x.samples[3 * p] for p in range(4)])
-    np.testing.assert_array_equal(downsample(x, 3).samples, expected)
+    expected = np.array([x[3 * p] for p in range(4)])
+    np.testing.assert_array_equal(downsample(x, 3), expected)
 
 
 def test_downsample_requires_divisor():
@@ -109,36 +113,33 @@ def test_downsample_requires_divisor():
 def test_translate_trivials():
     rng = np.random.default_rng(5)
     x = _random_signal(rng, 8)
-    assert translate(x, 0) == x
-    assert translate(delta(0, 8), 3) == delta(3, 8)
+    assert _equal(translate(x, 0), x)
+    assert _equal(translate(delta(0, 8), 3), delta(3, 8))
 
 
 def test_translate_group_law():
     rng = np.random.default_rng(6)
     x = _random_signal(rng, 9)
-    assert translate(translate(x, 2), 5) == translate(x, 7)
+    assert _equal(translate(translate(x, 2), 5), translate(x, 7))
 
 
 def test_modulate_trivials():
+    # modulation by the character exp(2 pi j p q / P) is the twist of order P
     rng = np.random.default_rng(7)
     x = _random_signal(rng, 8)
-    assert modulate(x, 0) == x
-    np.testing.assert_allclose(
-        modulate(delta(0, 8), 3).samples, delta(0, 8).samples
-    )
-    np.testing.assert_allclose(
-        np.abs(modulate(x, 5).samples), np.abs(x.samples), atol=1e-14
-    )
+    assert _equal(twist(x, 0, 8), x)
+    np.testing.assert_allclose(twist(delta(0, 8), 3, 8), delta(0, 8))
+    np.testing.assert_allclose(np.abs(twist(x, 5, 8)), np.abs(x), atol=1e-14)
 
 
 def test_involution_involutive():
     rng = np.random.default_rng(8)
     x = _random_signal(rng, 7)
-    assert involution(involution(x)) == x
+    assert _equal(involution(involution(x)), x)
 
 
 def test_involution_of_delta():
-    assert involution(delta(2, 5)) == delta(-2, 5)
+    assert _equal(involution(delta(2, 5)), delta(-2, 5))
 
 
 def test_involution_turns_convolution_into_correlation():
@@ -146,7 +147,7 @@ def test_involution_turns_convolution_into_correlation():
     rng = np.random.default_rng(9)
     x = _random_signal(rng, 8)
     phi = _random_signal(rng, 8)
-    conv = circ_convolve(involution(phi), x)
+    conv = circ_convolve(Signal(involution(phi)), Signal(x))
     for k in range(8):
         direct = inner(x, translate(phi, k))
         assert conv.samples[k] == pytest.approx(direct, abs=1e-12)
@@ -155,19 +156,19 @@ def test_involution_turns_convolution_into_correlation():
 def test_synthesis_zero_inputs():
     fb = _mercedes_bank(3)
     out = synthesis_apply(fb, [zero(3)] * 3)
-    assert out == zero(6)
+    assert _equal(out, zero(6))
 
 
 def test_synthesis_single_delta_channel_upsamples():
-    fb = FilterBank((delta(0, 8),), 2)
+    fb = FilterBank([delta(0, 8)], 2)
     rng = np.random.default_rng(10)
     y = _random_signal(rng, 4)
-    assert synthesis_apply(fb, [y]) == Signal(upsample(y.samples, 2))
+    assert _equal(synthesis_apply(fb, [y]), upsample(y, 2))
 
 
 def test_synthesis_analysis_adjoint_identity():
     rng = np.random.default_rng(11)
-    fb = FilterBank(tuple(_random_signal(rng, 12) for _ in range(4)), 3)
+    fb = FilterBank([_random_signal(rng, 12) for _ in range(4)], 3)
     ys = [_random_signal(rng, 4) for _ in range(4)]
     x = _random_signal(rng, 12)
     lhs = inner(synthesis_apply(fb, ys), x)
@@ -178,18 +179,17 @@ def test_synthesis_analysis_adjoint_identity():
 
 def test_analysis_zero():
     fb = _mercedes_bank(2)
-    for c in analysis_apply(fb, zero(4)):
-        assert c == zero(2)
+    assert _equal(analysis_apply(fb, zero(4)), np.zeros((3, 2), dtype=complex))
 
 
 def test_analysis_samples_are_frame_coefficients():
     rng = np.random.default_rng(12)
-    fb = FilterBank(tuple(_random_signal(rng, 10) for _ in range(3)), 2)
+    fb = FilterBank([_random_signal(rng, 10) for _ in range(3)], 2)
     x = _random_signal(rng, 10)
     channels = analysis_apply(fb, x)
-    for phi, c in zip(fb.filters, channels):
+    for phi, c in zip(fb.samples, channels):
         for p in range(5):
-            assert c.samples[p] == pytest.approx(
+            assert c[p] == pytest.approx(
                 inner(x, translate(phi, 2 * p)), abs=1e-12
             )
 
@@ -199,7 +199,7 @@ def test_tight_bank_round_trip_scales_by_bound():
     rng = np.random.default_rng(13)
     x = _random_signal(rng, 8)
     back = synthesis_apply(fb, analysis_apply(fb, x))
-    np.testing.assert_allclose(back.samples, 1.5 * x.samples, atol=1e-10)
+    np.testing.assert_allclose(back, 1.5 * x, atol=1e-10)
 
 
 def test_tight_bank_analysis_energy():
@@ -217,6 +217,7 @@ def test_upsample_convolution_commutation():
     phi = _random_signal(rng, 12)
     psi = _random_signal(rng, 6)
     y = _random_signal(rng, 6)
+    phi, psi, y = Signal(phi), Signal(psi), Signal(y)
     lhs = circ_convolve(phi, Signal(upsample(circ_convolve(psi, y).samples, m)))
     rhs = circ_convolve(
         circ_convolve(phi, Signal(upsample(psi.samples, m))), Signal(upsample(y.samples, m))
@@ -232,35 +233,36 @@ def test_translate_matrix_operators_match_convolution_formulas(m):
     # convolution sum; inner period P = 5, so m = 5 is the case M = P
     rng = np.random.default_rng(30 + m)
     p = 5
-    fb = FilterBank(tuple(_random_signal(rng, m * p) for _ in range(3)), m)
+    fb = FilterBank([_random_signal(rng, m * p) for _ in range(3)], m)
     ys = [_random_signal(rng, p) for _ in range(3)]
     x = _random_signal(rng, m * p)
 
+    def convolve(a, h):  # the ring product
+        return circ_convolve(Signal(a), Signal(h)).samples
+
     def direct_convolve(a, h):
-        n = a.period
-        return Signal(
-            [sum(a.samples[j] * h.samples[(k - j) % n] for j in range(n)) for k in range(n)]
-        )
+        n = len(a)
+        return np.array([sum(a[j] * h[(k - j) % n] for j in range(n)) for k in range(n)])
 
     def close(got, want):
-        err = np.linalg.norm(got.samples - want.samples)
-        assert err <= 1e-12 * np.linalg.norm(want.samples)
+        err = np.linalg.norm(got - want)
+        assert err <= 1e-12 * np.linalg.norm(want)
 
-    terms = [circ_convolve(phi, Signal(upsample(y.samples, m))) for phi, y in zip(fb.filters, ys)]
+    terms = [convolve(phi, upsample(y, m)) for phi, y in zip(fb.samples, ys)]
     close(synthesis_apply(fb, ys), sum(terms, zero(m * p)))
-    for phi, got in zip(fb.filters, analysis_apply(fb, x)):
-        close(got, downsample(circ_convolve(involution(phi), x), m))
-    phi, psi = fb.filters[0], ys[0]
-    eq = Signal(equivalent_filter(phi.samples, psi.samples, m))
-    close(eq, synthesis_apply(FilterBank((phi,), m), [psi]))
-    close(circ_convolve(x, fb.filters[1]), direct_convolve(x, fb.filters[1]))
+    for phi, got in zip(fb.samples, analysis_apply(fb, x)):
+        close(got, downsample(convolve(involution(phi), x), m))
+    phi, psi = fb.samples[0], ys[0]
+    eq = equivalent_filter(phi, psi, m)
+    close(eq, synthesis_apply(FilterBank([phi], m), [psi]))
+    close(convolve(x, fb.samples[1]), direct_convolve(x, fb.samples[1]))
 
 
 @pytest.mark.parametrize("m", [4, 0, -2, 12])
 def test_translate_matrix_requires_positive_divisor(m):
     # a 6-sample signal: no step coerced to a 6 x 1, 6 x 0 or 6 x 6 matrix
     with pytest.raises(ValueError, match="must divide period 6"):
-        translate_matrix(delta(0, 6).samples, m)
+        translate_matrix(delta(0, 6), m)
 
 
 @given(
@@ -293,12 +295,12 @@ def test_translate_matrix_is_a_read_only_view_of_rolls(p, cols, seed, data):
 def test_periodize_identity():
     rng = np.random.default_rng(16)
     x = _random_signal(rng, 8)
-    assert periodize(x, 8) == x
+    assert _equal(periodize(x, 8), x)
 
 
 def test_periodize_folds():
     x = delta(0, 8) + delta(4, 8)
-    assert periodize(x, 4) == Signal([2, 0, 0, 0])
+    assert _equal(periodize(x, 4), np.array([2, 0, 0, 0], dtype=complex))
 
 
 def test_periodize_requires_divisor():
@@ -307,12 +309,22 @@ def test_periodize_requires_divisor():
 
 
 def test_filterbank_validation():
-    with pytest.raises(ValueError):
-        FilterBank((), 2)
-    with pytest.raises(ValueError):
-        FilterBank((zero(4), zero(6)), 2)
-    with pytest.raises(ValueError):
-        FilterBank((zero(5),), 2)
+    # the one constructor takes a nonempty (N, M * P) stack; M must divide M * P
+    for empty in ([], np.zeros((0, 4))):
+        with pytest.raises(ValueError, match="^a filter bank needs at least one channel$"):
+            FilterBank(empty, 0)  # the channel count is checked before the rate
+    for shape in ((3, 0), (4,), (1, 2, 4), ()):
+        message = re.escape(f"need an (N, M * P) sample stack, got shape {shape}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            FilterBank(np.zeros(shape), 1)
+    with pytest.raises(ValueError):  # rows of unequal periods do not stack
+        FilterBank([zero(4), zero(6)], 2)
+    with pytest.raises(ValueError, match="^downsampling rate 2 must divide filter period 5$"):
+        FilterBank([zero(5)], 2)
+    with pytest.raises(ValueError, match="^downsampling rate must be positive$"):
+        FilterBank([zero(4)], 0)
+    with pytest.raises(ValueError, match=r"M, N, P >= 1, got \(2, 0, 3\)"):
+        FilterBank.from_coeffs(np.zeros((2, 0, 3)))
     with pytest.raises(ValueError):
         synthesis_apply(_mercedes_bank(2), [zero(2)] * 2)
     with pytest.raises(ValueError):
@@ -321,25 +333,30 @@ def test_filterbank_validation():
 
 @pytest.mark.parametrize("m, n", [(1, 1), (2, 3), (3, 2)])
 def test_filterbank_samples_is_the_read_only_stack_under_coeffs(m, n):
-    # built from filters or from a polyphase array: one buffer, seen twice
+    # built from a sample stack or from a polyphase array: one buffer, seen
+    # twice, a copy of its input, which stays writeable and unchanged
     rng = np.random.default_rng(m * 10 + n)
-    filters = tuple(_random_signal(rng, 6 * m) for _ in range(n))
+    filters = rng.standard_normal((n, 6 * m)) + 1j * rng.standard_normal((n, 6 * m))
     coeffs = rng.standard_normal((m, n, 6)) + 1j * rng.standard_normal((m, n, 6))
-    for fb in (FilterBank(filters, m), FilterBank.from_coeffs(coeffs)):
-        assert fb.samples.shape == (n, 6 * m)
-        assert not fb.samples.flags.writeable
+    for fb, given in ((FilterBank(filters, m), filters), (FilterBank.from_coeffs(coeffs), coeffs)):
+        assert fb.samples.shape == (n, 6 * m) and fb.samples.dtype == complex
+        assert not fb.samples.flags.writeable and not fb.coeffs.flags.writeable
         assert np.shares_memory(fb.samples, fb.coeffs)
-        assert np.array_equal(fb.samples, np.stack([f.samples for f in fb.filters]))
+        assert not np.shares_memory(fb.samples, given) and given.flags.writeable
+        for k in range(n):
+            assert np.array_equal(fb.samples[k].reshape(6, m).T, fb.coeffs[:, k])
         with pytest.raises(ValueError):
             fb.samples[0, 0] = 1.0
+    assert np.array_equal(FilterBank(filters, m).samples, filters)
+    assert np.array_equal(FilterBank.from_coeffs(coeffs).coeffs, coeffs)
 
 
 def test_signal_json_round_trip():
     rng = np.random.default_rng(17)
     x = _random_signal(rng, 6)
-    (obj,) = signal_to_json(x.samples[None])
+    (obj,) = signal_to_json(x[None])
     again = signal_from_json(json.loads(json.dumps(obj)))
-    assert again == x
+    assert _equal(again, x)
 
 
 _EXTREMES = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.7e308, -1.7e308])
@@ -356,21 +373,21 @@ _EXTREMES = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.7e308, -1.7e308])
     )
 )
 def test_signal_json_samples_match_the_per_sample_floats(values):
-    x = Signal(values)
-    (obj,) = signal_to_json(x.samples[None])
-    expected = [[float(v.real), float(v.imag)] for v in x.samples]
+    x = np.array(values, dtype=complex)
+    (obj,) = signal_to_json(x[None])
+    expected = [[float(v.real), float(v.imag)] for v in x]
     # float.hex tells -0.0 from 0.0, which == does not
     assert [[(type(f), f.hex()) for f in pair] for pair in obj["samples"]] == [
         [(float, f.hex()) for f in pair] for pair in expected
     ]
-    assert signal_from_json(json.loads(json.dumps(obj))) == x
+    assert _equal(signal_from_json(json.loads(json.dumps(obj))), x)
 
 
 def test_bank_json_round_trip():
     fb = _mercedes_bank(3)
     again = bank_from_json(json.loads(json.dumps(bank_to_json(fb))))
     assert again.downsample == fb.downsample
-    assert all(a == b for a, b in zip(again.filters, fb.filters))
+    assert _equal(again.samples, fb.samples)
 
 
 def test_bank_json_validates_inner_period():
@@ -386,5 +403,77 @@ def test_bank_json_validates_inner_period():
     st.integers(min_value=-20, max_value=20),
 )
 def test_translate_group_property(samples, j, k):
-    x = Signal(samples)
-    assert translate(translate(x, j), k) == translate(x, j + k)
+    x = np.array(samples, dtype=complex)
+    assert _equal(translate(translate(x, j), k), translate(x, j + k))
+
+
+def _bank_signal_by_signal(filters, m):
+    """The bank of a list of signal objects read one signal at a time, with
+    the bank's checks in their order: the reading ``bank_from_json`` must match."""
+    rows = [signal_from_json(f) for f in filters]
+    if not rows:
+        raise ValueError("a filter bank needs at least one channel")
+    if len({row.size for row in rows}) > 1:
+        raise ValueError("all filters must share one period")
+    return FilterBank(rows, m)
+
+
+_FINITE = st.one_of(st.integers(min_value=-3, max_value=3), st.floats(min_value=-3, max_value=3))
+_ODD = st.sampled_from([True, False, float("nan"), float("inf"), 2**63, 2**64, "1", None])
+
+
+@st.composite
+def _signal_lists(draw):
+    """Lists of 0 to 3 signal objects of one period, most of them well
+    formed, the rest with one fault each: an odd sample value, an all-bool
+    signal, a missing key, a wrong period or sample count, or no object."""
+    p = draw(st.integers(min_value=1, max_value=3))
+    filters = []
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        pairs = draw(st.lists(st.lists(_FINITE, min_size=2, max_size=2), min_size=p, max_size=p))
+        fault = draw(st.sampled_from([None] * 6 + ["value", "bools", "pair", "key", "period", "count", "kind"]))
+        if fault == "value":
+            pairs[draw(st.integers(0, p - 1))][draw(st.integers(0, 1))] = draw(_ODD)
+        elif fault == "bools":
+            pairs = draw(st.lists(st.lists(st.booleans(), min_size=2, max_size=2), min_size=p, max_size=p))
+        elif fault == "pair":
+            pairs[0] = pairs[0][:1]
+        f = {"period": p, "samples": pairs}
+        if fault == "key":
+            del f[draw(st.sampled_from(["period", "samples"]))]
+        elif fault == "period":
+            f["period"] = draw(st.sampled_from([p + 1, True, float(p), str(p)]))
+        elif fault == "count":
+            f = {"period": p + 1, "samples": pairs + pairs[:1]}
+        elif fault == "kind":
+            f = draw(st.sampled_from([None, "x", 3, pairs]))
+        filters.append(f)
+    return filters
+
+
+@settings(max_examples=300, deadline=None)
+@given(_signal_lists(), st.integers(min_value=1, max_value=2))
+def test_bank_from_json_reads_as_signal_by_signal(filters, m):
+    # one np.array over the filter list gives the bank, or the error, that
+    # reading the signals one by one gives: the same samples or the same message
+    try:
+        want = _bank_signal_by_signal(filters, m)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            bank_from_json({"downsample": m, "inner_period": 1, "filters": filters})
+        assert str(got.value) == str(exc)
+        return
+    obj = {"downsample": m, "inner_period": want.inner_period, "filters": filters}
+    assert _equal(bank_from_json(obj).samples, want.samples)
+
+
+def test_bank_from_json_refuses_an_all_bool_signal_among_numbers():
+    # a stack of all its signals is numeric; the bool signal alone is not
+    filters = [
+        {"period": 2, "samples": [[0.5, 0.0], [1, 0]]},
+        {"period": 2, "samples": [[True, False], [False, True]]},
+    ]
+    with pytest.raises(ValueError, match="number pairs"):
+        bank_from_json({"downsample": 1, "inner_period": 2, "filters": filters})
+    filters[1]["samples"][0][1] = 0.25  # one number among bools makes them numbers
+    assert bank_from_json({"downsample": 1, "inner_period": 2, "filters": filters}).samples[1, 0] == 1 + 0.25j

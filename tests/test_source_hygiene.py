@@ -469,6 +469,62 @@ def test_library_functions_take_one_operand_kind(path):
     assert signal_type_checks(path.read_text(encoding="utf-8")) == []
 
 
+# The places outside cyclic.py, which defines it, where the library may name
+# Signal, each as (module, top-level definition): the per-root Grams, whose
+# functions the benchmark tracer binds, and circ_convolve, a tracer target.
+# Everywhere else a filter is its sample array.  A place that stops naming
+# Signal leaves this list, until the list is empty.
+SIGNAL_PLACES = {("analysis", "gram_stack"), ("polyphase", "gram"), ("signals", "circ_convolve")}
+
+
+def signal_places(source: str) -> set[str]:
+    """The top-level statements of ``source`` that name ``Signal`` or its
+    alias ``CyclicPoly``, as a name, an attribute or an import alias: each
+    definition by its name, an import as ``"import"`` and any other
+    statement as ``"line <n>"``."""
+    tree = ast.parse(source)
+    aliases = {"Signal", "CyclicPoly"}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            aliases |= {a.asname for a in node.names if a.name in ("Signal", "CyclicPoly") and a.asname}
+    places = set()
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+            if any(a.name in aliases for a in stmt.names):
+                places.add("import")
+            continue
+        named = {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(stmt)}
+        if named & aliases:
+            places.add(getattr(stmt, "name", f"line {stmt.lineno}"))
+    return places
+
+
+def test_signal_scanner_finds_names_attributes_and_aliases():
+    source = (
+        "from .cyclic import Signal as S, twist\n"
+        "from . import cyclic\n"
+        "def f(x): return S(x)\n"
+        "def g(x): return cyclic.Signal(x)\n"
+        "def h(x: 'Signal'): return twist(x, 1, 2)\n"
+        "class K:\n"
+        "    def m(self) -> CyclicPoly: pass\n"
+        "ENTRY = [S]\n"
+    )
+    assert signal_places(source) == {"import", "f", "g", "K", "line 8"}
+
+
+def test_signal_is_named_only_where_it_is_still_needed():
+    found = set()
+    for path in MODULES:
+        if path.name == "cyclic.py":
+            continue
+        places = signal_places(path.read_text(encoding="utf-8"))
+        # an import of Signal only where a definition uses it
+        assert "import" not in places or len(places) > 1, path.name
+        found |= {(path.stem, place) for place in places - {"import"}}
+    assert found == SIGNAL_PLACES
+
+
 def test_one_class_for_periodic_sequences():
     # the tracer's alias names the signal class itself, not a second class
     import fbff.cyclic
