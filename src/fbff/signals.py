@@ -167,27 +167,14 @@ def bank_to_json(fb: FilterBank) -> dict:
 
 
 def bank_from_json(obj: dict) -> FilterBank:
-    """The bank of a bank object, from one ``np.array`` over the filters' sample lists
-    when they stack as finite numbers of one period, each first one an int or a float
-    (a numeric stack hides an all-bool signal); else from signal_from_json of each."""
     m, p, filters = _fields(obj, "bank", ("downsample", "inner_period", "filters"))
     m = _integer(m, "downsample")
     p = _integer(p, "inner_period")
     if not isinstance(filters, list):
         raise ValueError("filters must be a list of signals")
-    try:
-        pairs = np.array([f["samples"] for f in filters])
-        heads = {(type(f["period"]), f["period"], type(f["samples"][0][0])) for f in filters}
-        ok = pairs.ndim == 3 and pairs.shape[2] == 2 and pairs.dtype.kind in "iuf"
-        ok = ok and heads <= {(int, pairs.shape[1], int), (int, pairs.shape[1], float)}
-    except (KeyError, TypeError, ValueError, IndexError):  # not signal objects, or ragged
-        ok = False
-    if ok and np.all(np.isfinite(pairs)):
-        stack = pairs[..., 0] + 1j * pairs[..., 1]
-    else:
-        stack = [signal_from_json(f) for f in filters]
-        if len({row.size for row in stack}) > 1:
-            raise ValueError("all filters must share one period")
+    stack = [signal_from_json(f) for f in filters]
+    if len({row.size for row in stack}) > 1:
+        raise ValueError("all filters must share one period")
     fb = FilterBank(stack, m)
     if fb.inner_period != p:
         raise ValueError(f"inner_period {p} inconsistent with filters of period {fb.filter_period}")

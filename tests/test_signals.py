@@ -407,66 +407,6 @@ def test_translate_group_property(samples, j, k):
     assert _equal(translate(translate(x, j), k), translate(x, j + k))
 
 
-def _bank_signal_by_signal(filters, m):
-    """The bank of a list of signal objects read one signal at a time, with
-    the bank's checks in their order: the reading ``bank_from_json`` must match."""
-    rows = [signal_from_json(f) for f in filters]
-    if not rows:
-        raise ValueError("a filter bank needs at least one channel")
-    if len({row.size for row in rows}) > 1:
-        raise ValueError("all filters must share one period")
-    return FilterBank(rows, m)
-
-
-_FINITE = st.one_of(st.integers(min_value=-3, max_value=3), st.floats(min_value=-3, max_value=3))
-_ODD = st.sampled_from([True, False, float("nan"), float("inf"), 2**63, 2**64, "1", None])
-
-
-@st.composite
-def _signal_lists(draw):
-    """Lists of 0 to 3 signal objects of one period, most of them well
-    formed, the rest with one fault each: an odd sample value, an all-bool
-    signal, a missing key, a wrong period or sample count, or no object."""
-    p = draw(st.integers(min_value=1, max_value=3))
-    filters = []
-    for _ in range(draw(st.integers(min_value=0, max_value=3))):
-        pairs = draw(st.lists(st.lists(_FINITE, min_size=2, max_size=2), min_size=p, max_size=p))
-        fault = draw(st.sampled_from([None] * 6 + ["value", "bools", "pair", "key", "period", "count", "kind"]))
-        if fault == "value":
-            pairs[draw(st.integers(0, p - 1))][draw(st.integers(0, 1))] = draw(_ODD)
-        elif fault == "bools":
-            pairs = draw(st.lists(st.lists(st.booleans(), min_size=2, max_size=2), min_size=p, max_size=p))
-        elif fault == "pair":
-            pairs[0] = pairs[0][:1]
-        f = {"period": p, "samples": pairs}
-        if fault == "key":
-            del f[draw(st.sampled_from(["period", "samples"]))]
-        elif fault == "period":
-            f["period"] = draw(st.sampled_from([p + 1, True, float(p), str(p)]))
-        elif fault == "count":
-            f = {"period": p + 1, "samples": pairs + pairs[:1]}
-        elif fault == "kind":
-            f = draw(st.sampled_from([None, "x", 3, pairs]))
-        filters.append(f)
-    return filters
-
-
-@settings(max_examples=300, deadline=None)
-@given(_signal_lists(), st.integers(min_value=1, max_value=2))
-def test_bank_from_json_reads_as_signal_by_signal(filters, m):
-    # one np.array over the filter list gives the bank, or the error, that
-    # reading the signals one by one gives: the same samples or the same message
-    try:
-        want = _bank_signal_by_signal(filters, m)
-    except ValueError as exc:
-        with pytest.raises(ValueError) as got:
-            bank_from_json({"downsample": m, "inner_period": 1, "filters": filters})
-        assert str(got.value) == str(exc)
-        return
-    obj = {"downsample": m, "inner_period": want.inner_period, "filters": filters}
-    assert _equal(bank_from_json(obj).samples, want.samples)
-
-
 def test_bank_from_json_refuses_an_all_bool_signal_among_numbers():
     # a stack of all its signals is numeric; the bool signal alone is not
     filters = [
