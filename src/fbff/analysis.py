@@ -29,8 +29,9 @@ from fractions import Fraction
 
 import numpy as np
 
+from .cyclic import Signal
 from .polyphase import decompose, eval_all_roots, gram, matrix_of
-from .signals import FilterBank, Signal
+from .signals import FilterBank
 
 __all__ = [
     "hermitian_eigs",

@@ -45,7 +45,9 @@ def frequency_table(fb: FilterBank, n_samples: int) -> np.ndarray:
     """
     if n_samples < 2:
         raise ValueError("need at least two frequency samples")
-    samples = np.pad(fb.samples, ((0, 0), (0, -fb.filter_period % n_samples)))
+    # zero-padded to a multiple of n_samples by np.zeros, which raises ValueError beyond int64
+    samples = np.zeros((fb.n_channels, fb.filter_period + -fb.filter_period % n_samples), complex)
+    samples[:, : fb.filter_period] = fb.samples
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
         folded = samples.reshape(fb.n_channels, -1, n_samples).sum(axis=1)
         mag2 = np.abs(np.fft.fft(folded, axis=-1)) ** 2

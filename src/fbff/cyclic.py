@@ -12,8 +12,9 @@ evaluation map is the workhorse of every numeric check downstream.  All roots
 are one FFT; one root reads a cached, read-only row of its P powers, gathered
 from a table of the P roots at the integer exponents q p mod P, never a phase
 from the float product p q.  The module-level functions act along the last
-axis of coefficient arrays of any shape, so polynomial matrices share the ring
-operations of :class:`Signal`.
+axis of coefficient arrays of any shape, so a polynomial matrix is one
+coefficient array, multiplied by :func:`ring_product`; :class:`Signal` only
+evaluates one polynomial at the roots of unity.
 """
 
 from __future__ import annotations
@@ -24,8 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = ["Signal", "CyclicPoly", "ring_product", "twist"]
-
-_SCALARS = (int, float, complex, np.integer, np.floating, np.complexfloating)
 
 
 def ring_product(a, b, combine=np.multiply) -> np.ndarray:
@@ -81,18 +80,11 @@ def _root_powers(period: int, r: int) -> np.ndarray:
     return row
 
 
-def _require_equal_periods(x: Signal, y: Signal) -> None:
-    if x.period != y.period:
-        raise ValueError(f"period mismatch: {x.period} vs {y.period}")
-
-
 @dataclass(frozen=True, eq=False)
 class Signal:
     """One period of a P-periodic complex sequence, which is also the cyclic
-    polynomial sum_p samples[p] z^{-p}.
-
-    Values are immutable; operations return new instances.  Mixing operands
-    of different periods raises instead of resizing silently.
+    polynomial sum_p samples[p] z^{-p}, held read-only for evaluation at the
+    roots of unity; the product of two is :func:`ring_product` of their samples.
     """
 
     samples: np.ndarray
@@ -108,37 +100,9 @@ class Signal:
     def period(self) -> int:
         return self.samples.size
 
-    def __add__(self, other: "Signal") -> "Signal":
-        if not isinstance(other, Signal):
-            return NotImplemented
-        _require_equal_periods(self, other)
-        return Signal(self.samples + other.samples)
-
-    def __sub__(self, other: "Signal") -> "Signal":
-        if not isinstance(other, Signal):
-            return NotImplemented
-        _require_equal_periods(self, other)
-        return Signal(self.samples - other.samples)
-
-    def __neg__(self) -> "Signal":
-        return Signal(-self.samples)
-
-    def __mul__(self, other):
-        """Ring product (circular convolution) with a signal, or scaling."""
-        if isinstance(other, Signal):
-            return Signal(ring_product(self.samples, other.samples))
-        if isinstance(other, _SCALARS):
-            return Signal(self.samples * other)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Signal)
-            and self.period == other.period
-            and bool(np.array_equal(self.samples, other.samples))
-        )
+    def __mul__(self, other: "Signal") -> "Signal":
+        """Ring product (circular convolution); ValueError when the periods differ."""
+        return Signal(ring_product(self.samples, other.samples))
 
     def eval_at_root(self, p: int) -> complex:
         """Value at z = exp(2 pi j p / P), the p-th root of unity, for any integer p:

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .signals import FilterBank, Signal
+from .cyclic import Signal
+from .signals import FilterBank
 
 __all__ = [
     "decompose",

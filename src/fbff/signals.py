@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cyclic import Signal
+from .cyclic import ring_product
 
 __all__ = [
     "FilterBank",
@@ -33,10 +33,10 @@ __all__ = [
 ]
 
 
-def circ_convolve(x: Signal, h: Signal) -> Signal:
-    """Circular convolution (x * h)[k] = sum_{k'} x[k'] h[k - k'] mod P,
-    the ring product ``x * h``; ValueError when the periods differ."""
-    return x * h
+def circ_convolve(x: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Circular convolution (x * h)[k] = sum_{k'} x[k'] h[k - k'] mod P of two
+    sample arrays, their ring product; ValueError when the periods differ."""
+    return ring_product(x, h)
 
 
 def upsample(y: np.ndarray, m: int) -> np.ndarray:

@@ -703,6 +703,27 @@ def test_malformed_input_is_usage_error(capsys, tmp_path, argv_head, payload, me
 
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("build", "mercedes-benz", "--period", "{big}"),
+        ("build", "paraunitary-chain", "--period", "4", "--dim", "{big}"),
+        ("freq", "{bank}", "--samples", "{big}"),
+        ("compose", "--tree", "{tree}", "--inner-dim", "{big}"),
+    ],
+    ids=["build-period", "build-dim", "freq-samples", "compose-inner-dim"],
+)
+def test_integer_options_beyond_64_bits_are_usage_errors(capsys, tmp_path, argv):
+    # 10**21 fits no int64 array size; numpy words that error differently per
+    # call, so only the error line is checked
+    bank = _build(capsys, tmp_path, "mercedes-benz", 2)
+    tree = tmp_path / "tree.json"
+    tree.write_text(json.dumps({"bank": "example7"}))
+    code, out, err = _run(capsys, *(a.format(bank=bank, tree=tree, big=10**21) for a in argv))
+    assert code == 2 and out == ""
+    assert re.match(r"error: \S", err) and "Traceback" not in err
+
+
 def test_integers_beyond_64_bits_are_read_as_floats(capsys, tmp_path):
     # orjson reads such an integer as the nearest float; the stdlib's exact int
     # made this bank exit 2 with "samples must be a list of [re, im] number pairs"

@@ -7,8 +7,12 @@ from fbff.cyclic import Signal, ring_product, twist
 from refs import conj_reverse, delta, zero
 
 
+def _random_samples(rng, period):
+    return rng.standard_normal(period) + 1j * rng.standard_normal(period)
+
+
 def _random_poly(rng, period):
-    return Signal(rng.standard_normal(period) + 1j * rng.standard_normal(period))
+    return Signal(_random_samples(rng, period))
 
 
 def _direct_dft(coeffs):
@@ -23,37 +27,15 @@ def _direct_dft(coeffs):
     return np.array(out)
 
 
-def test_add_coefficientwise():
-    a = Signal([1, 1, 0, 0])  # 1 + z^-1
-    b = Signal([0, 1, 0, 0])  # z^-1
-    assert a + b == Signal([1, 2, 0, 0])
-
-
-def test_add_identity():
-    rng = np.random.default_rng(0)
-    a = _random_poly(rng, 5)
-    assert a + Signal(zero(5)) == a
-
-
-def test_add_matches_elementwise_oracle():
-    rng = np.random.default_rng(1)
-    a = _random_poly(rng, 8)
-    b = _random_poly(rng, 8)
-    expected = np.array([a.samples[i] + b.samples[i] for i in range(8)])
-    np.testing.assert_array_equal((a + b).samples, expected)
-
-
 def test_mul_monomial_wraps_mod_period():
     p = 6
-    z1 = Signal(delta(1, p))
-    zrest = Signal(delta(p - 1, p))
-    assert z1 * zrest == Signal(delta(0, p))
+    assert np.array_equal(ring_product(delta(1, p), delta(p - 1, p)), delta(0, p))
 
 
 def test_mul_identity():
     rng = np.random.default_rng(2)
-    a = _random_poly(rng, 7)
-    assert a * Signal(delta(0, 7)) == a
+    a = _random_samples(rng, 7)
+    assert np.array_equal(ring_product(a, delta(0, 7)), a)
 
 
 def test_mul_is_evaluation_homomorphism():
@@ -61,6 +43,7 @@ def test_mul_is_evaluation_homomorphism():
     a = _random_poly(rng, 6)
     b = _random_poly(rng, 6)
     prod = a * b
+    assert np.array_equal(prod.samples, ring_product(a.samples, b.samples))
     for p in range(6):
         assert prod.eval_at_root(p) == pytest.approx(
             a.eval_at_root(p) * b.eval_at_root(p), abs=1e-12
@@ -68,10 +51,10 @@ def test_mul_is_evaluation_homomorphism():
 
 
 def test_mul_period_mismatch():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="period mismatch: 4 vs 5"):
+        ring_product(zero(4), zero(5))
+    with pytest.raises(ValueError, match="period mismatch: 4 vs 5"):
         Signal(zero(4)) * Signal(zero(5))
-    with pytest.raises(ValueError):
-        Signal(zero(4)) + Signal(zero(5))
 
 
 def _folded_convolution(a, b):
@@ -97,12 +80,6 @@ def test_ring_product_matches_folded_convolution_either_way_round():
     np.testing.assert_allclose(ring_product(dense, sparse, matmul), expect, atol=1e-12)
     swapped = ring_product(sparse.transpose(1, 0, 2), dense.transpose(1, 0, 2), matmul)
     np.testing.assert_allclose(swapped, expect.transpose(1, 0, 2), atol=1e-12)
-
-
-def test_scalar_multiplication():
-    a = Signal([1, 2, 3])
-    assert 2 * a == Signal([2, 4, 6])
-    assert a * (1 + 1j) == Signal([1 + 1j, 2 + 2j, 3 + 3j])
 
 
 def test_eval_constant():
@@ -194,8 +171,8 @@ def test_twist_identity():
 
 
 def test_twist_sign_flip():
-    a = Signal(delta(1, 4))
-    np.testing.assert_allclose(twist(a.samples, 1, 2), (-a).samples, atol=1e-15)
+    a = delta(1, 4)
+    np.testing.assert_allclose(twist(a, 1, 2), -a, atol=1e-15)
 
 
 def test_twist_postcondition_at_all_roots():
@@ -223,14 +200,13 @@ def test_twist_composes_additively():
 
 
 def test_conj_reverse_real_constant():
-    c = Signal(delta(0, 4, 3.0))
-    assert Signal(conj_reverse(c.samples)) == c
+    c = delta(0, 4, 3.0)
+    assert np.array_equal(conj_reverse(c), c)
 
 
 def test_conj_reverse_monomial():
     # j z^-1 with P=4 becomes -j z^-3
-    a = Signal(delta(1, 4, scale=1j))
-    assert Signal(conj_reverse(a.samples)) == Signal(delta(3, 4, scale=-1j))
+    assert np.array_equal(conj_reverse(delta(1, 4, scale=1j)), delta(3, 4, scale=-1j))
 
 
 def test_conj_reverse_conjugates_evaluations():
@@ -245,16 +221,16 @@ def test_conj_reverse_conjugates_evaluations():
 
 def test_conj_reverse_involution():
     rng = np.random.default_rng(9)
-    a = _random_poly(rng, 11)
-    assert Signal(conj_reverse(conj_reverse(a.samples))) == a
+    a = _random_samples(rng, 11)
+    assert np.array_equal(conj_reverse(conj_reverse(a)), a)
 
 
 def test_power_of_shift_is_one():
     p = 5
-    acc = Signal(delta(0, p))
+    acc = delta(0, p)
     for _ in range(p):
-        acc = acc * Signal(delta(1, p))
-    np.testing.assert_allclose(acc.samples, Signal(delta(0, p)).samples, atol=1e-15)
+        acc = ring_product(acc, delta(1, p))
+    assert np.array_equal(acc, delta(0, p))
 
 
 @st.composite
@@ -275,8 +251,8 @@ def _poly_pair(draw):
 def test_evaluation_homomorphism_property(pair):
     a, b = pair
     scale = max(1.0, float(np.max(np.abs(a.samples))) * float(np.max(np.abs(b.samples))))
-    prod = a * b
-    total = a + b
+    prod = Signal(ring_product(a.samples, b.samples))
+    total = Signal(a.samples + b.samples)
     for p in range(a.period):
         ea, eb = a.eval_at_root(p), b.eval_at_root(p)
         assert abs(prod.eval_at_root(p) - ea * eb) <= 1e-10 * a.period * scale

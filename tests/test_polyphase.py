@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from fbff.cyclic import twist
+from fbff.cyclic import Signal, twist
 from fbff.constructions import daubechies4, mercedes_benz, DAUB_A, DAUB_B, DAUB_C, DAUB_D
 from fbff.analysis import gram_stack
 from fbff.polyphase import (
@@ -13,7 +13,7 @@ from fbff.polyphase import (
     matrix_of,
     zak_power_rows,
 )
-from fbff.signals import FilterBank, Signal
+from fbff.signals import FilterBank
 from refs import delta, inner, pp_inner, reconstruct, translate, zero
 
 

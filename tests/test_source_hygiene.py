@@ -471,10 +471,10 @@ def test_library_functions_take_one_operand_kind(path):
 
 # The places outside cyclic.py, which defines it, where the library may name
 # Signal, each as (module, top-level definition): the per-root Grams, whose
-# functions the benchmark tracer binds, and circ_convolve, a tracer target.
-# Everywhere else a filter is its sample array.  A place that stops naming
-# Signal leaves this list, until the list is empty.
-SIGNAL_PLACES = {("analysis", "gram_stack"), ("polyphase", "gram"), ("signals", "circ_convolve")}
+# functions the benchmark tracer binds.  Everywhere else a filter is its
+# sample array.  A place that stops naming Signal leaves this list, until the
+# list is empty.
+SIGNAL_PLACES = {("analysis", "gram_stack"), ("polyphase", "gram")}
 
 
 def signal_places(source: str) -> set[str]:
@@ -528,9 +528,28 @@ def test_signal_is_named_only_where_it_is_still_needed():
 def test_one_class_for_periodic_sequences():
     # the tracer's alias names the signal class itself, not a second class
     import fbff.cyclic
-    import fbff.signals
 
-    assert fbff.cyclic.CyclicPoly is fbff.signals.Signal
+    assert fbff.cyclic.CyclicPoly is fbff.cyclic.Signal
+
+
+# What Signal defines: its samples, the per-root evaluation that gram and the
+# benchmark tracer call, and the Signal x Signal product the tracer binds.
+# Ring arithmetic on samples is ring_product's and numpy's, so no sum,
+# scaling or comparison grows back here.
+SIGNAL_SURFACE = {"samples", "__post_init__", "period", "__mul__", "eval_at_root", "eval_all"}
+
+
+def test_signal_is_only_the_per_root_evaluator():
+    tree = ast.parse((SRC / "cyclic.py").read_text(encoding="utf-8"))
+    (cls,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "Signal"]
+    defined = set()
+    for node in cls.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    assert defined == SIGNAL_SURFACE
 
 
 def test_test_only_list_holds_exactly_the_uncalled_definitions():
