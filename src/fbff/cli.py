@@ -103,15 +103,26 @@ def _tolerance(text: str) -> float:
     return value
 
 
-# fbff writes only fresh dicts and lists, so the encoder's cycle check (a dict
-# insert and delete per container, one per [re, im] pair) is pure cost; a cycle
-# would end in RecursionError, which main reports as exit 2.  The separators,
-# allow_nan and ensure_ascii are json.dumps' defaults.
-_ENCODER = json.JSONEncoder(check_circular=False)
+# The fallback for what orjson refuses: integers beyond 64 bits (design-maxflat
+# echoes seeds below 2**128) and cycles (at its depth limit).  It writes the same
+# compact separators, but exponents as 1e-05 where orjson writes 1e-5.  Outputs
+# are fresh dicts and lists, so the cycle check is pure cost: a cycle ends in
+# RecursionError, which main reports as exit 2.  orjson writes NaN and Infinity
+# as null, so a command rejects a non-finite result before it writes.
+_ENCODER = json.JSONEncoder(separators=(",", ":"), check_circular=False)
 
 
 def _write_json(obj, path=None) -> None:
-    _write_text(_ENCODER.encode(obj) + "\n", path)  # one line, by the C encoder
+    """``obj`` as one compact line of JSON, to ``path`` or standard output."""
+    try:
+        data = orjson.dumps(obj, option=orjson.OPT_APPEND_NEWLINE)
+    except orjson.JSONEncodeError:
+        data = (_ENCODER.encode(obj) + "\n").encode()
+    if path is None:
+        sys.stdout.write(data.decode())  # stdout may be any redirected text stream
+    else:
+        with open(path, "wb") as fh:
+            fh.write(data)
 
 
 def _write_text(text: str, path=None) -> None:
@@ -220,8 +231,14 @@ def _cmd_compose(args) -> int:
     spec, inline = _load_json(args.tree), {}  # inline banks parsed once; named at 4, then ambient
     ambient = args.inner_dim * multilevel.tree_from_json(spec, _banks(4, inline)).max_leaf_rate
     tree = multilevel.tree_from_json(spec, _banks(ambient, inline))
-    leaves = multilevel.compose_tree(tree, ambient, tol=args.tol)
-    stack = np.array([leaf.samples[0] for leaf, _ in leaves])  # every leaf has period ambient
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        leaves = multilevel.compose_tree(tree, ambient, tol=args.tol)
+        stack = np.array([leaf.samples[0] for leaf, _ in leaves])  # every leaf has period ambient
+        ok, residual = multilevel.verify_tree(leaves, tol=args.tol) if args.verify else (True, 0.0)
+    if not (np.all(np.isfinite(stack)) and np.isfinite(residual)):
+        raise ValueError(
+            "composed leaf filters or their residual are not finite (samples too large)"
+        )
     out = {
         "ambient_dim": ambient,
         "leaves": [
@@ -234,15 +251,11 @@ def _cmd_compose(args) -> int:
             for (leaf, w), filt in zip(leaves, signal_to_json(stack))
         ],
     }
-    status = 0
     if args.verify:
-        ok, residual = multilevel.verify_tree(leaves, tol=args.tol)
         out["verified"] = ok
         out["max_residual"] = residual
-        if not ok:
-            status = _VERIFY_ERROR
     _write_json(out, args.out)
-    return status
+    return 0 if ok else _VERIFY_ERROR
 
 
 def _cmd_design_maxflat(args) -> int:

@@ -40,6 +40,21 @@ def _build(capsys, tmp_path, name, period, fname="bank.json"):
     return path
 
 
+_STRING_TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"')
+
+
+def _assert_json_line(text, obj):
+    """``text`` is ``obj`` written as one compact line of JSON, value for value.
+
+    json.dumps tells -0.0 from 0.0 and 1 from 1.0 and writes each float's
+    shortest repr, so equal dumps mean the same keys in the same order and
+    the same floats bit for bit.
+    """
+    assert text.endswith("\n") and text.count("\n") == 1
+    assert json.dumps(json.loads(text)) == json.dumps(obj)
+    assert " " not in _STRING_TOKEN.sub("", text)  # compact separators
+
+
 @pytest.mark.parametrize(
     "name,period", [("mercedes-benz", 2), ("daubechies4", 2), ("example5", 4), ("example7", 4)]
 )
@@ -360,7 +375,7 @@ def test_compose_parses_each_inline_bank_once(capsys, tmp_path, monkeypatch):
     ids=["dwt", "packet", "t23"],
 )
 def test_compose_writes_the_per_leaf_signal_json(capsys, tmp_path, spec, ambient):
-    # the leaves written from one stack are, byte for byte, the file written
+    # the leaves written from one stack are, value for value, the file written
     # with one signal_to_json per leaf (at --inner-dim 4)
     tree_path, out_path = tmp_path / "tree.json", tmp_path / "out.json"
     tree_path.write_text(json.dumps(spec))
@@ -385,7 +400,7 @@ def test_compose_writes_the_per_leaf_signal_json(capsys, tmp_path, spec, ambient
         "verified": ok,
         "max_residual": residual,
     }
-    assert out_path.read_text() == json.dumps(want) + "\n"
+    _assert_json_line(out_path.read_text(), want)
 
 
 def test_design_maxflat_cli(capsys, tmp_path):
@@ -458,6 +473,18 @@ def test_design_maxflat_env_seed(capsys, monkeypatch):
     assert json.loads(out_flag) == json.loads(out_env)
 
 
+def test_design_maxflat_reports_a_seed_beyond_64_bits(capsys):
+    # orjson refuses the seed; the stdlib fallback writes it exactly, on one compact line
+    seed = 2**128 - 1
+    code, out, err = _run(
+        capsys, "design-maxflat", "--half-taps", "2", "--seed", str(seed), "--restarts", "3"
+    )
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert report["seed"] == seed and report["converged"] is True
+    _assert_json_line(out, report)
+
+
 def test_verify_pass_and_corruption(capsys, tmp_path):
     path = _build(capsys, tmp_path, "mercedes-benz", 2)
     code, out, _ = _run(capsys, "verify", "--oracle", str(path))
@@ -504,7 +531,7 @@ def test_output_json_reparses_identically(capsys, tmp_path):
     path = _build(capsys, tmp_path, "example5", 4)
     text = path.read_text()
     fb = bank_from_json(json.loads(text))
-    assert json.dumps(bank_to_json(fb)) + "\n" == text
+    _assert_json_line(text, bank_to_json(fb))
 
 
 def _per_sample_signal_to_json(stack):
@@ -553,14 +580,14 @@ def test_write_json_writes_what_json_dumps_writes(fb, seed):
         return out.getvalue()
 
     obj = bank_to_json(fb)
-    assert dumped(obj) == json.dumps(obj) + "\n"
+    _assert_json_line(dumped(obj), obj)
     # one wire form: the bank's stack and its filters one at a time agree byte for byte
     per_filter = [signals.signal_to_json(f[None])[0] for f in fb.samples]
     assert json.dumps(obj["filters"]) == json.dumps(per_filter)
     assert json.dumps(signals.signal_to_json(fb.samples)) == json.dumps(per_filter)
     rep = report_to_json(fusion_report(fb))
     assert len(rep["per_root"]) == fb.inner_period
-    assert dumped(rep) == json.dumps(rep) + "\n"
+    _assert_json_line(dumped(rep), rep)
     with tempfile.TemporaryDirectory() as tmp:
         tree = Path(tmp) / "tree.json"
         tree.write_text(json.dumps({"bank": obj}))
@@ -568,11 +595,11 @@ def test_write_json_writes_what_json_dumps_writes(fb, seed):
         argv = ["compose", "--tree", str(tree), "--inner-dim", str(fb.inner_period), "--verify"]
         code, text, objs = _written_json(argv + ["--tol", "1e300"])
     assert code in (0, 1) and len(objs) == 1
-    assert text == json.dumps(objs[0]) + "\n"
+    _assert_json_line(text, objs[0])
     argv = ["design-maxflat", "--half-taps", "2", "--seed", str(seed), "--restarts", "3"]
     code, text, objs = _written_json(argv)
     assert code in (0, 1) and len(objs) == 1
-    assert text == json.dumps(objs[0]) + "\n"
+    _assert_json_line(text, objs[0])
 
 
 def test_cyclic_output_is_usage_error(capsys, monkeypatch):
@@ -584,6 +611,11 @@ def test_cyclic_output_is_usage_error(capsys, monkeypatch):
     assert code == 2
     assert err.startswith("error:") and "recursion" in err and "Traceback" not in err
     assert out == ""
+
+
+class _RefusingEncoder:
+    def encode(self, obj):
+        raise AssertionError("the stdlib fallback encoder was used")
 
 
 def _indented_json(obj, path=None):
@@ -606,10 +638,12 @@ def _json_outputs(capsys, argv, out_path):
         ("build", "example7", "--period", "4"),
         ("analyze", "{bank}"),
         ("verify", "{bank}"),
+        ("analyze", "{bank}", "--oracle"),
+        ("verify", "{bank}", "--oracle"),
         ("compose", "--tree", "{tree}", "--inner-dim", "4", "--verify"),
         ("design-maxflat", "--half-taps", "2", "--seed", "3", "--restarts", "20"),
     ],
-    ids=lambda argv: argv[0],
+    ids=lambda argv: argv[0] + "-oracle" * ("--oracle" in argv),
 )
 @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out-file"])
 def test_json_output_is_one_line_with_the_indented_format_values(
@@ -623,7 +657,10 @@ def test_json_output_is_one_line_with_the_indented_format_values(
     )
     out_path = tmp_path / "out.json" if to_file else None
     argv = [a.format(bank=bank, tree=tree) for a in argv] + ["--out", str(out_path)] * to_file
-    code, texts = _json_outputs(capsys, argv, out_path)
+    with monkeypatch.context() as patch:
+        # orjson writes every output: a value it refuses, such as a numpy scalar, fails here
+        patch.setattr(cli, "_ENCODER", _RefusingEncoder())
+        code, texts = _json_outputs(capsys, argv, out_path)
     with monkeypatch.context() as patch:
         patch.setattr(cli, "_write_json", _indented_json)
         patch.setattr(cli, "signal_to_json", _per_sample_signal_to_json)
@@ -634,7 +671,7 @@ def test_json_output_is_one_line_with_the_indented_format_values(
     for text, old in zip(texts, old_texts):
         assert text.endswith("\n") and text.count("\n") == 1
         # same keys in the same order, same floats, same reprs
-        assert text == json.dumps(json.loads(old)) + "\n"
+        _assert_json_line(text, json.loads(old))
 
 
 def test_missing_file_is_usage_error(capsys):
@@ -907,6 +944,35 @@ def test_compose_overflowing_samples_is_usage_error(capsys, tmp_path, verify):
         code, out, err = _run(capsys, *argv)
     assert code == 2
     assert err.startswith("error:") and "not finite" in err and "Traceback" not in err
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "levels,verify",
+    [(4, False), (2, True), (4, True)],
+    ids=["4-levels", "2-levels-verify", "4-levels-verify"],
+)
+def test_compose_overflowing_leaves_are_usage_error(capsys, tmp_path, levels, verify):
+    # finite samples of 1e100 that pass the projection gate at --tol 1e300: the
+    # leaf filters overflow from 4 levels, the residual's T^H T from 2
+    samples = np.zeros((2, 16, 2))
+    samples[:, :2, 0] = [[1e100, 1e100], [1e100, -1e100]]
+    bank = {
+        "downsample": 2,
+        "inner_period": 8,
+        "filters": [{"period": 16, "samples": row.tolist()} for row in samples],
+    }
+    tree = {"bank": bank}
+    for _ in range(levels - 1):
+        tree = {"bank": bank, "children": [tree, "identity"]}
+    path = tmp_path / "tree.json"
+    path.write_text(json.dumps(tree))
+    argv = ["compose", "--tree", str(path), "--inner-dim", "1", "--tol", "1e300"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow RuntimeWarning either
+        code, out, err = _run(capsys, *argv + ["--verify"] * verify)
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1 and "not finite" in err
     assert out == ""
 
 
