@@ -232,10 +232,11 @@ def _cmd_compose(args) -> int:
     ambient = args.inner_dim * multilevel.tree_from_json(spec, _banks(4, inline)).max_leaf_rate
     tree = multilevel.tree_from_json(spec, _banks(ambient, inline))
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
-        leaves = multilevel.compose_tree(tree, ambient, tol=args.tol)
-        stack = np.array([leaf.samples[0] for leaf, _ in leaves])  # every leaf has period ambient
-        ok, residual = multilevel.verify_tree(leaves, tol=args.tol) if args.verify else (True, 0.0)
-    if not (np.all(np.isfinite(stack)) and np.isfinite(residual)):
+        filters, rates, weights = multilevel.compose_tree(tree, ambient, tol=args.tol)
+        ok, residual = True, 0.0
+        if args.verify:
+            ok, residual = multilevel.verify_tree(filters, rates, weights, tol=args.tol)
+    if not (np.all(np.isfinite(filters)) and np.isfinite(residual)):
         raise ValueError(
             "composed leaf filters or their residual are not finite (samples too large)"
         )
@@ -244,11 +245,11 @@ def _cmd_compose(args) -> int:
         "leaves": [
             {
                 "weight": {"num": w.numerator, "den": w.denominator},
-                "rank": leaf.inner_period,
-                "rate": leaf.downsample,
+                "rank": ambient // rate,
+                "rate": rate,
                 "filter": filt,
             }
-            for (leaf, w), filt in zip(leaves, signal_to_json(stack))
+            for w, rate, filt in zip(weights, rates, signal_to_json(filters))
         ],
     }
     if args.verify:

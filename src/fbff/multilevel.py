@@ -8,23 +8,22 @@ child leaves a channel as a leaf, a bank child splits it again.
 
 A chain of channels is one channel at the product rate (the noble
 identities): its filter is the ring product of the outer filter with the
-upsampled inner one (:func:`equivalent_filter`, on sample arrays), and each
-flattened leaf is a one-channel bank of that filter.  Every channel of a
-node shares the node's one prefix filter, so compose forms all of a node's
-equivalent filters from one ring product of the prefix with the folded
-bank's sample stack (and ``fbff compose`` writes the leaves from one stack
-of their samples).  Compose judges each level's
-channels, and verify each leaf, by the one projection rule: the largest
-entry of T^H T - I, from polyphase norms or from the leaf's T.  Compose
-judges each distinct (bank, level period) once per call: a packet tree that
-repeats one bank at one period reads all its channels' defects from one FFT
-of that bank's polyphase matrix.
+upsampled inner one (:func:`equivalent_filter`, on sample arrays), and a
+flattened leaf is that filter's sample row with its rate and weight.  Every
+channel of a node shares the node's one prefix filter, so compose forms all
+of a node's equivalent filters from one ring product of the prefix with the
+folded bank's sample stack, and stacks the leaf rows once into one (L, dim)
+array.  Compose judges each level's channels, and verify each leaf, by the
+one projection rule: the largest entry of T^H T - I, from polyphase norms or
+from the leaf's T.  Compose judges each distinct (bank, level period) once
+per call: a packet tree that repeats one bank at one period reads all its
+channels' defects from one FFT of that bank's polyphase matrix.
 
 Verify stays in the time domain and forms no dim x dim array.  A leaf of
 rate m has translate columns spaced by m, so its T T^H commutes with
 translation by m, and the frame operator S = sum w T T^H commutes with
-translation by L = lcm of the leaf rates: max|S - I| is reached in S's
-first L columns, each leaf adds the ``translate_matrix`` rolls by m of its
+translation by the lcm of the leaf rates, span: max|S - I| is reached in
+S's first span columns, each leaf adds the ``translate_matrix`` rolls by m of its
 dim x m block w T T[:m]^H into them, and each leaf's T^H T is circulant,
 so its first row holds every entry of T^H T - I: O(dim^2) work per leaf.
 :func:`verify_weighted_parseval`, the dense dim x dim sum over explicit
@@ -105,31 +104,30 @@ class TreeNode:
 
 
 def periodize_bank(fb: FilterBank, filter_period: int) -> FilterBank:
-    """Fold every filter of a bank onto a shorter period, the sum of its blocks of
-    length filter_period, by summing the blocks of length filter_period / M along P."""
-    m, n, p = fb.coeffs.shape
-    if filter_period == m * p:
+    """Fold every filter of a bank onto a shorter period, the sum of its blocks
+    of length filter_period; ValueError unless M | filter_period | M P."""
+    n, period = fb.samples.shape
+    if filter_period == period:
         return fb
-    if filter_period < 1 or m * p % filter_period:
-        raise ValueError(f"target period {filter_period} must divide period {m * p}")
-    if filter_period % m:
-        raise ValueError(f"downsampling rate {m} must divide filter period {filter_period}")
-    return FilterBank.from_coeffs(fb.coeffs.reshape(m, n, -1, filter_period // m).sum(axis=2))
+    if filter_period < 1 or period % filter_period:
+        raise ValueError(f"target period {filter_period} must divide period {period}")
+    return FilterBank(fb.samples.reshape(n, -1, filter_period).sum(axis=1), fb.downsample)
 
 
 def compose_tree(tree: TreeNode, dim: int, tol: float = 1e-9):
     """Flatten a tree over an ambient dimension into weighted leaf channels.
 
-    Returns a list of (FilterBank, weight) pairs: the one-channel bank of
-    each leaf path, whose inner period is the leaf's rank, and the product of
-    the per-level channel weights M/N as an exact fraction.  Banks are folded
-    to each level's period; every channel at every level must have
-    orthonormal translates, otherwise ValueError names the first that does
-    not.  Each (bank object, period) pair is folded and judged once per call.
+    Returns (filters, rates, weights): the (L, dim) complex stack of the
+    leaf filters, leaf l of rank dim // rates[l]; the L products of the rates
+    along each leaf path; and the L products of the per-level channel weights
+    M/N as exact fractions.  Banks are folded to each level's period; every
+    channel at every level must have orthonormal translates, otherwise
+    ValueError names the first that does not.  Each (bank object, period)
+    pair is folded and judged once per call.
     """
     if tree.bank is None:
         raise ValueError("tree root must carry a bank")
-    leaves: list[tuple[FilterBank, Fraction]] = []
+    leaves: list[tuple[np.ndarray, int, Fraction]] = []  # (filter row, rate, weight)
     judged = {}  # (bank object, period) -> folded bank; the tree keeps each bank alive
 
     def walk(node: TreeNode, dim_here: int, prefix: tuple[np.ndarray, int] | None, weight: Fraction):
@@ -149,36 +147,32 @@ def compose_tree(tree: TreeNode, dim: int, tol: float = 1e-9):
             rows, rate = equivalent_filter(outer, rows, outer_rate), outer_rate * m
         for row, child in zip(rows, node.children):
             if child.bank is None:
-                leaves.append((FilterBank(row[None], rate), weight))
+                leaves.append((row, rate, weight))
             else:
                 walk(child, dim_here // m, (row, rate), weight)
 
     walk(tree, dim, None, Fraction(1))
-    return leaves
+    filters, rates, weights = zip(*leaves)
+    return np.array(filters), list(rates), list(weights)
 
 
-def verify_tree(leaves, *, tol: float = 1e-9):
-    """Check the flattened leaves against the weighted Parseval identity on
-    their common filter period.  Returns (ok, max_residual): the largest of
-    every leaf's max|T^H T - I|, read from the first row of that circulant,
-    and of max|sum w T T^H - I|, read from the sum's first L columns, L the
-    lcm of the leaf rates; ok is whether it is at most ``tol`` (never for a
-    non-finite sample, whose residual is NaN).  One contiguous copy of one
-    leaf's translate matrix T is held at a time.  ValueError when there
-    are no leaves or their periods differ."""
-    if not leaves:
+def verify_tree(filters: np.ndarray, rates, weights, *, tol: float = 1e-9):
+    """Check leaves, their (L, dim) filter stack with their L rates and
+    weights, against the weighted Parseval identity.  Returns (ok,
+    max_residual): the largest of every leaf's max|T^H T - I|, read from the
+    first row of that circulant, and of max|sum w T T^H - I|, read from the
+    sum's first ``span`` columns, the lcm of the leaf rates; ok is whether it
+    is at most ``tol`` (never for a non-finite sample, whose residual is
+    NaN).  One contiguous copy of one leaf's translate matrix T is held at a
+    time.  ValueError when there are no leaves or the three lengths differ."""
+    if not len(filters):
         raise ValueError("verify_tree needs at least one leaf")
-    dim = leaves[0][0].filter_period
-    for leaf, _ in leaves:
-        if leaf.filter_period != dim:
-            shape = (leaf.filter_period, leaf.inner_period)
-            raise ValueError(f"isometry has shape {shape}, expected ({dim}, r)")
-    span = math.lcm(*(leaf.downsample for leaf, _ in leaves))
+    dim = filters.shape[-1]
+    span = math.lcm(*rates)
     head = np.zeros((dim, span), dtype=complex)  # sum w T T^H, columns :span
     defects = []
-    for leaf, w in leaves:
-        m = leaf.downsample
-        t = np.ascontiguousarray(translate_matrix(leaf.samples[0], m))
+    for phi, m, w in zip(filters, rates, weights, strict=True):
+        t = np.ascontiguousarray(translate_matrix(phi, m))
         row = t[:, 0].conj() @ t  # first row of T^H T
         row[0] -= 1.0
         defects.append(np.max(np.abs(row)))

@@ -128,18 +128,18 @@ def test_criterion_05_parseval_trees():
     start = time.perf_counter()
     fb = bank_of(modulated_daubechies_stack(8))  # ambient dim 16, Q = 4
 
-    leaves = compose_tree(dwt_tree(fb, 2), 16)
-    assert len(leaves) == 7
-    assert sorted(str(w) for _, w in leaves) == ["1/2"] * 3 + ["1/4"] * 4
-    assert sorted(leaf.inner_period for leaf, _ in leaves) == [4] * 4 + [8] * 3
-    ok, residual = verify_tree(leaves)
+    filters, rates, weights = compose_tree(dwt_tree(fb, 2), 16)
+    assert filters.shape == (7, 16)
+    assert sorted(str(w) for w in weights) == ["1/2"] * 3 + ["1/4"] * 4
+    assert sorted(16 // m for m in rates) == [4] * 4 + [8] * 3
+    ok, residual = verify_tree(filters, rates, weights)
     assert ok and residual <= 1e-9
 
-    leaves = compose_tree(packet_tree(fb, 2), 16)
-    assert len(leaves) == 16
-    assert all(w == Fraction(1, 4) for _, w in leaves)
-    assert all(leaf.inner_period == 4 for leaf, _ in leaves)
-    ok, residual = verify_tree(leaves)
+    filters, rates, weights = compose_tree(packet_tree(fb, 2), 16)
+    assert filters.shape == (16, 16)
+    assert weights == [Fraction(1, 4)] * 16
+    assert rates == [4] * 16  # rank 4 each
+    ok, residual = verify_tree(filters, rates, weights)
     assert ok and residual <= 1e-9
 
     elapsed = time.perf_counter() - start

@@ -384,18 +384,18 @@ def test_compose_writes_the_per_leaf_signal_json(capsys, tmp_path, spec, ambient
     tree = multilevel.tree_from_json(
         spec, lambda b: bank_of(named_matrix(b, ambient)) if isinstance(b, str) else bank_from_json(b)
     )
-    leaves = multilevel.compose_tree(tree, ambient)
-    ok, residual = multilevel.verify_tree(leaves)
+    filters, rates, weights = multilevel.compose_tree(tree, ambient)
+    ok, residual = multilevel.verify_tree(filters, rates, weights)
     want = {
         "ambient_dim": ambient,
         "leaves": [
             {
                 "weight": {"num": w.numerator, "den": w.denominator},
-                "rank": leaf.inner_period,
-                "rate": leaf.downsample,
-                "filter": signals.signal_to_json(leaf.samples)[0],
+                "rank": len(phi) // m,
+                "rate": m,
+                "filter": signals.signal_to_json(phi[None])[0],
             }
-            for leaf, w in leaves
+            for phi, m, w in zip(filters, rates, weights)
         ],
         "verified": ok,
         "max_residual": residual,

@@ -1,3 +1,4 @@
+import functools
 import tracemalloc
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from fbff.analysis import (
     isometry_defect,
 )
 from fbff.constructions import (
+    NAMED_MATRICES,
     daubechies4,
     elementary_paraunitary,
     mercedes_benz,
@@ -20,6 +22,7 @@ from fbff.constructions import (
     named_matrix,
     paraunitary_chain,
     paraunitary_product,
+    tensor,
 )
 from fbff.multilevel import (
     TreeNode,
@@ -131,63 +134,66 @@ def test_equivalent_filter_squared_response_factorizes():
 
 def test_depth_one_tree():
     fb = _stacked_bank()
-    leaves = compose_tree(TreeNode(fb), AMBIENT)
-    assert len(leaves) == 4
-    assert all(w == Fraction(1, 2) for _, w in leaves)
-    assert all(leaf.inner_period == 8 for leaf, _ in leaves)
-    ok, residual = verify_tree(leaves)
+    filters, rates, weights = compose_tree(TreeNode(fb), AMBIENT)
+    assert filters.shape == (4, AMBIENT) and filters.dtype == complex
+    assert weights == [Fraction(1, 2)] * 4
+    assert rates == [2] * 4  # rank 8 each
+    ok, residual = verify_tree(filters, rates, weights)
     assert ok and residual <= 1e-9
 
 
 def test_dwt_tree_leaves():
     fb = _stacked_bank()
-    leaves = compose_tree(dwt_tree(fb, 2), AMBIENT)
-    weights = sorted(str(w) for _, w in leaves)
-    ranks = sorted(leaf.inner_period for leaf, _ in leaves)
-    assert len(leaves) == 7
-    assert weights == ["1/2", "1/2", "1/2", "1/4", "1/4", "1/4", "1/4"]
-    assert ranks == [4, 4, 4, 4, 8, 8, 8]
-    ok, residual = verify_tree(leaves)
+    filters, rates, weights = compose_tree(dwt_tree(fb, 2), AMBIENT)
+    assert filters.shape == (7, AMBIENT)
+    assert sorted(str(w) for w in weights) == ["1/2", "1/2", "1/2", "1/4", "1/4", "1/4", "1/4"]
+    assert sorted(AMBIENT // m for m in rates) == [4, 4, 4, 4, 8, 8, 8]
+    ok, residual = verify_tree(filters, rates, weights)
     assert ok and residual <= 1e-9
 
 
 def test_packet_tree_leaves():
     fb = _stacked_bank()
-    leaves = compose_tree(packet_tree(fb, 2), AMBIENT)
-    assert len(leaves) == 16
-    assert all(w == Fraction(1, 4) for _, w in leaves)
-    assert all(leaf.inner_period == 4 for leaf, _ in leaves)
-    ok, residual = verify_tree(leaves)
+    filters, rates, weights = compose_tree(packet_tree(fb, 2), AMBIENT)
+    assert filters.shape == (16, AMBIENT)
+    assert weights == [Fraction(1, 4)] * 16
+    assert rates == [4] * 16  # rank 4 each
+    ok, residual = verify_tree(filters, rates, weights)
     assert ok and residual <= 1e-9
 
 
-def _basis_isometry(ch):
+def _basis_isometry(phi, m):
     # the leaf's synthesis applied to each basis vector of its input space
+    ch = FilterBank([phi], m)
     rank = ch.inner_period
     cols = [synthesis_apply(ch, [delta(k, rank)]) for k in range(rank)]
     return np.stack(cols, axis=1)
 
 
-def _double_first_weight(leaves):
-    (ch, w), *rest = leaves
-    return [(ch, 2 * w), *rest]
+def _as_composed(filters, rates, weights):
+    return filters, rates, weights
 
 
-def _scale_first_filter(leaves):
-    (ch, w), *rest = leaves
-    return [(FilterBank([2 * ch.samples[0]], ch.downsample), w), *rest]
+def _double_first_weight(filters, rates, weights):
+    return filters, rates, [2 * weights[0], *weights[1:]]
+
+
+def _scale_first_filter(filters, rates, weights):
+    filters = filters.copy()
+    filters[0] *= 2
+    return filters, rates, weights
 
 
 @pytest.mark.parametrize("tree", [dwt_tree, packet_tree], ids=["dwt", "packet"])
 @pytest.mark.parametrize(
     "edit,expected",
-    [(list, True), (_double_first_weight, False), (_scale_first_filter, False)],
+    [(_as_composed, True), (_double_first_weight, False), (_scale_first_filter, False)],
     ids=["as-composed", "weight-doubled", "filter-scaled"],
 )
 def test_verify_tree_matches_basis_reference(tree, edit, expected):
-    leaves = edit(compose_tree(tree(_stacked_bank(), 2), AMBIENT))
-    ok, residual = verify_tree(leaves)
-    reference = [(_basis_isometry(ch), w) for ch, w in leaves]
+    filters, rates, weights = edit(*compose_tree(tree(_stacked_bank(), 2), AMBIENT))
+    ok, residual = verify_tree(filters, rates, weights)
+    reference = [(_basis_isometry(phi, m), w) for phi, m, w in zip(filters, rates, weights)]
     ref_ok, ref_residual = verify_weighted_parseval(reference, AMBIENT)
     assert ok == ref_ok == expected
     assert abs(residual - ref_residual) <= 1e-12
@@ -196,15 +202,17 @@ def test_verify_tree_matches_basis_reference(tree, edit, expected):
 def test_verify_tree_reads_the_leaf_channel_defect():
     # the first leaf scaled by 1 + delta: the tree's residual is that leaf's
     # polyphase channel defect, and its verdict flips where the leaf's does
-    (ch, w), *rest = compose_tree(dwt_tree(_stacked_bank(), 2), AMBIENT)
+    filters, rates, weights = compose_tree(dwt_tree(_stacked_bank(), 2), AMBIENT)
+    m = rates[0]
     verdicts = set()
     for delta in np.geomspace(1e-11, 1e-8, 30):
-        phi = (1 + delta) * ch.samples[0]
-        scaled = [(FilterBank([phi], ch.downsample), w), *rest]
-        ok, residual = verify_tree(scaled)
-        defect = channel_defects(decompose(phi, ch.downsample))[0]
+        scaled = filters.copy()
+        scaled[0] *= 1 + delta
+        phi = scaled[0]
+        ok, residual = verify_tree(scaled, rates, weights)
+        defect = channel_defects(decompose(phi, m))[0]
         assert abs(residual - defect) <= 1e-12 * max(1.0, defect)
-        assert ok == channel_is_projection(phi, ch.downsample)
+        assert ok == channel_is_projection(phi, m)
         verdicts.add(ok)
     assert verdicts == {True, False}
 
@@ -215,14 +223,13 @@ def test_verify_tree_reads_the_off_diagonal_leaf_defects():
     # weighted by its energy keeps sum w T T^H = I and T^H T's diagonal at 1:
     # only T^H T's off-diagonal entries reject the leaves
     u = np.array([1.0, 2.0, 2.0j]) / 3
-    leaves = []
-    for f in bank_of(elementary_paraunitary(u, 8)[:2]).samples:
-        energy = float(np.vdot(f, f).real)
-        leaves.append((FilterBank([(1 / np.sqrt(energy)) * f], 2), energy))
-    ts = [(translate_matrix(ch.samples[0], 2), w) for ch, w in leaves]
+    samples = bank_of(elementary_paraunitary(u, 8)[:2]).samples
+    weights = [float(np.vdot(f, f).real) for f in samples]
+    filters = np.array([(1 / np.sqrt(energy)) * f for f, energy in zip(samples, weights)])
+    ts = [(translate_matrix(phi, 2), w) for phi, w in zip(filters, weights)]
     frame_operator = sum(w * t @ t.conj().T for t, w in ts)
     assert np.max(np.abs(frame_operator - np.eye(16))) <= 1e-12
-    ok, residual = verify_tree(leaves)
+    ok, residual = verify_tree(filters, [2] * len(filters), weights)
     assert not ok
     assert abs(residual - max(isometry_defect(t) for t, _ in ts)) <= 1e-12
     assert residual == pytest.approx(0.5)
@@ -234,13 +241,13 @@ def test_verify_tree_reads_lcm_of_the_leaf_rates_columns():
     # 6-11 of S - I hold entries larger than any of columns 0-5
     dirac3 = bank_of(np.eye(3)[:, :, None] * np.eye(4)[0])  # rate 3, period 12
     root = TreeNode(bank_of(daubechies4(12)), [TreeNode(bank_of(daubechies4(6))), TreeNode(dirac3)])
-    leaves = compose_tree(root, 24)
-    assert [ch.downsample for ch, _ in leaves] == [4, 4, 6, 6, 6]
-    assert verify_tree(leaves)[0]
-    raised = [(ch, w * k) for (ch, w), k in zip(leaves, [1, Fraction(3, 2), Fraction(3, 2), 1, 1])]
-    ts = [(translate_matrix(ch.samples[0], ch.downsample), w) for ch, w in raised]
+    filters, rates, weights = compose_tree(root, 24)
+    assert rates == [4, 4, 6, 6, 6]
+    assert verify_tree(filters, rates, weights)[0]
+    raised = [w * k for w, k in zip(weights, [1, Fraction(3, 2), Fraction(3, 2), 1, 1])]
+    ts = [(translate_matrix(phi, m), w) for phi, m, w in zip(filters, rates, raised)]
     defect = np.abs(sum(float(w) * t @ t.conj().T for t, w in ts) - np.eye(24))
-    ok, residual = verify_tree(raised)
+    ok, residual = verify_tree(filters, rates, raised)
     assert not ok
     assert abs(residual - defect.max()) <= 1e-12
     assert defect[:, :6].max() < residual - 0.05
@@ -248,21 +255,20 @@ def test_verify_tree_reads_lcm_of_the_leaf_rates_columns():
 
 def test_verify_tree_rejects_a_non_finite_leaf():
     # one NaN sample in one leaf: the residual is NaN and the tree fails
-    (ch, w), *rest = compose_tree(dwt_tree(_stacked_bank(), 2), AMBIENT)
-    samples = ch.samples[0].copy()
-    samples[3] = np.nan
-    ok, residual = verify_tree([(FilterBank([samples], ch.downsample), w), *rest])
+    filters, rates, weights = compose_tree(dwt_tree(_stacked_bank(), 2), AMBIENT)
+    filters[0, 3] = np.nan
+    ok, residual = verify_tree(filters, rates, weights)
     assert not ok and np.isnan(residual)
 
 
 def test_large_packet_tree_verifies():
     # 5 levels of Daubechies-4 at ambient 1024: 32 leaves of rank 32
     leaves = compose_tree(packet_tree(bank_of(daubechies4(512)), 5), 1024)
-    assert len(leaves) == 32
-    ok, residual = verify_tree(leaves)
+    assert leaves[0].shape == (32, 1024)
+    ok, residual = verify_tree(*leaves)
     assert ok and residual <= 1e-12
     for edit in (_double_first_weight, _scale_first_filter):
-        assert not verify_tree(edit(leaves))[0]
+        assert not verify_tree(*edit(*leaves))[0]
 
 
 def test_deep_packet_tree_verifies_without_a_dim_squared_array():
@@ -271,17 +277,17 @@ def test_deep_packet_tree_verifies_without_a_dim_squared_array():
     # lcm-of-rates columns of the sum and one leaf's dim x rank T at a time
     dim = 4096
     leaves = compose_tree(packet_tree(bank_of(daubechies4(dim // 2)), 6), dim)
-    assert len(leaves) == 64
+    assert leaves[0].shape == (64, dim)
     tracemalloc.start()
     try:
-        ok, residual = verify_tree(leaves)
+        ok, residual = verify_tree(*leaves)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert ok and residual <= 1e-12
     assert peak < dim**2 * 16 / 8
     for edit in (_double_first_weight, _scale_first_filter):
-        assert not verify_tree(edit(leaves))[0]
+        assert not verify_tree(*edit(*leaves))[0]
 
 
 def test_deep_dwt_verifies_holding_one_translate_matrix():
@@ -292,10 +298,10 @@ def test_deep_dwt_verifies_holding_one_translate_matrix():
     # beside it or for the rate-4 leaf's T kept alive
     dim = 4096
     leaves = compose_tree(dwt_tree(bank_of(daubechies4(dim // 2)), 8), dim)
-    assert [ch.downsample for ch, _ in leaves] == [256, 256, 128, 64, 32, 16, 8, 4, 2]
+    assert leaves[1] == [256, 256, 128, 64, 32, 16, 8, 4, 2]
     tracemalloc.start()
     try:
-        ok, residual = verify_tree(leaves)
+        ok, residual = verify_tree(*leaves)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -322,16 +328,16 @@ def _shaped_tree(bank, shape, depth, rng):
     return node
 
 
-def _edited(leaves, edit, index, delta):
-    index %= len(leaves)
-    ch, w = leaves[index]
+def _edited(filters, rates, weights, edit, index, delta):
+    index %= len(filters)
     if edit == "weight-doubled":
-        leaves[index] = (ch, 2 * w)
+        weights[index] *= 2
     elif edit == "filter-scaled":
-        leaves[index] = (FilterBank([(1 + delta) * ch.samples[0]], ch.downsample), w)
+        filters[index] *= 1 + delta
     elif edit == "leaf-dropped":
-        del leaves[index]
-    return leaves
+        filters = np.delete(filters, index, axis=0)
+        del rates[index], weights[index]
+    return filters, rates, weights
 
 
 @settings(max_examples=60, deadline=None)
@@ -351,40 +357,83 @@ def test_verify_tree_agrees_with_the_dense_sum(name, shape, depth, log_rank, see
     # named bank has rate 2, so the deepest leaves have rank 2**log_rank
     dim = 2 ** (depth + log_rank)  # at most 256
     tree = _shaped_tree(bank_of(named_matrix(name, dim)), shape, depth, np.random.default_rng(seed))
-    leaves = _edited(compose_tree(tree, dim), edit, index, delta)
-    ok, residual = verify_tree(leaves)
-    dense = [(translate_matrix(ch.samples[0], ch.downsample), w) for ch, w in leaves]
+    filters, rates, weights = _edited(*compose_tree(tree, dim), edit, index, delta)
+    ok, residual = verify_tree(filters, rates, weights)
+    dense = [(translate_matrix(phi, m), w) for phi, m, w in zip(filters, rates, weights)]
     ref_ok, ref_residual = verify_weighted_parseval(dense, dim)
     assert ok == ref_ok
     assert abs(residual - ref_residual) <= 1e-12 * max(1.0, ref_residual)
 
 
 def test_verify_tree_reads_the_dimension_from_its_leaves():
-    dwt = compose_tree(dwt_tree(_stacked_bank(), 2), AMBIENT)
+    filters, rates, weights = compose_tree(dwt_tree(_stacked_bank(), 2), AMBIENT)
     short = compose_tree(TreeNode(_stacked_bank(8)), 8)
-    with pytest.raises(ValueError, match="isometry has shape"):
-        verify_tree(dwt + short)  # filter periods 16 and 8
+    assert verify_tree(*short)[0] and short[0].shape == (4, 8)
     with pytest.raises(ValueError, match="at least one leaf"):
-        verify_tree([])
-    # tol is keyword-only: a stale (leaves, dim) call cannot read dim as tol
+        verify_tree(filters[:0], [], [])
+    # the rates, weights and filters are zipped strictly: one short is refused
+    for leaves in ((filters[:-1], rates, weights), (filters, rates[:-1], weights), (filters, rates, weights[:-1])):
+        with pytest.raises(ValueError, match="zip"):
+            verify_tree(*leaves)
+    with pytest.raises(ValueError, match=f"translation step 3 must divide period {AMBIENT}"):
+        verify_tree(filters, [3, *rates[1:]], weights)
+    # tol is keyword-only: it cannot be passed as a fourth positional
     with pytest.raises(TypeError):
-        verify_tree(dwt, AMBIENT)
+        verify_tree(filters, rates, weights, 1e-9)
+
+
+def _one_level_bank(name):
+    """A named bank at P = 8, or one at (M, N, P) = (8, 12, 256), dimension
+    2048: CI's verify-grid tensor bank mercedes-benz.daubechies4.daubechies4,
+    the same with its largest coefficient scaled by 1 + 1e-6, or a random one."""
+    if name in NAMED_MATRICES:
+        return bank_of(named_matrix(name, 8))
+    if name == "random-2048":
+        rng = np.random.default_rng(2)
+        return FilterBank(rng.standard_normal((12, 2048)) + 1j * rng.standard_normal((12, 2048)), 8)
+    factors = [named_matrix(part, 256) for part in ("mercedes-benz", "daubechies4", "daubechies4")]
+    samples = np.array(bank_of(functools.reduce(tensor, factors)).samples)
+    if name == "tensor-2048-perturbed":
+        samples.flat[np.argmax(np.abs(samples))] *= 1 + 1e-6
+    return FilterBank(samples, 8)
+
+
+_ONE_LEVEL_VERDICTS = {
+    **dict.fromkeys(NAMED_MATRICES, True),
+    "tensor-2048": True,
+    "tensor-2048-perturbed": False,
+    "random-2048": False,
+}
+
+
+@pytest.mark.parametrize("name", list(_ONE_LEVEL_VERDICTS))
+def test_a_bank_is_a_one_level_tree(name):
+    # N channels of rate M, each of weight M/N: the bank is a PUNTF exactly
+    # when these leaves pass verify_tree, and the 1e-6 perturbation flips both
+    fb = _one_level_bank(name)
+    m, n = fb.downsample, fb.n_channels
+    ok, _ = verify_tree(fb.samples, [m] * n, [Fraction(m, n)] * n)
+    assert ok == fusion_report(fb).is_puntf == _ONE_LEVEL_VERDICTS[name]
 
 
 def test_weight_accounting_exact():
     fb = _stacked_bank()
     for tree in (TreeNode(fb), dwt_tree(fb, 2), packet_tree(fb, 2)):
-        leaves = compose_tree(tree, AMBIENT)
-        assert sum(w * leaf.inner_period for leaf, w in leaves) == AMBIENT
+        _, rates, weights = compose_tree(tree, AMBIENT)
+        assert sum(w * (AMBIENT // m) for m, w in zip(rates, weights)) == AMBIENT
 
 
 def test_inner_banks_are_periodized():
     # the same full-period bank object drives every level; leaves at depth 2
-    # must use its folding, which the rank bookkeeping reflects
+    # must use its folding: channel 0 over each folded filter
     fb = _stacked_bank()
-    leaves = compose_tree(dwt_tree(fb, 2), AMBIENT)
-    deep = [ch for ch, _ in leaves if ch.inner_period == 4]
-    assert all(ch.downsample == 4 and ch.samples.shape == (1, AMBIENT) for ch in deep)
+    filters, rates, _ = compose_tree(dwt_tree(fb, 2), AMBIENT)
+    assert filters.shape == (7, AMBIENT)
+    deep = [phi for phi, m in zip(filters, rates) if m == 4]
+    folded = periodize_bank(fb, AMBIENT // 2).samples
+    assert len(deep) == len(folded) == 4
+    for phi, inner_f in zip(deep, folded):
+        np.testing.assert_allclose(phi, equivalent_filter(fb.samples[0], inner_f, 2), rtol=0, atol=1e-14)
 
 
 def test_periodized_bank_stays_tight_projection_frame():
@@ -428,10 +477,10 @@ def test_random_paraunitary_tree():
     chain = paraunitary_product(paraunitary_chain(2, 2, 8, seed=7), mercedes_benz(8))
     fb = bank_of(chain)
     assert fusion_report(fb).is_puntf
-    leaves = compose_tree(dwt_tree(fb, 2), 16)
-    ok, residual = verify_tree(leaves)
+    filters, rates, weights = compose_tree(dwt_tree(fb, 2), 16)
+    ok, residual = verify_tree(filters, rates, weights)
     assert ok and residual <= 1e-9
-    assert sum(w * leaf.inner_period for leaf, w in leaves) == 16
+    assert sum(w * (16 // m) for m, w in zip(rates, weights)) == 16
 
 
 def test_non_projection_bank_rejected():
@@ -443,24 +492,24 @@ def test_non_projection_bank_rejected():
 
 def _reference_walk(node, dim, prefix=None, weight=Fraction(1)):
     # the flattening that folds and judges every node's bank on its own, one
-    # channel_is_projection call per channel
+    # channel_is_projection call per channel; a list of (filter, rate, weight)
     bank = periodize_bank(node.bank, dim)
     m, n = bank.downsample, bank.n_channels
     for idx, phi in enumerate(bank.samples):
         if not channel_is_projection(phi, m):
             raise ValueError(f"channel {idx} translates are not orthonormal")
     leaves = []
-    for phi, child in zip(bank.samples, node.children or (TreeNode(None),) * n):
+    for phi, child in zip(bank.samples, node.children):
         if prefix is None:
-            eff = FilterBank([phi], m)
+            eff, rate = phi, m
         else:
-            outer, rate = prefix.samples[0], prefix.downsample
-            eff = FilterBank([equivalent_filter(outer, phi, rate)], rate * m)
+            outer, outer_rate = prefix
+            eff, rate = equivalent_filter(outer, phi, outer_rate), outer_rate * m
         w = weight * Fraction(m, n)
         if child.bank is None:
-            leaves.append((eff, w))
+            leaves.append((eff, rate, w))
         else:
-            leaves += _reference_walk(child, dim // m, eff, w)
+            leaves += _reference_walk(child, dim // m, (eff, rate), w)
     return leaves
 
 
@@ -475,8 +524,8 @@ def test_compose_judges_each_bank_once_per_period(monkeypatch):
 
     monkeypatch.setattr(multilevel, "channel_defects", counting)
     leaves = compose_tree(packet_tree(bank_of(daubechies4(64)), 3), 128)
-    assert len(leaves) == 8 and calls == [64, 32, 16]
-    assert verify_tree(leaves)[0]
+    assert len(leaves[0]) == 8 and calls == [64, 32, 16]
+    assert verify_tree(*leaves)[0]
 
 
 @settings(max_examples=40, deadline=None)
@@ -497,12 +546,10 @@ def test_compose_matches_the_per_channel_reference_walk(shape, name, depth, seed
     bank = bank_of(named_matrix(name, 4 * rate))
     node = _shaped_tree(bank, shape, depth, np.random.default_rng(seed))
     assert node.max_leaf_rate == rate
-    got = compose_tree(node, 4 * rate)
+    filters, rates, weights = compose_tree(node, 4 * rate)
     want = _reference_walk(node, 4 * rate)
-    assert len(got) == len(want)
-    for (leaf, w), (ref, ref_w) in zip(got, want):
-        assert w == ref_w and leaf.downsample == ref.downsample
-        assert np.array_equal(leaf.samples, ref.samples)
+    assert list(zip(rates, weights)) == [(m, w) for _, m, w in want]
+    assert np.array_equal(filters, [phi for phi, _, _ in want])
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -514,13 +561,14 @@ def test_compose_matches_the_reference_walk_on_a_dense_bank(seed):
     dim = bank.filter_period
     node = TreeNode(bank, [TreeNode(bank)] * 3)
     inner = periodize_bank(bank, dim // 3).samples
-    got = compose_tree(node, dim)
+    filters, rates, weights = compose_tree(node, dim)
     want = _reference_walk(node, dim)
-    assert len(got) == len(want) == 9
-    for k, ((leaf, w), (ref, ref_w)) in enumerate(zip(got, want)):
+    assert len(filters) == len(want) == 9
+    assert list(zip(rates, weights)) == [(m, w) for _, m, w in want]
+    assert rates == [9] * 9
+    for k, (phi, (ref, _, _)) in enumerate(zip(filters, want)):
         outer, inner_f = bank.samples[k // 3], inner[k % 3]
-        assert w == ref_w and leaf.downsample == ref.downsample == 9
-        err = np.max(np.abs(leaf.samples[0] - ref.samples[0]))
+        err = np.max(np.abs(phi - ref))
         assert err <= 1e-15 * norm(outer) * norm(inner_f)
 
 
@@ -620,7 +668,7 @@ def test_identity_shorthand_is_stored_expanded(name):
 def test_max_leaf_rate_is_the_largest_composed_rate(name, shape, depth, seed):
     dim = 2**depth * 4
     tree = _shaped_tree(bank_of(named_matrix(name, dim)), shape, depth, np.random.default_rng(seed))
-    assert tree.max_leaf_rate == max(leaf.downsample for leaf, _ in compose_tree(tree, dim))
+    assert tree.max_leaf_rate == max(compose_tree(tree, dim)[1])
 
 
 def test_max_leaf_rate_of_mixed_rates():
@@ -629,9 +677,9 @@ def test_max_leaf_rate_of_mixed_rates():
     impulses = FilterBank(tuple(delta(k, 12) for k in range(3)), 3)
     tree = TreeNode(bank_of(daubechies4(12)), [TreeNode(impulses), TreeNode(None)])
     assert tree.max_leaf_rate == 6
-    leaves = compose_tree(tree, 24)
-    assert [(leaf.downsample, leaf.inner_period) for leaf, _ in leaves] == [(6, 4)] * 3 + [(2, 12)]
-    assert verify_tree(leaves)[0]
+    filters, rates, weights = compose_tree(tree, 24)
+    assert filters.shape == (4, 24) and rates == [6, 6, 6, 2]  # ranks 4, 4, 4, 12
+    assert verify_tree(filters, rates, weights)[0]
 
 
 def test_tree_from_json():
@@ -644,7 +692,7 @@ def test_tree_from_json():
         "children": [{"bank": "stack"}, "identity", "identity", "identity"],
     }
     tree = tree_from_json(spec, resolve)
-    leaves = compose_tree(tree, AMBIENT)
-    assert len(leaves) == 7
+    filters, rates, weights = compose_tree(tree, AMBIENT)
+    assert filters.shape == (7, AMBIENT) and len(rates) == len(weights) == 7
     with pytest.raises(ValueError):
         tree_from_json({"children": []}, resolve)
