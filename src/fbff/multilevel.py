@@ -53,7 +53,6 @@ __all__ = [
     "compose_tree",
     "verify_tree",
     "verify_weighted_parseval",
-    "tree_from_json",
 ]
 
 
@@ -205,27 +204,3 @@ def verify_weighted_parseval(isometries, dim: int, tol: float = 1e-9):
         total += (float(weight) * t) @ t.conj().T
     worst = float(np.max([*defects, np.max(np.abs(total - np.eye(dim)))]))  # NaN stays NaN
     return bool(worst <= tol), worst
-
-
-def tree_from_json(obj, resolve_bank) -> TreeNode:
-    """Build a tree from its JSON form.
-
-    The format is ``{"bank": <name or inline bank>, "children": [...]}``
-    where each child is either the string ``"identity"`` or another tree
-    object, and ``children`` may be omitted for a depth-one node.
-    ``resolve_bank`` maps each bank spec, a name or an inline bank in the
-    shared filter-bank JSON format, to a FilterBank.
-    """
-    if not isinstance(obj, dict) or "bank" not in obj:
-        raise ValueError("tree node must be an object with a 'bank' key")
-    bank = resolve_bank(obj["bank"])
-    specs = obj.get("children", [])
-    if not isinstance(specs, list):
-        raise ValueError("tree children must be a list")
-    children = []
-    for child in specs:
-        if child == "identity":
-            children.append(TreeNode(None))
-        else:
-            children.append(tree_from_json(child, resolve_bank))
-    return TreeNode(bank, children)

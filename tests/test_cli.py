@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import functools
 import io
 import json
 import os
@@ -335,6 +336,53 @@ def test_compose_inline_bank(capsys, tmp_path):
     assert got["ambient_dim"] == 16 and len(got["leaves"]) == 2
 
 
+_NODE_ERROR = "tree node must be an object with a 'bank' key"
+
+
+@pytest.mark.parametrize(
+    "spec,message",
+    [
+        ([{"bank": "daubechies4"}], _NODE_ERROR),
+        ({"children": ["identity", "identity"]}, _NODE_ERROR),
+        ({"bank": "daubechies4", "children": "x"}, "tree children must be a list"),
+        ({"bank": "daubechies4", "children": ["leaf", "identity"]}, _NODE_ERROR),
+        ({"bank": "daubechies4", "children": ["identity"]}, "need one child per channel: 1 for 2 channels"),
+        ({"bank": "nope"}, "unknown bank name: 'nope'"),
+    ],
+    ids=["list", "no-bank", "children-string", "string-child", "short-children", "unknown-name"],
+)
+def test_compose_malformed_tree_is_usage_error(capsys, tmp_path, spec, message):
+    tree = tmp_path / "tree.json"
+    tree.write_text(json.dumps(spec))
+    assert _run(capsys, "compose", "--tree", str(tree), "--inner-dim", "4") == (2, "", f"error: {message}\n")
+
+
+def test_tree_reads_a_composition_tree(monkeypatch):
+    # the stacked bank inline, at the root and under its channel 0: 7 leaves
+    stack = bank_to_json(bank_of(constructions.modulated_daubechies_stack(8)))
+    spec = {"bank": stack, "children": [{"bank": stack}, "identity", "identity", "identity"]}
+    filters, rates, weights = multilevel.compose_tree(cli._tree(spec, 16, {}), 16)
+    assert filters.shape == (7, 16) and len(rates) == len(weights) == 7
+    with pytest.raises(ValueError):
+        cli._tree({"children": []}, 16, {})
+    # a name at one period is one bank object: every node of the 6-level
+    # daubechies4 packet tree, so compose judges it once per level
+    packet = functools.reduce(lambda n, _: {"bank": "daubechies4", "children": [n, n]}, range(5), {"bank": "daubechies4"})
+    root = cli._tree(packet, 4096, {})
+    nodes, banks = [root], []
+    while nodes:
+        node = nodes.pop()
+        banks.append(node.bank)
+        nodes.extend(child for child in node.children if child.bank is not None)
+    assert len(banks) == 63 and all(bank is root.bank for bank in banks)
+    # an inline spec read at two periods with one dict is parsed once
+    parsed, parse = [], cli.bank_from_json
+    monkeypatch.setattr(cli, "bank_from_json", lambda obj: parsed.append(obj) or parse(obj))
+    banks = {}
+    assert cli._tree(spec, 4, banks).bank is cli._tree(spec, 16, banks).bank
+    assert len(parsed) == 1
+
+
 def _impulse_bank_tree():
     # CI's t23 tree: a rate-3 bank of unit impulses under channel 0 of daubechies4
     impulses = FilterBank(tuple(delta(k, 12) for k in range(3)), 3)
@@ -381,10 +429,7 @@ def test_compose_writes_the_per_leaf_signal_json(capsys, tmp_path, spec, ambient
     tree_path.write_text(json.dumps(spec))
     argv = ["compose", "--tree", str(tree_path), "--inner-dim", "4", "--verify", "--out", str(out_path)]
     assert _run(capsys, *argv)[0] == 0
-    tree = multilevel.tree_from_json(
-        spec, lambda b: bank_of(named_matrix(b, ambient)) if isinstance(b, str) else bank_from_json(b)
-    )
-    filters, rates, weights = multilevel.compose_tree(tree, ambient)
+    filters, rates, weights = multilevel.compose_tree(cli._tree(spec, ambient, {}), ambient)
     ok, residual = multilevel.verify_tree(filters, rates, weights)
     want = {
         "ambient_dim": ambient,

@@ -29,7 +29,6 @@ from fbff.multilevel import (
     compose_tree,
     equivalent_filter,
     periodize_bank,
-    tree_from_json,
     verify_tree,
     verify_weighted_parseval,
 )
@@ -680,19 +679,3 @@ def test_max_leaf_rate_of_mixed_rates():
     filters, rates, weights = compose_tree(tree, 24)
     assert filters.shape == (4, 24) and rates == [6, 6, 6, 2]  # ranks 4, 4, 4, 12
     assert verify_tree(filters, rates, weights)[0]
-
-
-def test_tree_from_json():
-    def resolve(name):
-        assert name == "stack"
-        return _stacked_bank()
-
-    spec = {
-        "bank": "stack",
-        "children": [{"bank": "stack"}, "identity", "identity", "identity"],
-    }
-    tree = tree_from_json(spec, resolve)
-    filters, rates, weights = compose_tree(tree, AMBIENT)
-    assert filters.shape == (7, AMBIENT) and len(rates) == len(weights) == 7
-    with pytest.raises(ValueError):
-        tree_from_json({"children": []}, resolve)
